@@ -51,7 +51,15 @@ from .linalg import (
     tensor_product,
     to_magic_basis,
 )
-from .locc import FilterProtocol, fstar, fstar_filter_oracle, postprocessing_gap
+from .locc import (
+    FilterProtocol,
+    FstarCertificate,
+    fstar,
+    fstar_bracket,
+    fstar_certificate,
+    fstar_filter_oracle,
+    postprocessing_gap,
+)
 from .oneshot import (
     ChannelReport,
     Classification,

@@ -9,7 +9,7 @@ all operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -426,14 +426,39 @@ def _matrix_to_pairs(m: np.ndarray) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m)]
 
 
-def _matrix_from_pairs(rows: Sequence) -> np.ndarray:
-    arr = np.array(
-        [[complex(entry[0], entry[1]) for entry in row] for row in rows],
-        dtype=complex,
-    )
-    if arr.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {arr.shape}")
-    return arr
+def _json_real(value, what: str) -> float:
+    """A finite JSON number (not a boolean) as a float, else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = float("inf")
+    if not np.isfinite(number):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return number
+
+
+def _is_pair_list(value) -> bool:
+    return isinstance(value, list) and len(value) == 2
+
+
+def _matrix_from_pairs(rows) -> np.ndarray:
+    """A 2x2 list of [re, im] pairs of finite numbers as a complex matrix."""
+    if not (_is_pair_list(rows) and all(_is_pair_list(row) for row in rows)):
+        raise ValueError(
+            f"each Kraus operator must be a 2x2 list of [re, im] pairs, got {rows!r}"
+        )
+    out = np.empty((2, 2), dtype=complex)
+    for i, row in enumerate(rows):
+        for k, entry in enumerate(row):
+            if not _is_pair_list(entry):
+                raise ValueError(
+                    f"Kraus entries must be [re, im] pairs, got {entry!r}"
+                )
+            re, im = (_json_real(x, "Kraus entry part") for x in entry)
+            out[i, k] = complex(re, im)
+    return out
 
 
 def channel_to_dict(channel: KrausChannel) -> dict:
@@ -450,8 +475,16 @@ def channel_from_dict(data: Mapping) -> KrausChannel:
     if not isinstance(data, Mapping):
         raise ValueError("channel spec must be a JSON object")
     if "name" in data:
-        return named_channel(data["name"], data.get("params"))
+        name, params = data["name"], data.get("params")
+        if not isinstance(name, str):
+            raise ValueError(f"channel name must be a string, got {name!r}")
+        if params is not None and not isinstance(params, Mapping):
+            raise ValueError(f"channel params must be a JSON object, got {params!r}")
+        params = {k: _json_real(v, f"parameter {k}") for k, v in (params or {}).items()}
+        return named_channel(name, params)
     if "kraus" in data:
+        if not isinstance(data["kraus"], list):
+            raise ValueError("'kraus' must be a list of 2x2 matrices")
         ops = [_matrix_from_pairs(rows) for rows in data["kraus"]]
         if not ops:
             raise ValueError("empty Kraus list")

@@ -40,7 +40,7 @@ from .entmetrics import (
     singlet_fraction_oracle,
 )
 from .linalg import swap_conjugate
-from .locc import fstar, fstar_filter_oracle, postprocessing_gap
+from .locc import fstar, fstar_filter_oracle
 from .oneshot import (
     ENTANGLEMENT_BREAKING_THRESHOLD,
     channel_negativity,
@@ -147,6 +147,7 @@ class _RowContext:
         self.seed = seed
         self._choi = None
         self._fraction = None
+        self._fstar = None
 
     @property
     def choi_state(self):
@@ -160,12 +161,18 @@ class _RowContext:
             self._fraction = optimal_singlet_fraction(self.channel)
         return self._fraction
 
+    @property
+    def fstar(self) -> float:
+        if self._fstar is None:
+            self._fstar = fstar(self.choi_state.matrix)
+        return self._fstar
+
 
 def _column_gap(ctx: _RowContext) -> float:
+    # Same value as postprocessing_gap(ctx.channel), from the row's caches.
     if ctx.fraction.entanglement_breaking:
         return float("nan")
-    gap, _ = postprocessing_gap(ctx.channel)
-    return gap
+    return ctx.fraction.lambda_max - ctx.fstar
 
 
 SWEEP_COLUMNS = {
@@ -176,7 +183,7 @@ SWEEP_COLUMNS = {
     "F1": lambda ctx: preprocessed_fidelity(ctx.channel),
     "N_choi": lambda ctx: negativity(ctx.choi_state.matrix),
     "N_channel": lambda ctx: channel_negativity(ctx.channel, seed=ctx.seed).value,
-    "fstar_choi": lambda ctx: fstar(ctx.choi_state.matrix),
+    "fstar_choi": lambda ctx: ctx.fstar,
     "gap": _column_gap,
     "schmidt_lambda": lambda ctx: float(
         optimal_input_state(ctx.channel).schmidt.coefficients[0]
@@ -228,8 +235,12 @@ def _cmd_sweep(args) -> int:
     for row in rows:
         lines.append(",".join(_fmt(x) for x in row))
     text = "\n".join(lines) + "\n"
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write --out: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK
 
 
@@ -297,8 +308,10 @@ def _audit_channel(channel: KrausChannel, seed: int) -> dict:
     out["kraus_trace_orthogonality"] = float(np.abs(gram - expected).max())
     out["choi_roundtrip"] = float(np.abs(choi_matrix(extracted) - j).max())
 
+    # One fstar solve serves the gap checks and the oracle comparison.
+    fs = fstar(j)
     if not breaking:
-        gap, _ = postprocessing_gap(channel)
+        gap = lam - fs
         out["gap_nonnegative"] = max(0.0, -gap)
         if unital:
             out["gap_unital"] = abs(gap)
@@ -310,7 +323,7 @@ def _audit_channel(channel: KrausChannel, seed: int) -> dict:
         closed - singlet_fraction_oracle(j, resolution_deg=4.0)
     )
     out["fstar_oracle"] = abs(
-        fstar(j) - fstar_filter_oracle(j, restarts=16, seed=seed).fstar_value
+        fs - fstar_filter_oracle(j, restarts=16, seed=seed).fstar_value
     )
     return out
 

@@ -7,23 +7,33 @@ overlap with any maximally entangled target is 1/2, giving
 
     F* = max(1/2, sup over filters of [p F(rho_1) + (1 - p) / 2]).
 
-Dually, F* is the value of a small convex program whose optimum is a
-rank-one operator X = |x><x|: feasibility of the partial transpose of X
-caps the largest Schmidt singular value of x at 1/sqrt(2), and
+Writing the filter's action as an operator X, F* = 1/2 - m with m the value
+of the semidefinite program min Tr(rho^Gamma X) over X >= 0 with
+Tr_B X <= I/2 (Gamma the partial transpose on the first qubit; X = 0, the
+separable preparation, keeps m <= 0).  Its optimum is rank one,
+X = |x><x|, for which the constraint caps the largest Schmidt singular
+value of x at 1/sqrt(2):
 
-    F*(rho) = max(1/2, 1/2 - min_x <x| rho^Gamma |x>)
+    F*(rho) = max(1/2, 1/2 - min_x <x| rho^Gamma |x>).
 
-over that set.  Restricting x to maximally entangled unit vectors would
-reproduce the plain singlet fraction (the partial transpose of a maximally
-entangled projector is I/2 minus another such projector), so the genuinely
-sub-entangled, sub-normalized x are what filtering gains.  On any Schmidt
-frame the inner minimization over the second singular value and relative
-phase is analytic; :func:`fstar` combines the exact maximally entangled
-face, the analytic candidates on the frames of the partial transpose's
-eigenvectors, and multistart projected gradient descent over the full
-feasible set.  The filter protocol oracle maximizes the primal protocol
-value directly and the two routes must agree; rank-one optimality is
-certified by that agreement, not assumed.
+The program's dual has four real variables (Verstraete & Verschelde,
+PRL 90, 097901):
+
+    F*(rho) = 1/2 + min{Tr Y / 2 : Y >= 0, rho^Gamma + Y (x) I >= 0}
+
+with Y a 2x2 Hermitian matrix.  :func:`fstar_certificate` solves the dual
+with a log-barrier Newton method and brackets F* from both sides: every
+iterate Y is dual feasible, so 1/2 + Tr Y / 2 is an upper bound, and the
+smallest eigenvector of rho^Gamma + Y (x) I fixes a Schmidt frame on which
+the primal minimization over the second singular value and the relative
+phase is exact, giving a feasible x and hence an achievable protocol value
+as the lower bound.  The solve stops once the bracket is narrower than
+``GAP_TOLERANCE`` and raises if that takes more than ``MAX_NEWTON_STEPS``
+steps, so a reported F* is never an unconverged estimate.  The lower end
+is a rank-one value and the upper end bounds the full program, so a closed
+bracket also certifies rank-one optimality for that state.  The filter
+protocol oracle maximizes the primal protocol value directly, by an
+independent route.
 """
 
 from __future__ import annotations
@@ -36,18 +46,43 @@ from ._batched import kron_right_identity, magic_top_eig_batch, su2_euler_batch
 from .channel import KrausChannel
 from .choi import choi
 from .entmetrics import as_density_matrix, schmidt, singlet_fraction
-from .linalg import I2, MAGIC_BASIS, partial_transpose, tensor_product
+from .linalg import I2, PAULIS, partial_transpose, tensor_product
 from .oneshot import ENTANGLEMENT_BREAKING_THRESHOLD
 from .optimize import SearchSpec, compass_search
 
 __all__ = [
+    "GAP_TOLERANCE",
+    "MAX_NEWTON_STEPS",
     "FilterProtocol",
+    "FstarCertificate",
     "fstar",
+    "fstar_bracket",
+    "fstar_certificate",
     "fstar_filter_oracle",
     "postprocessing_gap",
 ]
 
+# Width of the certified bracket at which the dual solve stops.
+GAP_TOLERANCE = 1e-10
+# Newton steps after which an unclosed bracket raises.  Random states of
+# rank 1-4, the named channels' Choi states and pure product states (PPT up
+# to rounding) close within 64.
+MAX_NEWTON_STEPS = 200
+
 _S1 = 1.0 / np.sqrt(2.0)
+
+# Y = sum_k z_k sigma_k with sigma_0 = I, so Y (x) I = sum_k z_k _DUAL_BASIS[k]
+# and log det Y = log(z_0^2 - |z_1..3|^2), the Minkowski form _SIGNATURE.
+_PAULIS = np.array(PAULIS)
+_DUAL_BASIS = np.array([np.kron(sigma, I2) for sigma in _PAULIS])
+_DUAL_BASIS_FLAT = _DUAL_BASIS.reshape(4, 16)
+_SIGNATURE = np.array([1.0, -1.0, -1.0, -1.0])
+_SIGNATURE_DIAG = np.diag(_SIGNATURE)
+# Barrier weight on Tr Y / 2 at the first centering, and its growth per round.
+_T_START = 10.0
+_T_GROWTH = 50.0
+# Squared Newton decrement below which an iterate counts as centered.
+_CENTERED = 1e-3
 
 
 def _frame_minimum(gamma: np.ndarray, ua: np.ndarray, ub: np.ndarray):
@@ -64,7 +99,7 @@ def _frame_minimum(gamma: np.ndarray, ua: np.ndarray, ub: np.ndarray):
     h22 = np.vdot(w2, gamma @ w2).real
     cross = np.vdot(w1, gamma @ w2)
     h12 = abs(cross)
-    phase = cross.conjugate() / h12 if h12 > 0 else 1.0
+    phase = -cross.conjugate() / h12 if h12 > 0 else 1.0
     candidates = [0.0, _S1]
     if h22 > 0:
         t = _S1 * h12 / h22
@@ -77,62 +112,95 @@ def _frame_minimum(gamma: np.ndarray, ua: np.ndarray, ub: np.ndarray):
     return value, _S1 * w1 + best_t * phase * w2
 
 
-def _project_feasible(x: np.ndarray) -> np.ndarray:
-    """Clip the top Schmidt singular value of each vector at 1/sqrt(2)."""
-    c = x.reshape(-1, 2, 2)
-    u, s, vh = np.linalg.svd(c)
-    s = np.minimum(s, _S1)
-    return ((u * s[:, None, :]) @ vh).reshape(-1, 4)
+@dataclass(frozen=True)
+class FstarCertificate:
+    """Certified bracket ``lower <= F* <= upper`` and the points proving it.
+
+    ``primal`` is a 4-vector whose largest Schmidt singular value is at
+    most 1/sqrt(2); it attains ``lower = 1/2 - min(0, <x|rho^Gamma|x>)``
+    (the zero vector stands for preparing a separable state).  ``dual`` is
+    a 2x2 matrix Y with Y >= 0 and rho^Gamma + Y (x) I >= 0, giving
+    ``upper = 1/2 + Tr Y / 2``.  ``newton_steps`` counts the barrier steps.
+    """
+
+    lower: float
+    upper: float
+    primal: np.ndarray
+    dual: np.ndarray
+    newton_steps: int
 
 
-def fstar(
-    rho: np.ndarray, restarts: int = 24, seed: int = 0, iterations: int = 500
-) -> float:
-    """Best singlet fraction reachable from ``rho`` by TP local protocols.
+def fstar_certificate(rho: np.ndarray) -> FstarCertificate:
+    """Solve the dual program for F*(rho) until the bracket closes.
 
-    Evaluates the rank-one program described in the module docstring: the
-    exact maximally entangled face (which cannot fall below the plain
-    singlet fraction), analytic candidates on the Schmidt frames of the
-    partial transpose's eigenvectors, and multistart projected gradient
-    descent over the full feasible set.  Deterministic for fixed
-    ``restarts`` and ``seed``.
+    Minimizes t Tr Y / 2 - log det(rho^Gamma + Y (x) I) - log det Y over
+    Y = sum_k z_k sigma_k by damped Newton steps, raising t by a fixed
+    factor after each centering, from the strictly feasible start
+    Y = (1 - lambda_min(rho^Gamma)) I.  Gradient and Hessian come from one
+    4x4 inverse M^-1: d_k = -Tr(M^-1 E_k), H_kl = Tr(M^-1 E_k M^-1 E_l).
+    After each centering the primal frame candidate is evaluated; the
+    solve returns once the iterate is checked strictly dual feasible and
+    ``upper - lower <= GAP_TOLERANCE``, and raises
+    ``RuntimeError`` if that has not happened within ``MAX_NEWTON_STEPS``.
+    A PPT state returns ``(1/2, 1/2)`` exactly, without iterating.
     """
     rho = as_density_matrix(rho)
     gamma = partial_transpose(rho, "first")
+    best_value, best_x = 0.0, np.zeros(4, dtype=complex)
+    lam_min = float(np.linalg.eigvalsh(gamma)[0])
+    if lam_min >= 0.0:
+        return FstarCertificate(0.5, 0.5, best_x, np.zeros((2, 2), dtype=complex), 0)
 
-    # Maximally entangled face: exact, equals the plain singlet fraction.
-    real_part = (MAGIC_BASIS.conj().T @ gamma @ MAGIC_BASIS).real
-    best = float(np.linalg.eigvalsh((real_part + real_part.T) / 2)[0])
-
-    # Analytic candidates on the Schmidt frames of gamma's eigenvectors,
-    # reused as descent starting points.
-    eigvals, eigvecs = np.linalg.eigh(gamma)
-    seeds = []
-    for k in range(4):
-        frame = schmidt(eigvecs[:, k] / np.linalg.norm(eigvecs[:, k]))
-        value, vector = _frame_minimum(gamma, *frame.local_bases)
-        best = min(best, value)
-        seeds.append(vector)
-
-    rng = np.random.default_rng(seed)
-    random_starts = rng.standard_normal((restarts, 4)) + 1j * rng.standard_normal(
-        (restarts, 4)
+    z = np.array([1.0 - lam_min, 0.0, 0.0, 0.0])
+    t = _T_START
+    for step in range(1, MAX_NEWTON_STEPS + 1):
+        m = gamma + (z @ _DUAL_BASIS_FLAT).reshape(4, 4)
+        a = np.linalg.inv(m) @ _DUAL_BASIS
+        grad = -np.trace(a, axis1=1, axis2=2).real
+        hess = (a.reshape(4, 16) @ a.transpose(0, 2, 1).reshape(4, 16).T).real
+        w = _SIGNATURE * z
+        q = z @ w  # det Y
+        grad += -2.0 / q * w
+        grad[0] += t
+        hess += (-2.0 / q) * _SIGNATURE_DIAG + (4.0 / q**2) * np.outer(w, w)
+        delta = np.linalg.solve(hess, -grad)
+        decrement2 = -grad @ delta
+        z = z + delta / (1.0 + np.sqrt(decrement2))
+        if decrement2 > _CENTERED:
+            continue
+        vals, vecs = np.linalg.eigh(gamma + (z @ _DUAL_BASIS_FLAT).reshape(4, 4))
+        value, x = _frame_minimum(gamma, *schmidt(vecs[:, 0]).local_bases)
+        if value < best_value:
+            best_value, best_x = value, x
+        lower, upper = 0.5 - best_value, 0.5 + z[0]
+        # The barrier keeps iterates interior; the check makes that explicit.
+        feasible = vals[0] > 0.0 and z[0] > np.linalg.norm(z[1:])
+        if feasible and upper - lower <= GAP_TOLERANCE:
+            dual = np.tensordot(z, _PAULIS, 1)
+            return FstarCertificate(float(lower), float(upper), best_x, dual, step)
+        t *= _T_GROWTH
+    raise RuntimeError(
+        f"fstar: bracket still wider than {GAP_TOLERANCE:.0e} "
+        f"after {MAX_NEWTON_STEPS} Newton steps"
     )
-    starts = _project_feasible(np.vstack([np.array(seeds), random_starts]))
 
-    # Projected gradient descent on the quadratic form; the projection is
-    # an exact singular value clip, so every iterate is feasible and every
-    # evaluated value is a certified candidate.
-    step = 1.0 / (2.0 * max(abs(eigvals[0]), abs(eigvals[-1]), 1e-12))
-    x = starts
-    values = np.einsum("ni,ij,nj->n", x.conj(), gamma, x).real
-    best = min(best, float(values.min()))
-    for _ in range(iterations):
-        x = _project_feasible(x - step * (x @ gamma.T))
-        values = np.einsum("ni,ij,nj->n", x.conj(), gamma, x).real
-        best = min(best, float(values.min()))
 
-    return max(0.5, 0.5 - best)
+def fstar_bracket(rho: np.ndarray) -> tuple[float, float]:
+    """Certified ``(lower, upper)`` bracket on F*(rho), at most
+    ``GAP_TOLERANCE`` wide; see :func:`fstar_certificate`."""
+    cert = fstar_certificate(rho)
+    return cert.lower, cert.upper
+
+
+def fstar(rho: np.ndarray) -> float:
+    """Best singlet fraction reachable from ``rho`` by TP local protocols.
+
+    Returns the lower end of the certified bracket from
+    :func:`fstar_certificate`: the value of an explicit feasible protocol,
+    within ``GAP_TOLERANCE`` of the dual upper bound.  Deterministic, and
+    raises rather than return an unconverged value.
+    """
+    return fstar_certificate(rho).lower
 
 
 @dataclass(frozen=True)

@@ -83,6 +83,36 @@ def test_analyze_parse_failure_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_analyze_malformed_kraus_json_exits_2(capsys, tmp_path):
+    path = tmp_path / "malformed.json"
+    for spec in (
+        {"kraus": [[1, 0]]},
+        {"kraus": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
+        {"kraus": [[[[1, 0], [0, 0]], [[0, 0], ["a", 0]]]]},
+        {"kraus": 5},
+        {"name": ["depolarizing"]},
+        {"name": "depolarizing", "params": [0.3]},
+    ):
+        path.write_text(json.dumps(spec))
+        code, _, err = run(["analyze", "--file", str(path)], capsys)
+        assert code == 2, spec
+        assert err.startswith("error: ")
+    path.write_text('{"kraus": [[[[1, 0], [0, 0]], [[0, 0], [NaN, 0]]]]}')
+    code, _, err = run(["analyze", "--file", str(path)], capsys)
+    assert code == 2 and "finite" in err
+
+
+def test_sweep_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "x.csv"
+    code, _, err = run(
+        ["sweep", "--name", "depolarizing", "--from", "0", "--to", "1",
+         "--steps", "2", "--columns", "F_lambda", "--out", str(out)],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("error: ") and not out.exists()
+
+
 def test_usage_error_exits_2(capsys):
     assert cli.main(["analyze", "--format", "yaml"]) == 2
 

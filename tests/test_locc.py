@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
 
-from singletopt.channel import amplitude_damping, depolarizing, identity
+from singletopt.channel import amplitude_damping, depolarizing, identity, named_channel
 from singletopt.choi import choi
 from singletopt.entmetrics import negativity, singlet_fraction
-from singletopt.linalg import I2, PHI_PLUS, tensor_product
-from singletopt.locc import fstar, fstar_filter_oracle, postprocessing_gap
+from singletopt.linalg import I2, PHI_PLUS, partial_transpose, tensor_product
+from singletopt.locc import (
+    GAP_TOLERANCE,
+    fstar,
+    fstar_bracket,
+    fstar_certificate,
+    fstar_filter_oracle,
+    postprocessing_gap,
+)
 from singletopt.oneshot import optimal_input_state
 from singletopt.channel import apply_to_half
 
@@ -70,8 +77,59 @@ def test_fstar_monotone_under_extra_filtering():
 
 def test_fstar_deterministic():
     rng = np.random.default_rng(4)
-    rho = random_density(rng)
-    assert fstar(rho) == fstar(rho.copy())
+    for _ in range(5):
+        rho = random_density(rng, rank=int(rng.integers(1, 5)))
+        first = fstar_certificate(rho)
+        again = fstar_certificate(rho.copy())
+        assert (first.lower, first.upper) == (again.lower, again.upper)
+        assert np.array_equal(first.primal, again.primal)
+        assert np.array_equal(first.dual, again.dual)
+        assert fstar(rho) == first.lower
+
+
+def _certified_states():
+    """Criterion 9's 200 seeded states, then the Choi states of four named
+    families at the 21 sweep points p in [0, 1]."""
+    rng = np.random.default_rng(9009)
+    for _ in range(200):
+        yield random_density(rng, rank=int(rng.integers(1, 5)))
+    for name in ("amplitude_damping", "depolarizing", "phase_damping", "bit_flip"):
+        for p in np.linspace(0.0, 1.0, 21):
+            yield choi(named_channel(name, {"p": float(p)})).matrix
+
+
+def test_fstar_certificate_closes_and_is_feasible():
+    assert GAP_TOLERANCE == 1e-10
+    for rho in _certified_states():
+        cert = fstar_certificate(rho)
+        assert cert.upper - cert.lower <= 1e-10
+        assert fstar_bracket(rho) == (cert.lower, cert.upper)
+        gamma = partial_transpose(rho, "first")
+        # Dual point: Y >= 0 and rho^Gamma + Y (x) I >= 0 certify the upper end.
+        assert np.linalg.eigvalsh(cert.dual).min() >= -1e-12
+        assert np.linalg.eigvalsh(gamma + np.kron(cert.dual, I2)).min() >= -1e-12
+        assert cert.upper == pytest.approx(0.5 + np.trace(cert.dual).real / 2, abs=1e-15)
+        # Primal point: feasible, and it attains the lower end.
+        top = np.linalg.svd(cert.primal.reshape(2, 2), compute_uv=False)[0]
+        assert top <= 1 / np.sqrt(2) + 1e-12
+        attained = 0.5 - min(0.0, np.vdot(cert.primal, gamma @ cert.primal).real)
+        assert cert.lower == pytest.approx(attained, abs=1e-14)
+
+
+def test_fstar_bracket_ppt_states_exact():
+    rng = np.random.default_rng(11)
+    states = [np.eye(4) / 4, choi(depolarizing(1.0)).matrix]
+    for _ in range(6):
+        products = [random_product_state(rng) for _ in range(4)]
+        rho = sum(rng.uniform(0.1, 1.0) * np.outer(s, s.conj()) for s in products)
+        states.append(rho / np.trace(rho).real)
+    # Bell-isotropic mixtures below the separability threshold w = 1/3.
+    for w in (0.0, 0.2, 0.3):
+        states.append(w * BELL + (1 - w) * np.eye(4) / 4)
+    for rho in states:
+        assert np.linalg.eigvalsh(partial_transpose(rho, "first")).min() >= 0.0
+        assert fstar_bracket(rho) == (0.5, 0.5)
+        assert fstar_certificate(rho).newton_steps == 0
 
 
 def test_oracle_bell_state_identity_filter():

@@ -205,7 +205,7 @@ def test_inequality_chain():
             v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             v /= np.linalg.norm(v)
             out = apply_to_half(c, v)
-            fs = fstar(out, restarts=8)
+            fs = fstar(out)
             fr, _ = singlet_fraction(out)
             assert max(0.5, lam) >= fs - 1e-9
             assert fs >= fr - 1e-10
