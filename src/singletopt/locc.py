@@ -136,12 +136,14 @@ def fstar_certificate(rho: np.ndarray) -> FstarCertificate:
     Minimizes t Tr Y / 2 - log det(rho^Gamma + Y (x) I) - log det Y over
     Y = sum_k z_k sigma_k by damped Newton steps, raising t by a fixed
     factor after each centering, from the strictly feasible start
-    Y = (1 - lambda_min(rho^Gamma)) I.  Gradient and Hessian come from one
-    4x4 inverse M^-1: d_k = -Tr(M^-1 E_k), H_kl = Tr(M^-1 E_k M^-1 E_l).
-    After each centering the primal frame candidate is evaluated; the
-    solve returns once the iterate is checked strictly dual feasible and
-    ``upper - lower <= GAP_TOLERANCE``, and raises
-    ``RuntimeError`` if that has not happened within ``MAX_NEWTON_STEPS``.
+    Y = (1 - lambda_min(rho^Gamma)) I.  With M = rho^Gamma + Y (x) I and
+    E_k = sigma_k (x) I, the log det M terms of gradient and Hessian are
+    d_k = -Tr(M^-1 E_k) and H_kl = Tr(M^-1 E_k M^-1 E_l), with M^-1 from one
+    Hermitian eigendecomposition per step.  After each centering the primal
+    frame candidate is evaluated; the solve returns once the iterate is
+    checked strictly dual feasible and ``upper - lower <= GAP_TOLERANCE``,
+    and raises ``RuntimeError`` if that has not happened within
+    ``MAX_NEWTON_STEPS``.
     A PPT state returns ``(1/2, 1/2)`` exactly, without iterating.
     """
     rho = as_density_matrix(rho)
@@ -153,9 +155,28 @@ def fstar_certificate(rho: np.ndarray) -> FstarCertificate:
 
     z = np.array([1.0 - lam_min, 0.0, 0.0, 0.0])
     t = _T_START
-    for step in range(1, MAX_NEWTON_STEPS + 1):
-        m = gamma + (z @ _DUAL_BASIS_FLAT).reshape(4, 4)
-        a = np.linalg.inv(m) @ _DUAL_BASIS
+    steps, centered = 0, False
+    while True:
+        # One Hermitian eigensolve gives M^-1, the feasibility margin and,
+        # at a centered iterate, the primal frame.
+        vals, vecs = np.linalg.eigh(gamma + (z @ _DUAL_BASIS_FLAT).reshape(4, 4))
+        if centered:
+            value, x = _frame_minimum(gamma, *schmidt(vecs[:, 0]).local_bases)
+            if value < best_value:
+                best_value, best_x = value, x
+            lower, upper = 0.5 - best_value, 0.5 + z[0]
+            # The barrier keeps iterates interior; the check makes that explicit.
+            feasible = vals[0] > 0.0 and z[0] > np.linalg.norm(z[1:])
+            if feasible and upper - lower <= GAP_TOLERANCE:
+                dual = np.tensordot(z, _PAULIS, 1)
+                return FstarCertificate(float(lower), float(upper), best_x, dual, steps)
+            t *= _T_GROWTH
+        if steps == MAX_NEWTON_STEPS:
+            raise RuntimeError(
+                f"fstar: bracket still wider than {GAP_TOLERANCE:.0e} "
+                f"after {MAX_NEWTON_STEPS} Newton steps"
+            )
+        a = ((vecs / vals) @ vecs.conj().T) @ _DUAL_BASIS
         grad = -np.trace(a, axis1=1, axis2=2).real
         hess = (a.reshape(4, 16) @ a.transpose(0, 2, 1).reshape(4, 16).T).real
         w = _SIGNATURE * z
@@ -166,23 +187,8 @@ def fstar_certificate(rho: np.ndarray) -> FstarCertificate:
         delta = np.linalg.solve(hess, -grad)
         decrement2 = -grad @ delta
         z = z + delta / (1.0 + np.sqrt(decrement2))
-        if decrement2 > _CENTERED:
-            continue
-        vals, vecs = np.linalg.eigh(gamma + (z @ _DUAL_BASIS_FLAT).reshape(4, 4))
-        value, x = _frame_minimum(gamma, *schmidt(vecs[:, 0]).local_bases)
-        if value < best_value:
-            best_value, best_x = value, x
-        lower, upper = 0.5 - best_value, 0.5 + z[0]
-        # The barrier keeps iterates interior; the check makes that explicit.
-        feasible = vals[0] > 0.0 and z[0] > np.linalg.norm(z[1:])
-        if feasible and upper - lower <= GAP_TOLERANCE:
-            dual = np.tensordot(z, _PAULIS, 1)
-            return FstarCertificate(float(lower), float(upper), best_x, dual, step)
-        t *= _T_GROWTH
-    raise RuntimeError(
-        f"fstar: bracket still wider than {GAP_TOLERANCE:.0e} "
-        f"after {MAX_NEWTON_STEPS} Newton steps"
-    )
+        steps += 1
+        centered = decrement2 <= _CENTERED
 
 
 def fstar_bracket(rho: np.ndarray) -> tuple[float, float]:
