@@ -8,6 +8,7 @@ all operations are pure functions.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -429,13 +430,13 @@ def _matrix_to_pairs(m: np.ndarray) -> list:
 def _json_real(value, what: str) -> float:
     """A finite JSON number (not a boolean) as a float, else ValueError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
+        raise ValueError(f"{what} must be a number, got {reprlib.repr(value)}")
     try:
         number = float(value)
     except OverflowError:
         number = float("inf")
     if not np.isfinite(number):
-        raise ValueError(f"{what} must be finite, got {value!r}")
+        raise ValueError(f"{what} must be a finite double, got {number!r}")
     return number
 
 
@@ -447,14 +448,15 @@ def _matrix_from_pairs(rows) -> np.ndarray:
     """A 2x2 list of [re, im] pairs of finite numbers as a complex matrix."""
     if not (_is_pair_list(rows) and all(_is_pair_list(row) for row in rows)):
         raise ValueError(
-            f"each Kraus operator must be a 2x2 list of [re, im] pairs, got {rows!r}"
+            "each Kraus operator must be a 2x2 list of [re, im] pairs, "
+            f"got {reprlib.repr(rows)}"
         )
     out = np.empty((2, 2), dtype=complex)
     for i, row in enumerate(rows):
         for k, entry in enumerate(row):
             if not _is_pair_list(entry):
                 raise ValueError(
-                    f"Kraus entries must be [re, im] pairs, got {entry!r}"
+                    f"Kraus entries must be [re, im] pairs, got {reprlib.repr(entry)}"
                 )
             re, im = (_json_real(x, "Kraus entry part") for x in entry)
             out[i, k] = complex(re, im)
@@ -477,9 +479,11 @@ def channel_from_dict(data: Mapping) -> KrausChannel:
     if "name" in data:
         name, params = data["name"], data.get("params")
         if not isinstance(name, str):
-            raise ValueError(f"channel name must be a string, got {name!r}")
+            raise ValueError(f"channel name must be a string, got {reprlib.repr(name)}")
         if params is not None and not isinstance(params, Mapping):
-            raise ValueError(f"channel params must be a JSON object, got {params!r}")
+            raise ValueError(
+                f"channel params must be a JSON object, got {reprlib.repr(params)}"
+            )
         params = {k: _json_real(v, f"parameter {k}") for k, v in (params or {}).items()}
         return named_channel(name, params)
     if "kraus" in data:
