@@ -23,7 +23,6 @@ from .linalg import (
     PHI_PLUS,
     hermitian_eig,
     is_unitary,
-    tensor_product,
 )
 
 __all__ = [
@@ -73,6 +72,9 @@ class KrausChannel:
     kraus: tuple
     label: str = ""
     params: Mapping[str, float] = field(default_factory=dict)
+    # Choi and dual-Choi states of this object, built and checked once by
+    # :mod:`singletopt.choi` and then shared read-only.
+    _states: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ops = tuple(_clean_operator(op) for op in self.kraus)
@@ -154,12 +156,13 @@ def apply_to_half(channel: KrausChannel, state: np.ndarray) -> np.ndarray:
     ``state`` may be a 4-vector (pure state) or a 4x4 density matrix; the
     result is always a 4x4 matrix.
     """
-    rho = _as_two_qubit_density(state)
-    out = np.zeros((4, 4), dtype=complex)
-    for op in channel.kraus:
-        big = tensor_product(I2, op)
-        out += big @ rho @ big.conj().T
-    return out
+    return _act_on_second(np.array(channel.kraus), _as_two_qubit_density(state))
+
+
+def _act_on_second(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """sum_k (I (x) A_k) rho (I (x) A_k)^dag for stacked (k, 2, 2) operators."""
+    out = np.einsum("kyb,ibjd,kzd->iyjz", ops, rho.reshape(2, 2, 2, 2), ops.conj())
+    return out.reshape(4, 4)
 
 
 def choi_matrix(channel: KrausChannel) -> np.ndarray:
@@ -493,10 +496,7 @@ def channel_from_dict(data: Mapping) -> KrausChannel:
         if not ops:
             raise ValueError("empty Kraus list")
         if len(ops) > 4:
-            temp = np.zeros((4, 4), dtype=complex)
-            for op in ops:
-                big = tensor_product(I2, op)
-                temp += big @ np.outer(PHI_PLUS, PHI_PLUS.conj()) @ big.conj().T
-            return kraus_from_choi(temp)
+            bell = np.outer(PHI_PLUS, PHI_PLUS.conj())
+            return kraus_from_choi(_act_on_second(np.array(ops), bell))
         return KrausChannel(kraus=tuple(ops), label="custom")
     raise ValueError("channel spec needs a 'name' or 'kraus' field")

@@ -63,9 +63,18 @@ def _build(matrix: np.ndarray, source: str, check_marginal: bool) -> ChoiState:
 
 
 def choi(channel: KrausChannel) -> ChoiState:
-    """Choi state of a channel: send half of |Phi+> through it."""
-    matrix = apply_to_half(channel, PHI_PLUS)
-    return _build(matrix, channel.describe(), check_marginal=True)
+    """Choi state of a channel: send half of |Phi+> through it.
+
+    Built and checked on the first call for a channel object; later calls
+    return the same read-only state.  Only a state that passed its checks is
+    stored, so a channel that fails them raises again on every call.
+    """
+    state = channel._states.get("choi")
+    if state is None:
+        matrix = apply_to_half(channel, PHI_PLUS)
+        state = _build(matrix, channel.describe(), check_marginal=True)
+        channel._states["choi"] = state
+    return state
 
 
 def dual_choi(channel: KrausChannel) -> ChoiState:
@@ -73,19 +82,24 @@ def dual_choi(channel: KrausChannel) -> ChoiState:
 
     Constructed from the daggered Kraus list and cross-checked against the
     independent identity dual = (V^dag choi V)^*, so both construction paths
-    are exercised on every call.  Unit trace and positivity always hold, but
-    the maximally mixed marginal moves to the other side unless the channel
-    is unital, so no marginal condition is imposed here.
+    are exercised once per channel object; later calls return the same
+    read-only state, as for :func:`choi`.  Unit trace and positivity always
+    hold, but the maximally mixed marginal moves to the other side unless
+    the channel is unital, so no marginal condition is imposed here.
     """
-    matrix = apply_to_half(dual(channel), PHI_PLUS)
-    mirrored = swap_conjugate(apply_to_half(channel, PHI_PLUS))
-    mismatch = np.abs(matrix - mirrored).max()
-    if mismatch > 1e-12:
-        raise AssertionError(
-            f"dual Choi construction mismatch ({mismatch:.3e}): "
-            "Kraus route and swap-conjugate route disagree"
-        )
-    return _build(matrix, f"dual({channel.describe()})", check_marginal=False)
+    state = channel._states.get("dual_choi")
+    if state is None:
+        matrix = apply_to_half(dual(channel), PHI_PLUS)
+        mirrored = swap_conjugate(apply_to_half(channel, PHI_PLUS))
+        mismatch = np.abs(matrix - mirrored).max()
+        if mismatch > 1e-12:
+            raise AssertionError(
+                f"dual Choi construction mismatch ({mismatch:.3e}): "
+                "Kraus route and swap-conjugate route disagree"
+            )
+        state = _build(matrix, f"dual({channel.describe()})", check_marginal=False)
+        channel._states["dual_choi"] = state
+    return state
 
 
 def _phase_aligned_distance(candidate: np.ndarray, target: np.ndarray) -> float:

@@ -14,7 +14,10 @@ failed CPTP validation.
 from __future__ import annotations
 
 import argparse
+import errno
+import functools
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -140,48 +143,41 @@ def _cmd_analyze(args) -> int:
 
 
 class _RowContext:
-    """Per-row cache so several columns can share one computation."""
+    """One sweep row: its channel, its search seed and its ``fstar`` solve.
+
+    The Choi states live on the channel object itself; ``fstar`` is computed
+    on the Choi matrix, so the row keeps the one solve its columns share.
+    """
 
     def __init__(self, channel: KrausChannel, seed: int):
         self.channel = channel
         self.seed = seed
-        self._choi = None
-        self._fraction = None
         self._fstar = None
-
-    @property
-    def choi_state(self):
-        if self._choi is None:
-            self._choi = choi(self.channel)
-        return self._choi
-
-    @property
-    def fraction(self):
-        if self._fraction is None:
-            self._fraction = optimal_singlet_fraction(self.channel)
-        return self._fraction
 
     @property
     def fstar(self) -> float:
         if self._fstar is None:
-            self._fstar = fstar(self.choi_state.matrix)
+            self._fstar = fstar(choi(self.channel).matrix)
         return self._fstar
 
 
 def _column_gap(ctx: _RowContext) -> float:
-    # Same value as postprocessing_gap(ctx.channel), from the row's caches.
-    if ctx.fraction.entanglement_breaking:
+    # Same value as postprocessing_gap(ctx.channel), with the row's fstar.
+    fraction = optimal_singlet_fraction(ctx.channel)
+    if fraction.entanglement_breaking:
         return float("nan")
-    return ctx.fraction.lambda_max - ctx.fstar
+    return fraction.lambda_max - ctx.fstar
 
 
 SWEEP_COLUMNS = {
-    "F_lambda": lambda ctx: ctx.fraction.value,
-    "lambda_max": lambda ctx: ctx.fraction.lambda_max,
-    "entanglement_breaking": lambda ctx: float(ctx.fraction.entanglement_breaking),
-    "f_tel": lambda ctx: (2 * ctx.fraction.value + 1) / 3,
+    "F_lambda": lambda ctx: optimal_singlet_fraction(ctx.channel).value,
+    "lambda_max": lambda ctx: optimal_singlet_fraction(ctx.channel).lambda_max,
+    "entanglement_breaking": lambda ctx: float(
+        optimal_singlet_fraction(ctx.channel).entanglement_breaking
+    ),
+    "f_tel": lambda ctx: (2 * optimal_singlet_fraction(ctx.channel).value + 1) / 3,
     "F1": lambda ctx: preprocessed_fidelity(ctx.channel),
-    "N_choi": lambda ctx: negativity(ctx.choi_state.matrix),
+    "N_choi": lambda ctx: negativity(choi(ctx.channel).matrix),
     "N_channel": lambda ctx: channel_negativity(ctx.channel, seed=ctx.seed).value,
     "fstar_choi": lambda ctx: ctx.fstar,
     "gap": _column_gap,
@@ -193,6 +189,17 @@ SWEEP_COLUMNS = {
         ctx.channel
     ),
 }
+
+
+def _check_writable(path: str) -> None:
+    """Raise OSError unless ``path`` can be created or overwritten as a file."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(errno.ENOENT, "no such directory", parent)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, "is a directory", path)
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise PermissionError(errno.EACCES, "permission denied", path)
 
 
 def _cmd_sweep(args) -> int:
@@ -210,6 +217,13 @@ def _cmd_sweep(args) -> int:
         return EXIT_USAGE
     if args.start > args.stop:
         print("error: --from must not exceed --to", file=sys.stderr)
+        return EXIT_USAGE
+    # Checked before any row is computed; the file itself is opened only
+    # after every row succeeded, so a failing row leaves an old file intact.
+    try:
+        _check_writable(args.out)
+    except OSError as exc:
+        print(f"error: cannot write --out: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     values = np.linspace(args.start, args.stop, args.steps)
@@ -398,7 +412,9 @@ def _cmd_audit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (it holds no state)."""
     parser = argparse.ArgumentParser(
         prog="singletopt",
         description="Optimal singlet fraction and entanglement metrics for qubit channels.",
@@ -438,9 +454,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     return args.func(args)

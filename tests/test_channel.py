@@ -137,6 +137,13 @@ def test_apply_to_half_identity_and_product():
     out = apply_to_half(c, state)
     expected = np.kron(np.outer(a, a.conj()), apply(c, np.outer(b, b.conj())))
     np.testing.assert_allclose(out, expected, atol=1e-12)
+    # Against the explicit sum_k (I (x) A_k) rho (I (x) A_k)^dag.
+    for c in random_channels(7, 8):
+        bigs = [np.kron(I2, op) for op in c.kraus]
+        for state in (random_pure(rng, 4), random_density(rng)):
+            rho = np.outer(state, state.conj()) if state.ndim == 1 else state
+            expected = sum(big @ rho @ big.conj().T for big in bigs)
+            np.testing.assert_allclose(apply_to_half(c, state), expected, rtol=0, atol=1e-15)
 
 
 def test_apply_to_half_amplitude_damping_choi():

@@ -1,12 +1,18 @@
+import importlib
+
 import numpy as np
 import pytest
 
-from singletopt.channel import amplitude_damping, depolarizing, identity
+from singletopt.channel import KrausChannel, amplitude_damping, depolarizing, identity
 from singletopt.choi import choi, dual_choi, eigenvector_correspondence_check
 from singletopt.entmetrics import schmidt
 from singletopt.linalg import I2, PHI_PLUS, swap_conjugate
+from singletopt.oneshot import report
 
 from conftest import random_channels
+
+# The package re-exports the function ``choi``, which shadows the module.
+choi_module = importlib.import_module("singletopt.choi")
 
 
 def test_choi_identity_is_bell_projector():
@@ -94,3 +100,48 @@ def test_correspondence_degenerate_depolarizing():
 def test_correspondence_random_channels():
     for c in random_channels(61, 20):
         assert eigenvector_correspondence_check(c) < 1e-9
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Sources of the Choi-type states built (and checked) from here on."""
+    sources = []
+    original = choi_module._build
+
+    def counting(matrix, source, check_marginal):
+        sources.append(source)
+        return original(matrix, source, check_marginal)
+
+    monkeypatch.setattr(choi_module, "_build", counting)
+    return sources
+
+
+def test_states_are_memoized_per_channel_object():
+    c = amplitude_damping(0.3)
+    assert choi(c) is choi(c)
+    assert dual_choi(c) is dual_choi(c)
+    assert not choi(c).matrix.flags.writeable
+    assert not dual_choi(c).eig.eigenvectors.flags.writeable
+
+
+def test_report_builds_one_choi_and_one_dual_state(builds):
+    report(amplitude_damping(0.3))
+    assert builds == ["amplitude_damping(p=0.3)", "dual(amplitude_damping(p=0.3))"]
+
+
+def test_equal_channels_build_their_own_states(builds):
+    a, b = amplitude_damping(0.3), amplitude_damping(0.3)
+    np.testing.assert_array_equal(np.array(a.kraus), np.array(b.kraus))
+    first, second = choi(a), choi(b)
+    assert first is not second
+    np.testing.assert_array_equal(first.matrix, second.matrix)
+    assert len(builds) == 2
+
+
+@pytest.mark.parametrize("build", [choi, dual_choi])
+def test_invalid_channel_raises_on_every_call(builds, build):
+    c = KrausChannel(kraus=(2 * I2,))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="trace"):
+            build(c)
+    assert len(builds) == 2

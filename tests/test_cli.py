@@ -102,15 +102,37 @@ def test_analyze_malformed_kraus_json_exits_2(capsys, tmp_path):
     assert code == 2 and "finite" in err
 
 
-def test_sweep_unwritable_out_exits_2(tmp_path, capsys):
-    out = tmp_path / "missing-dir" / "x.csv"
+def test_sweep_unwritable_out_exits_2(tmp_path, capsys, monkeypatch):
+    built = []
+    original = cli.named_channel
+
+    def counting(name, params=None):
+        built.append(name)
+        return original(name, params)
+
+    monkeypatch.setattr(cli, "named_channel", counting)
+    for out in (tmp_path / "missing-dir" / "x.csv", tmp_path):
+        code, _, err = run(
+            ["sweep", "--name", "depolarizing", "--from", "0", "--to", "1",
+             "--steps", "2", "--columns", "F_lambda", "--out", str(out)],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error: cannot write --out")
+    assert not (tmp_path / "missing-dir").exists()
+    assert built == []  # rejected before any row was computed
+
+
+def test_sweep_failing_row_keeps_existing_out(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    out.write_text("old\n")
     code, _, err = run(
-        ["sweep", "--name", "depolarizing", "--from", "0", "--to", "1",
-         "--steps", "2", "--columns", "F_lambda", "--out", str(out)],
+        ["sweep", "--name", "depolarizing", "--from", "0", "--to", "2",
+         "--steps", "3", "--columns", "F_lambda", "--out", str(out)],
         capsys,
     )
-    assert code == 2
-    assert err.startswith("error: ") and not out.exists()
+    assert code == 2 and "[0, 1]" in err
+    assert out.read_text() == "old\n"
 
 
 def test_usage_error_exits_2(capsys):
