@@ -28,11 +28,6 @@ def su2_euler_batch(alpha, beta, gamma) -> np.ndarray:
     return out
 
 
-def kron_right_identity(a: np.ndarray) -> np.ndarray:
-    """Batched A (x) I for a stack of 2x2 matrices."""
-    return np.einsum("...ac,bd->...abcd", a, I2).reshape(a.shape[:-2] + (4, 4))
-
-
 def kron_left_identity(a: np.ndarray) -> np.ndarray:
     """Batched I (x) A for a stack of 2x2 matrices."""
     return np.einsum("ac,...bd->...abcd", I2, a).reshape(a.shape[:-2] + (4, 4))
@@ -58,7 +53,25 @@ def magic_top_eig_batch(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(sym)[..., -1]
 
 
-def negativity_batch(rho: np.ndarray) -> np.ndarray:
-    """max(0, -2 lambda_min(rho^Gamma)) for a stack of density matrices."""
-    eigs = np.linalg.eigvalsh(partial_transpose_batch(rho))
-    return np.maximum(0.0, -2.0 * eigs[..., 0])
+def filter_basis(rho: np.ndarray) -> np.ndarray:
+    """The 16 matrices B with (A (x) I) rho (A (x) I)^dag = sum c_kilj B_kilj.
+
+    The filtered state is quadratic in the filter's entries, with
+    coefficients c_kilj = A_ki conj(A_lj) from :func:`filter_coefficients`;
+    B_kilj = |k><l| (x) rho_ij, where rho_ij is the (i, j) block of ``rho``
+    on the second qubit.  Returned as a (16, 4, 4) stack indexed by
+    (k, i, l, j) in row-major order.
+    """
+    blocks = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)  # (i, y, j, z)
+    basis = np.einsum("kK,lL,iyjz->kiljKyLz", I2, I2, blocks)
+    return basis.reshape(16, 4, 4)
+
+
+def filter_coefficients(a: np.ndarray) -> np.ndarray:
+    """(n, 16) products A_ki conj(A_lj) for a stack of 2x2 filters.
+
+    ``filter_coefficients(a) @ filter_basis(rho).reshape(16, 16)`` gives the
+    flattened filtered states (A (x) I) rho (A (x) I)^dag.
+    """
+    flat = np.asarray(a, dtype=complex).reshape(-1, 4)
+    return (flat[:, :, None] * flat.conj()[:, None, :]).reshape(-1, 16)

@@ -73,7 +73,8 @@ class KrausChannel:
     label: str = ""
     params: Mapping[str, float] = field(default_factory=dict)
     # Choi and dual-Choi states of this object, built and checked once by
-    # :mod:`singletopt.choi` and then shared read-only.
+    # :mod:`singletopt.choi` and then shared read-only, and the two numbers
+    # :func:`validate` measures.
     _states: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -101,11 +102,18 @@ def validate(channel: KrausChannel, tol: float = 1e-9) -> ValidationReport:
 
     ``tp_residual`` is the Frobenius distance of sum A_i^dag A_i from the
     identity; ``cp_min_eigenvalue`` is the smallest eigenvalue of the Choi
-    matrix.  ``ok`` requires both within ``tol``.
+    matrix.  ``ok`` requires both within ``tol``.  The two measurements are
+    taken once per channel object and kept on it; ``ok`` is decided per call.
     """
-    total = sum(op.conj().T @ op for op in channel.kraus)
-    tp_residual = float(np.linalg.norm(total - I2))
-    cp_min = float(np.linalg.eigvalsh(choi_matrix(channel)).min())
+    measured = channel._states.get("validation")
+    if measured is None:
+        total = sum(op.conj().T @ op for op in channel.kraus)
+        measured = (
+            float(np.linalg.norm(total - I2)),
+            float(np.linalg.eigvalsh(choi_matrix(channel)).min()),
+        )
+        channel._states["validation"] = measured
+    tp_residual, cp_min = measured
     ok = tp_residual <= tol and cp_min >= -tol
     return ValidationReport(tp_residual=tp_residual, cp_min_eigenvalue=cp_min, ok=ok)
 

@@ -42,11 +42,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._batched import kron_right_identity, magic_top_eig_batch, su2_euler_batch
+from ._batched import filter_basis, filter_coefficients, su2_euler_batch
 from .channel import KrausChannel
 from .choi import choi
 from .entmetrics import as_density_matrix, schmidt, singlet_fraction
-from .linalg import I2, PAULIS, partial_transpose, tensor_product
+from .linalg import I2, MAGIC_BASIS, PAULIS, partial_transpose, tensor_product
 from .oneshot import ENTANGLEMENT_BREAKING_THRESHOLD
 from .optimize import SearchSpec, compass_search
 
@@ -243,14 +243,13 @@ def fstar_filter_oracle(
     falls below the plain singlet fraction of ``rho``.
     """
     rho = as_density_matrix(rho)
+    table = _magic_filter_table(rho)
 
     def objective(x: np.ndarray) -> np.ndarray:
-        filters = _filters_from_params(x)
-        big = kron_right_identity(filters)
-        m = big @ rho @ big.conj().swapaxes(1, 2)
-        p = np.einsum("nii->n", m).real
+        out = filter_coefficients(_filters_from_params(x)).view(np.float64) @ table
         # p F(m/p) folds into the unnormalized top overlap of m itself.
-        return magic_top_eig_batch(m) + (1.0 - p) / 2.0
+        top = np.linalg.eigvalsh(out[:, :16].reshape(-1, 4, 4))[:, -1]
+        return top + (1.0 - out[:, 16]) / 2.0
 
     # Coarse deterministic grid to locate the right basin.  The landscape
     # has a flat plateau of unitary filters at s = 1 worth exactly the
@@ -270,7 +269,12 @@ def fstar_filter_oracle(
         ],
         axis=-1,
     )
-    top = grid[np.argsort(objective(grid))[-24:]]
+    # Scored one value of s at a time, blocks the size of a search batch: a
+    # single 5400-row product is large enough for OpenBLAS to wake its
+    # thread pool, whose workers then spin after the call without making it
+    # faster.
+    scores = np.concatenate([objective(b) for b in np.split(grid, len(s_axis))])
+    top = grid[np.argsort(scores)[-24:]]
 
     rng = np.random.default_rng(seed)
     random_starts = np.empty((restarts, 4))
@@ -310,13 +314,29 @@ def fstar_filter_oracle(
     )
 
 
+def _magic_filter_table(rho: np.ndarray) -> np.ndarray:
+    """(32, 17) real table taking filter coefficients to the filtered state.
+
+    For coefficients c = :func:`filter_coefficients` viewed as interleaved
+    (Re, Im) pairs, ``c @ table`` gives Re(Q^dag m Q) flattened in the first
+    16 columns (Q the magic basis, m = (A (x) I) rho (A (x) I)^dag) and Tr m
+    in the last.  The real part is symmetric up to rounding; symmetrizing
+    each basis matrix symmetrizes it exactly.
+    """
+    basis = filter_basis(rho)
+    magic = MAGIC_BASIS.conj().T @ basis @ MAGIC_BASIS
+    magic = (magic + np.swapaxes(magic, 1, 2)) / 2
+    trace = np.trace(basis, axis1=1, axis2=2)[:, None]
+    table = np.concatenate([magic.reshape(16, 16), trace], 1)
+    # Re(c z) = Re(c) Re(z) - Im(c) Im(z), rows in the order of c.view(float64).
+    return np.stack([table.real, -table.imag], axis=1).reshape(32, 17)
+
+
 def _filters_from_params(x: np.ndarray) -> np.ndarray:
-    s = np.clip(x[:, 0], 0.0, 1.0)
-    v = su2_euler_batch(x[:, 1], x[:, 2], x[:, 3])
-    core = np.zeros_like(v)
-    core[:, 0, 0] = 1.0
-    core[:, 1, 1] = s
-    return core @ v.conj().swapaxes(1, 2)
+    """Filters diag(1, s) V^dag; the diagonal factor scales the second row."""
+    filters = su2_euler_batch(x[:, 1], x[:, 2], x[:, 3]).conj().swapaxes(1, 2)
+    filters[:, 1, :] *= np.clip(x[:, 0], 0.0, 1.0)[:, None]
+    return filters
 
 
 def postprocessing_gap(channel: KrausChannel) -> tuple[float, bool]:

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._batched import (
+    filter_basis,
+    filter_coefficients,
     kron_left_identity,
-    kron_right_identity,
     magic_top_eig_batch,
-    negativity_batch,
+    partial_transpose_batch,
     su2_euler_batch,
 )
 from .channel import KrausChannel, apply_to_half, is_unital, validate
@@ -233,20 +234,14 @@ def channel_negativity(
     requested number of random restarts plus the maximally entangled seed,
     so the result never falls below the Choi negativity.
     """
-    j = choi(channel).matrix
+    table = _pt_filter_table(choi(channel).matrix)
 
     def objective(x: np.ndarray) -> np.ndarray:
-        lam = np.clip(x[:, 0], 0.0, 1.0)
-        v = su2_euler_batch(x[:, 1], x[:, 2], x[:, 3])
-        w = np.zeros_like(v)
-        w[:, 0, 0] = np.sqrt(lam)
-        w[:, 1, 1] = np.sqrt(1.0 - lam)
-        filt = kron_right_identity(w @ np.swapaxes(v, 1, 2))
-        m = filt @ j @ filt.conj().swapaxes(1, 2)
-        p = np.einsum("nii->n", m).real
+        out = filter_coefficients(_input_filters(x)) @ table
+        p = out[:, 16].real
+        lam_min = np.linalg.eigvalsh(out[:, :16].reshape(-1, 4, 4))[:, 0]
         safe = np.where(p > 1e-14, p, 1.0)
-        values = negativity_batch(m / safe[:, None, None])
-        return np.where(p > 1e-14, values, 0.0)
+        return np.where(p > 1e-14, np.maximum(0.0, -2.0 * lam_min / safe), 0.0)
 
     rng = np.random.default_rng(seed)
     starts = np.empty((restarts + 1, 4))
@@ -271,6 +266,27 @@ def channel_negativity(
         schmidt_weight=float(max(x[0], 1.0 - x[0])),
         euler_angles=(float(x[1]), float(x[2]), float(x[3])),
     )
+
+
+def _pt_filter_table(rho: np.ndarray) -> np.ndarray:
+    """(16, 17) table taking filter coefficients to the filtered state.
+
+    For coefficients c = :func:`filter_coefficients`, ``c @ table`` gives
+    the partial transpose of m = (A (x) I) rho (A (x) I)^dag flattened in
+    the first 16 columns and Tr m in the last.
+    """
+    basis = filter_basis(rho)
+    trace = np.trace(basis, axis1=1, axis2=2)[:, None]
+    return np.concatenate([partial_transpose_batch(basis).reshape(16, 16), trace], 1)
+
+
+def _input_filters(x: np.ndarray) -> np.ndarray:
+    """Filters W_lam V^T; the diagonal W_lam scales the rows of V^T."""
+    lam = np.clip(x[:, 0], 0.0, 1.0)
+    filters = np.swapaxes(su2_euler_batch(x[:, 1], x[:, 2], x[:, 3]), 1, 2)
+    filters[:, 0, :] *= np.sqrt(lam)[:, None]
+    filters[:, 1, :] *= np.sqrt(1.0 - lam)[:, None]
+    return filters
 
 
 @dataclass(frozen=True)

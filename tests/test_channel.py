@@ -41,6 +41,15 @@ def test_validate_amplitude_damping():
     assert validate(amplitude_damping(0.5)).ok
 
 
+def test_validate_decides_ok_per_call():
+    # Measured once per channel object; the verdict still follows each tol.
+    c = KrausChannel(kraus=(np.sqrt(1.0 + 1e-6) * I2,))
+    strict, loose, again = validate(c), validate(c, tol=1e-5), validate(c)
+    assert not strict.ok and loose.ok and not again.ok
+    assert strict.tp_residual == loose.tp_residual == again.tp_residual
+    assert strict.tp_residual == pytest.approx(np.sqrt(2.0) * 1e-6, rel=1e-6)
+
+
 def test_validate_rejects_double_identity():
     # sum A^dag A = 2I, so the residual is the Frobenius norm of I.
     rep = validate(KrausChannel(kraus=(I2, I2)))

@@ -72,6 +72,22 @@ def test_analyze_invalid_channel_exits_3(capsys, tmp_path):
     assert "tp_residual" in err
 
 
+def test_analyze_validates_each_channel_once(capsys, monkeypatch):
+    from singletopt import channel as channel_module
+
+    builds = []
+    original = channel_module.choi_matrix
+
+    def counting(c):
+        builds.append(c.describe())
+        return original(c)
+
+    monkeypatch.setattr(channel_module, "choi_matrix", counting)
+    code, _, _ = run(["analyze", "--name", "amplitude_damping", "--param", "p=0.3"], capsys)
+    assert code == 0
+    assert builds == ["amplitude_damping(p=0.3)"]
+
+
 def test_analyze_parse_failure_exits_2(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
