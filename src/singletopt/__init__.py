@@ -54,6 +54,7 @@ from .linalg import (
 from .locc import (
     FilterProtocol,
     FstarCertificate,
+    channel_fstar,
     fstar,
     fstar_bracket,
     fstar_certificate,
@@ -61,8 +62,10 @@ from .locc import (
     postprocessing_gap,
 )
 from .oneshot import (
+    IDENTITIES,
     ChannelReport,
     Classification,
+    Identity,
     NegativitySearch,
     OptimalFraction,
     OptimalInput,
@@ -74,6 +77,7 @@ from .oneshot import (
     preprocessed_fidelity,
     preprocessed_fidelity_oracle,
     report,
+    residuals,
 )
 
 __version__ = "0.1.0"

@@ -33,14 +33,6 @@ def kron_left_identity(a: np.ndarray) -> np.ndarray:
     return np.einsum("ac,...bd->...abcd", I2, a).reshape(a.shape[:-2] + (4, 4))
 
 
-def partial_transpose_batch(m: np.ndarray) -> np.ndarray:
-    """Partial transpose on the first qubit for a stack of 4x4 matrices."""
-    shape = m.shape
-    t = m.reshape(shape[:-2] + (2, 2, 2, 2))
-    t = np.moveaxis(t, (-4, -2), (-2, -4))
-    return t.reshape(shape)
-
-
 def magic_top_eig_batch(m: np.ndarray) -> np.ndarray:
     """lambda_max of Re(Q^dag M Q) for a stack of Hermitian 4x4 matrices.
 

@@ -20,6 +20,7 @@ from .linalg import (
     PHI_PLUS,
     SWAP,
     EigenDecomposition,
+    eigenvalue_clusters,
     hermitian_eig,
     swap_conjugate,
 )
@@ -30,11 +31,19 @@ __all__ = [
     "dual_choi",
     "eigenvector_correspondence_check",
     "DEGENERACY_GAP",
+    "ENTANGLEMENT_BREAKING_THRESHOLD",
 ]
 
 # Below this eigenvalue gap, neighboring eigenvectors are treated as a
-# degenerate subspace (individually they are not well defined).
+# degenerate subspace: individually they are not well defined, since a
+# perturbation of rounding size rotates them by up to rounding / gap.  This
+# is physical degeneracy, far coarser than the rounding-level tie-break
+# ``linalg.hermitian_eig`` uses to order eigenvectors.
 DEGENERACY_GAP = 1e-8
+
+# A channel whose Choi top eigenvalue does not exceed 1/2 leaves no usable
+# entanglement after a single use; the classical value 1/2 is then reported.
+ENTANGLEMENT_BREAKING_THRESHOLD = 0.5 + 1e-12
 
 
 @dataclass(frozen=True)
@@ -116,17 +125,6 @@ def _phase_aligned_distance(candidate: np.ndarray, target: np.ndarray) -> float:
     return float(np.linalg.norm(aligned - target))
 
 
-def _clusters(eigenvalues: np.ndarray, gap: float):
-    start = 0
-    n = len(eigenvalues)
-    while start < n:
-        stop = start + 1
-        while stop < n and eigenvalues[stop - 1] - eigenvalues[stop] < gap:
-            stop += 1
-        yield start, stop
-        start = stop
-
-
 def eigenvector_correspondence_check(channel: KrausChannel) -> float:
     """Largest residual of the swap-conjugate eigenvector pairing.
 
@@ -139,7 +137,7 @@ def eigenvector_correspondence_check(channel: KrausChannel) -> float:
     forward = choi(channel).eig
     backward = dual_choi(channel).eig
     worst = 0.0
-    for start, stop in _clusters(forward.eigenvalues, DEGENERACY_GAP):
+    for start, stop in eigenvalue_clusters(forward.eigenvalues, DEGENERACY_GAP):
         if stop - start == 1:
             mapped = (SWAP @ forward.eigenvectors[:, start]).conj()
             residual = _phase_aligned_distance(mapped, backward.eigenvectors[:, start])

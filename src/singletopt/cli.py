@@ -19,40 +19,30 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .channel import (
     KrausChannel,
-    apply_to_half,
     channel_from_dict,
     channel_to_dict,
-    choi_matrix,
     is_unital,
-    kraus_from_choi,
     named_channel,
     random_channel,
     validate,
 )
-from .choi import choi, dual_choi, eigenvector_correspondence_check
-from .entmetrics import (
-    negativity,
-    pt_spectrum_identity_residual,
-    singlet_fraction,
-    singlet_fraction_oracle,
-)
-from .linalg import swap_conjugate
-from .locc import fstar, fstar_filter_oracle
+from .choi import choi
+from .entmetrics import negativity
+from .locc import channel_fstar, postprocessing_gap
 from .oneshot import (
-    ENTANGLEMENT_BREAKING_THRESHOLD,
+    IDENTITIES,
     channel_negativity,
-    classify,
     negativity_relation_residual,
     optimal_input_state,
     optimal_singlet_fraction,
     preprocessed_fidelity,
     report,
+    residuals,
 )
 
 EXIT_OK = 0
@@ -142,52 +132,28 @@ def _cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _RowContext:
-    """One sweep row: its channel, its search seed and its ``fstar`` solve.
-
-    The Choi states live on the channel object itself; ``fstar`` is computed
-    on the Choi matrix, so the row keeps the one solve its columns share.
-    """
-
-    def __init__(self, channel: KrausChannel, seed: int):
-        self.channel = channel
-        self.seed = seed
-        self._fstar = None
-
-    @property
-    def fstar(self) -> float:
-        if self._fstar is None:
-            self._fstar = fstar(choi(self.channel).matrix)
-        return self._fstar
-
-
-def _column_gap(ctx: _RowContext) -> float:
-    # Same value as postprocessing_gap(ctx.channel), with the row's fstar.
-    fraction = optimal_singlet_fraction(ctx.channel)
-    if fraction.entanglement_breaking:
-        return float("nan")
-    return fraction.lambda_max - ctx.fstar
-
-
+# Each column maps a row's channel and its search seed to one value.
 SWEEP_COLUMNS = {
-    "F_lambda": lambda ctx: optimal_singlet_fraction(ctx.channel).value,
-    "lambda_max": lambda ctx: optimal_singlet_fraction(ctx.channel).lambda_max,
-    "entanglement_breaking": lambda ctx: float(
-        optimal_singlet_fraction(ctx.channel).entanglement_breaking
+    "F_lambda": lambda c, seed: optimal_singlet_fraction(c).value,
+    "lambda_max": lambda c, seed: optimal_singlet_fraction(c).lambda_max,
+    "entanglement_breaking": lambda c, seed: float(
+        optimal_singlet_fraction(c).entanglement_breaking
     ),
-    "f_tel": lambda ctx: (2 * optimal_singlet_fraction(ctx.channel).value + 1) / 3,
-    "F1": lambda ctx: preprocessed_fidelity(ctx.channel),
-    "N_choi": lambda ctx: negativity(choi(ctx.channel).matrix),
-    "N_channel": lambda ctx: channel_negativity(ctx.channel, seed=ctx.seed).value,
-    "fstar_choi": lambda ctx: ctx.fstar,
-    "gap": _column_gap,
-    "schmidt_lambda": lambda ctx: float(
-        optimal_input_state(ctx.channel).schmidt.coefficients[0]
+    "f_tel": lambda c, seed: (2 * optimal_singlet_fraction(c).value + 1) / 3,
+    "F1": lambda c, seed: preprocessed_fidelity(c),
+    "N_choi": lambda c, seed: negativity(choi(c).matrix),
+    "N_channel": lambda c, seed: channel_negativity(c, seed=seed).value,
+    "fstar_choi": lambda c, seed: channel_fstar(c),
+    "gap": lambda c, seed: (
+        float("nan")
+        if optimal_singlet_fraction(c).entanglement_breaking
+        else postprocessing_gap(c)[0]
     ),
-    "unitality_deviation": lambda ctx: is_unital(ctx.channel)[1],
-    "negativity_relation_residual": lambda ctx: negativity_relation_residual(
-        ctx.channel
+    "schmidt_lambda": lambda c, seed: float(
+        optimal_input_state(c).schmidt.coefficients[0]
     ),
+    "unitality_deviation": lambda c, seed: is_unital(c)[1],
+    "negativity_relation_residual": lambda c, seed: negativity_relation_residual(c),
 }
 
 
@@ -226,21 +192,12 @@ def _cmd_sweep(args) -> int:
         print(f"error: cannot write --out: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    values = np.linspace(args.start, args.stop, args.steps)
-
-    def run_row(index_value):
-        index, value = index_value
-        channel = named_channel(args.name, {args.param: float(value)})
-        ctx = _RowContext(channel, seed=args.seed + index)
-        return [float(value)] + [float(SWEEP_COLUMNS[c](ctx)) for c in columns]
-
+    rows = []
     try:
-        jobs = list(enumerate(values))
-        if args.workers and args.workers > 1:
-            with ThreadPoolExecutor(max_workers=args.workers) as pool:
-                rows = list(pool.map(run_row, jobs))
-        else:
-            rows = [run_row(job) for job in jobs]
+        for index, value in enumerate(np.linspace(args.start, args.stop, args.steps)):
+            channel = named_channel(args.name, {args.param: float(value)})
+            row = [float(SWEEP_COLUMNS[c](channel, args.seed + index)) for c in columns]
+            rows.append([float(value)] + row)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -262,85 +219,6 @@ def _cmd_sweep(args) -> int:
 # audit
 # ---------------------------------------------------------------------------
 
-# (name, tolerance) for every identity the audit drives.
-AUDIT_CHECKS = [
-    ("dual_choi_entrywise", 1e-12),
-    ("dual_choi_spectrum", 1e-10),
-    ("pt_spectrum_identity", 1e-10),
-    ("negativity_relation", 1e-10),
-    ("optimal_input_achievement", 1e-9),
-    ("classification_consistent", 0.5),
-    ("eigenvector_correspondence", 1e-9),
-    ("kraus_trace_orthogonality", 1e-9),
-    ("choi_roundtrip", 1e-9),
-    ("gap_nonnegative", 1e-9),
-    ("gap_unital", 1e-6),
-    ("gap_nonunital_strict", 0.5),
-    ("singlet_fraction_oracle", 1e-4),
-    ("fstar_oracle", 1e-4),
-]
-
-
-def _audit_channel(channel: KrausChannel, seed: int) -> dict:
-    """Residual of every applicable identity for one channel."""
-    out = {}
-    forward = choi(channel)
-    backward = dual_choi(channel)
-    j = forward.matrix
-    lam = float(forward.eig.eigenvalues[0])
-    breaking = lam <= ENTANGLEMENT_BREAKING_THRESHOLD
-    unital, deviation = is_unital(channel)
-
-    out["dual_choi_entrywise"] = float(
-        np.abs(backward.matrix - swap_conjugate(j)).max()
-    )
-    out["dual_choi_spectrum"] = float(
-        np.abs(backward.eig.eigenvalues - forward.eig.eigenvalues).max()
-    )
-    out["pt_spectrum_identity"] = abs(pt_spectrum_identity_residual(j))
-    out["eigenvector_correspondence"] = eigenvector_correspondence_check(channel)
-
-    if not breaking:
-        out["negativity_relation"] = negativity_relation_residual(channel)
-
-    inp = optimal_input_state(channel)
-    if not inp.degenerate:
-        achieved, _ = singlet_fraction(apply_to_half(channel, inp.state))
-        out["optimal_input_achievement"] = abs(achieved - lam)
-        verdict = classify(channel).verdict
-        out["classification_consistent"] = 0.0 if verdict == "consistent" else 1.0
-
-    extracted = kraus_from_choi(forward)
-    weights = [p for p in forward.eig.eigenvalues if p > 1e-12]
-    gram = np.array(
-        [
-            [np.trace(a.conj().T @ b) for b in extracted.kraus]
-            for a in extracted.kraus
-        ]
-    )
-    expected = np.diag([2.0 * p for p in weights])
-    out["kraus_trace_orthogonality"] = float(np.abs(gram - expected).max())
-    out["choi_roundtrip"] = float(np.abs(choi_matrix(extracted) - j).max())
-
-    # One fstar solve serves the gap checks and the oracle comparison.
-    fs = fstar(j)
-    if not breaking:
-        gap = lam - fs
-        out["gap_nonnegative"] = max(0.0, -gap)
-        if unital:
-            out["gap_unital"] = abs(gap)
-        elif deviation > 1e-2:
-            out["gap_nonunital_strict"] = 0.0 if gap > 1e-6 else 1.0
-
-    closed, _ = singlet_fraction(j)
-    out["singlet_fraction_oracle"] = abs(
-        closed - singlet_fraction_oracle(j, resolution_deg=4.0)
-    )
-    out["fstar_oracle"] = abs(
-        fs - fstar_filter_oracle(j, restarts=16, seed=seed).fstar_value
-    )
-    return out
-
 
 def _cmd_audit(args) -> int:
     if args.count < 1:
@@ -348,25 +226,13 @@ def _cmd_audit(args) -> int:
         return EXIT_USAGE
 
     channels = []
-    for k in range(args.count):
-        rank = k % 4 + 1
-        chan_seed = (args.seed * 1_000_003 + k) % (2**63)
-        channels.append((k, random_channel(chan_seed, rank), chan_seed))
-
-    def run(item):
-        _, channel, chan_seed = item
-        return _audit_channel(channel, chan_seed)
-
-    if args.workers and args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(run, channels))
-    else:
-        results = [run(item) for item in channels]
-
-    worst = {}  # check -> (residual, channel index)
-    counts = {name: 0 for name, _ in AUDIT_CHECKS}
-    for (index, _, _), residuals in zip(channels, results):
-        for name, value in residuals.items():
+    worst = {}  # identity -> (residual, channel index)
+    counts = {row.name: 0 for row in IDENTITIES}
+    for index in range(args.count):
+        chan_seed = (args.seed * 1_000_003 + index) % (2**63)
+        channel = random_channel(chan_seed, index % 4 + 1)
+        channels.append((channel, chan_seed))
+        for name, value in residuals(channel, seed=chan_seed).items():
             counts[name] += 1
             if name not in worst or value > worst[name][0]:
                 worst[name] = (value, index)
@@ -374,7 +240,8 @@ def _cmd_audit(args) -> int:
     print(f"audit: {args.count} random channels, seed {args.seed}")
     print(f"  {'identity':32s} {'n':>4s} {'max residual':>14s} {'tolerance':>10s}  status")
     failed = []
-    for name, tol in AUDIT_CHECKS:
+    for row in IDENTITIES:
+        name, tol = row.name, row.tolerance
         if counts[name] == 0:
             print(f"  {name:32s} {0:4d} {'-':>14s} {tol:10.1e}  SKIP")
             continue
@@ -387,7 +254,7 @@ def _cmd_audit(args) -> int:
 
     if failed:
         for name, index, value in failed:
-            _, channel, chan_seed = channels[index]
+            channel, chan_seed = channels[index]
             path = f"audit-failure-{name}.json"
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(
@@ -441,13 +308,11 @@ def _parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--out", required=True, help="output CSV path")
     sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--workers", type=int, default=1)
     sweep.set_defaults(func=_cmd_sweep)
 
     audit = sub.add_parser("audit", help="randomized identity audit")
     audit.add_argument("--seed", type=int, default=0)
     audit.add_argument("--count", type=int, default=100)
-    audit.add_argument("--workers", type=int, default=1)
     audit.set_defaults(func=_cmd_audit)
 
     return parser

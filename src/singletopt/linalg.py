@@ -58,8 +58,11 @@ MAGIC_BASIS = np.column_stack(
     [PHI_PLUS, 1j * PHI_MINUS, 1j * PSI_PLUS, PSI_MINUS]
 )
 
-# Eigenvalues closer than this are treated as a degenerate cluster when
-# fixing the deterministic ordering.
+# Eigenvalues closer than this are treated as tied when fixing the
+# deterministic ordering.  This is a tie-break at rounding level, not a
+# statement about physical degeneracy (see ``choi.DEGENERACY_GAP``):
+# reordering eigenvectors whose eigenvalues differ by more than rounding
+# would pair them with the wrong eigenvalues.
 _TIE_TOL = 1e-12
 
 
@@ -129,6 +132,21 @@ class EigenDecomposition:
         return (v * self.eigenvalues) @ v.conj().T
 
 
+def eigenvalue_clusters(eigenvalues: np.ndarray, gap: float):
+    """Yield ``(start, stop)`` index ranges of clustered eigenvalues.
+
+    ``eigenvalues`` is sorted descending; neighbors closer than ``gap``
+    share a cluster, and a cluster grows for as long as that chain holds.
+    """
+    start, n = 0, len(eigenvalues)
+    while start < n:
+        stop = start + 1
+        while stop < n and eigenvalues[stop - 1] - eigenvalues[stop] < gap:
+            stop += 1
+        yield start, stop
+        start = stop
+
+
 def hermitian_eig(m: np.ndarray, tol: float = 1e-9) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix with deterministic output.
 
@@ -151,21 +169,15 @@ def hermitian_eig(m: np.ndarray, tol: float = 1e-9) -> EigenDecomposition:
     w = w[order]
     v = v[:, order]
 
-    # Canonical ordering inside degenerate clusters.
-    n = len(w)
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and w[start] - w[stop] < _TIE_TOL:
-            stop += 1
+    # Canonical ordering inside clusters of tied eigenvalues.
+    for start, stop in eigenvalue_clusters(w, _TIE_TOL):
         if stop - start > 1:
             keys = sorted(
                 range(start, stop), key=lambda k: _vector_key(v[:, k])
             )
             v[:, start:stop] = v[:, keys]
-        start = stop
 
-    for k in range(n):
+    for k in range(len(w)):
         v[:, k] = _fix_phase(v[:, k])
     w.setflags(write=False)
     v.setflags(write=False)
@@ -173,18 +185,22 @@ def hermitian_eig(m: np.ndarray, tol: float = 1e-9) -> EigenDecomposition:
 
 
 def partial_transpose(m: np.ndarray, subsystem: str = "first") -> np.ndarray:
-    """Partial transpose of a two-qubit operator on the chosen factor."""
+    """Partial transpose of a two-qubit operator on the chosen factor.
+
+    Leading axes of ``m`` are batch axes: a (..., 4, 4) stack is transposed
+    matrix by matrix.
+    """
     m = np.asarray(m, dtype=complex)
-    if m.shape != (4, 4):
+    if m.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-    t = m.reshape(2, 2, 2, 2)
+    t = m.reshape(m.shape[:-2] + (2, 2, 2, 2))
     if subsystem == "first":
-        t = t.transpose(2, 1, 0, 3)
+        t = t.swapaxes(-4, -2)
     elif subsystem == "second":
-        t = t.transpose(0, 3, 2, 1)
+        t = t.swapaxes(-3, -1)
     else:
         raise ValueError("subsystem must be 'first' or 'second'")
-    return t.reshape(4, 4)
+    return t.reshape(m.shape)
 
 
 def swap_conjugate(m: np.ndarray) -> np.ndarray:

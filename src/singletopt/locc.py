@@ -44,10 +44,9 @@ import numpy as np
 
 from ._batched import filter_basis, filter_coefficients, su2_euler_batch
 from .channel import KrausChannel
-from .choi import choi
+from .choi import ENTANGLEMENT_BREAKING_THRESHOLD, choi
 from .entmetrics import as_density_matrix, schmidt, singlet_fraction
 from .linalg import I2, MAGIC_BASIS, PAULIS, partial_transpose, tensor_product
-from .oneshot import ENTANGLEMENT_BREAKING_THRESHOLD
 from .optimize import SearchSpec, compass_search
 
 __all__ = [
@@ -55,6 +54,7 @@ __all__ = [
     "MAX_NEWTON_STEPS",
     "FilterProtocol",
     "FstarCertificate",
+    "channel_fstar",
     "fstar",
     "fstar_bracket",
     "fstar_certificate",
@@ -209,6 +209,20 @@ def fstar(rho: np.ndarray) -> float:
     return fstar_certificate(rho).lower
 
 
+def channel_fstar(channel: KrausChannel) -> float:
+    """:func:`fstar` of the channel's Choi state.
+
+    Solved on the first call for a channel object and kept next to its
+    Choi state (see :func:`choi.choi`), so every caller that needs F* of the
+    same channel shares one solve.
+    """
+    value = channel._states.get("fstar")
+    if value is None:
+        value = fstar(choi(channel).matrix)
+        channel._states["fstar"] = value
+    return value
+
+
 @dataclass(frozen=True)
 class FilterProtocol:
     """A concrete one-sided filter strategy and the value it achieves.
@@ -344,15 +358,15 @@ def postprocessing_gap(channel: KrausChannel) -> tuple[float, bool]:
     entangled transmission can reach.
 
     Returns ``(gap, strict)`` where ``gap`` is lambda_max(choi) minus
-    fstar(choi) and ``strict`` flags a gap above 1e-6.  The gap vanishes for
-    unital channels and is strictly positive for nonunital ones.  Raises for
-    entanglement-breaking channels, where neither side is meaningful.
+    :func:`channel_fstar` and ``strict`` flags a gap above 1e-6.  The gap
+    vanishes for unital channels and is strictly positive for nonunital ones.
+    Raises for entanglement-breaking channels, where neither side is
+    meaningful.
     """
-    state = choi(channel)
-    lam = float(state.eig.eigenvalues[0])
+    lam = float(choi(channel).eig.eigenvalues[0])
     if lam <= ENTANGLEMENT_BREAKING_THRESHOLD:
         raise ValueError(
             "entanglement-breaking channel: post-processing gap undefined"
         )
-    gap = lam - fstar(state.matrix)
+    gap = lam - channel_fstar(channel)
     return gap, gap > 1e-6

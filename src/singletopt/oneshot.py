@@ -6,11 +6,17 @@ Choi state, maximally entangled exactly when the channel is unital.  This
 module computes those, the related teleportation fidelity, the negativity
 identity lambda_max = (1 + N)/2, a derivative-free maximization of the
 output negativity over all pure inputs, and an aggregated report.
+
+``IDENTITIES`` lists every identity the package rests on, each as a
+residual with its tolerance; :func:`report` shows the closed-form ones and
+``singletopt audit`` checks them all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -19,24 +25,41 @@ from ._batched import (
     filter_coefficients,
     kron_left_identity,
     magic_top_eig_batch,
-    partial_transpose_batch,
     su2_euler_batch,
 )
-from .channel import KrausChannel, apply_to_half, is_unital, validate
-from .choi import DEGENERACY_GAP, choi, dual_choi, eigenvector_correspondence_check
+from .channel import (
+    KrausChannel,
+    apply_to_half,
+    choi_matrix,
+    is_unital,
+    kraus_from_choi,
+    validate,
+)
+from .choi import (
+    DEGENERACY_GAP,
+    ENTANGLEMENT_BREAKING_THRESHOLD,
+    choi,
+    dual_choi,
+    eigenvector_correspondence_check,
+)
 from .entmetrics import (
     SchmidtData,
     negativity,
     pt_spectrum_identity_residual,
     schmidt,
     singlet_fraction,
+    singlet_fraction_oracle,
     teleportation_fidelity,
 )
-from .linalg import swap_conjugate
+from .linalg import partial_transpose, swap_conjugate
+from .locc import channel_fstar, fstar_filter_oracle, postprocessing_gap
 from .optimize import SearchSpec, compass_search
 
 __all__ = [
     "ENTANGLEMENT_BREAKING_THRESHOLD",
+    "IDENTITIES",
+    "Identity",
+    "IdentityContext",
     "OptimalFraction",
     "OptimalInput",
     "Classification",
@@ -49,12 +72,9 @@ __all__ = [
     "classify",
     "negativity_relation_residual",
     "channel_negativity",
+    "residuals",
     "report",
 ]
-
-# A channel whose Choi top eigenvalue does not exceed 1/2 leaves no usable
-# entanglement after a single use; the classical value 1/2 is then reported.
-ENTANGLEMENT_BREAKING_THRESHOLD = 0.5 + 1e-12
 
 
 @dataclass(frozen=True)
@@ -277,7 +297,7 @@ def _pt_filter_table(rho: np.ndarray) -> np.ndarray:
     """
     basis = filter_basis(rho)
     trace = np.trace(basis, axis1=1, axis2=2)[:, None]
-    return np.concatenate([partial_transpose_batch(basis).reshape(16, 16), trace], 1)
+    return np.concatenate([partial_transpose(basis).reshape(16, 16), trace], 1)
 
 
 def _input_filters(x: np.ndarray) -> np.ndarray:
@@ -287,6 +307,110 @@ def _input_filters(x: np.ndarray) -> np.ndarray:
     filters[:, 0, :] *= np.sqrt(lam)[:, None]
     filters[:, 1, :] *= np.sqrt(1.0 - lam)[:, None]
     return filters
+
+
+class IdentityContext:
+    """What the identity residuals of one channel read, fetched once."""
+
+    def __init__(self, channel: KrausChannel, seed: int = 0):
+        self.channel = channel
+        self.seed = seed
+        self.validation = validate(channel)
+        self.choi_state = choi(channel)
+        self.dual_state = dual_choi(channel)
+        self.optimal_input = optimal_input_state(channel)
+        self.lambda_max = float(self.choi_state.eig.eigenvalues[0])
+        self.entanglement_breaking = self.lambda_max <= ENTANGLEMENT_BREAKING_THRESHOLD
+        self.unital, self.unitality_deviation = is_unital(channel)
+
+    @cached_property
+    def extracted(self) -> KrausChannel:
+        """Kraus operators read back from the Choi state, for the audit rows."""
+        return kraus_from_choi(self.choi_state)
+
+
+@dataclass(frozen=True)
+class Identity:
+    """One identity, checked as a residual against its tolerance.
+
+    ``residual`` returns None where the identity does not apply to the
+    channel.  ``reported`` rows are closed forms that :func:`report` shows;
+    the others need F* or an oracle and run only in the audit.
+    """
+
+    name: str
+    tolerance: float
+    reported: bool
+    residual: Callable[[IdentityContext], float | None]
+
+
+def _optimal_input_achievement(ctx: IdentityContext) -> float | None:
+    # A degenerate top eigenvalue leaves the optimal input undefined.
+    if ctx.optimal_input.degenerate:
+        return None
+    achieved, _ = singlet_fraction(apply_to_half(ctx.channel, ctx.optimal_input.state))
+    return abs(achieved - ctx.lambda_max)
+
+
+def _kraus_trace_orthogonality(ctx: IdentityContext) -> float:
+    extracted = ctx.extracted.kraus
+    weights = [p for p in ctx.choi_state.eig.eigenvalues if p > 1e-12]
+    gram = np.array([[np.trace(a.conj().T @ b) for b in extracted] for a in extracted])
+    return float(np.abs(gram - np.diag([2.0 * p for p in weights])).max())
+
+
+# Rows reach library functions through module globals, so a patched function
+# is what every caller of the table sees.
+IDENTITIES = (
+    Identity("tp", 1e-9, True, lambda ctx: ctx.validation.tp_residual),
+    Identity("cp", 1e-9, True, lambda ctx: max(0.0, -ctx.validation.cp_min_eigenvalue)),
+    Identity("dual_choi_entrywise", 1e-12, True, lambda ctx: float(np.abs(
+        ctx.dual_state.matrix - swap_conjugate(ctx.choi_state.matrix)).max())),
+    Identity("dual_choi_spectrum", 1e-10, True, lambda ctx: float(np.abs(
+        ctx.dual_state.eig.eigenvalues - ctx.choi_state.eig.eigenvalues).max())),
+    Identity("pt_spectrum_identity", 1e-10, True, lambda ctx: abs(
+        pt_spectrum_identity_residual(ctx.choi_state.matrix))),
+    # lambda_max = (1 + N)/2 fails by design on entanglement-breaking channels.
+    Identity("negativity_relation", 1e-10, True, lambda ctx: None
+             if ctx.entanglement_breaking else negativity_relation_residual(ctx.channel)),
+    Identity("optimal_input_achievement", 1e-9, True, _optimal_input_achievement),
+    Identity("classification_consistent", 0.5, False, lambda ctx: None
+             if ctx.optimal_input.degenerate
+             else float(classify(ctx.channel).verdict != "consistent")),
+    Identity("eigenvector_correspondence", 1e-9, True,
+             lambda ctx: eigenvector_correspondence_check(ctx.channel)),
+    Identity("kraus_trace_orthogonality", 1e-9, False, _kraus_trace_orthogonality),
+    Identity("choi_roundtrip", 1e-9, False, lambda ctx: float(np.abs(
+        choi_matrix(ctx.extracted) - ctx.choi_state.matrix).max())),
+    # F*, and so the gap, is undefined on entanglement-breaking channels.
+    Identity("gap_nonnegative", 1e-9, False, lambda ctx: None
+             if ctx.entanglement_breaking else max(0.0, -postprocessing_gap(ctx.channel)[0])),
+    Identity("gap_unital", 1e-6, False, lambda ctx: None
+             if ctx.entanglement_breaking or not ctx.unital
+             else abs(postprocessing_gap(ctx.channel)[0])),
+    Identity("gap_nonunital_strict", 0.5, False, lambda ctx: None
+             if ctx.entanglement_breaking or ctx.unital or ctx.unitality_deviation <= 1e-2
+             else float(not postprocessing_gap(ctx.channel)[1])),
+    Identity("singlet_fraction_oracle", 1e-4, False, lambda ctx: abs(
+        singlet_fraction(ctx.choi_state.matrix)[0]
+        - singlet_fraction_oracle(ctx.choi_state.matrix, resolution_deg=4.0))),
+    Identity("fstar_oracle", 1e-4, False, lambda ctx: abs(channel_fstar(ctx.channel) - (
+        fstar_filter_oracle(ctx.choi_state.matrix, restarts=16, seed=ctx.seed).fstar_value))),
+)
+
+
+def _evaluate(ctx: IdentityContext, reported_only: bool) -> dict:
+    values = {r.name: r.residual(ctx) for r in IDENTITIES if r.reported or not reported_only}
+    return {name: value for name, value in values.items() if value is not None}
+
+
+def residuals(channel: KrausChannel, seed: int = 0) -> dict:
+    """Residual of every identity in ``IDENTITIES`` that applies to ``channel``.
+
+    Rows that do not apply are left out; ``seed`` drives the filter-protocol
+    oracle.
+    """
+    return _evaluate(IdentityContext(channel, seed), reported_only=False)
 
 
 @dataclass(frozen=True)
@@ -328,6 +452,7 @@ class ChannelReport:
 def report(channel: KrausChannel) -> ChannelReport:
     """Compute all derived quantities and identity residuals for a channel.
 
+    ``residuals`` holds every applicable reported row of ``IDENTITIES``.
     Raises ``ValueError`` if the channel fails CPTP validation.
     """
     check = validate(channel)
@@ -337,39 +462,20 @@ def report(channel: KrausChannel) -> ChannelReport:
             f"tp_residual={check.tp_residual:.3e}, "
             f"cp_min_eigenvalue={check.cp_min_eigenvalue:.3e}"
         )
-    forward = choi(channel)
-    backward = dual_choi(channel)
+    ctx = IdentityContext(channel)
     frac = optimal_singlet_fraction(channel)
-    inp = optimal_input_state(channel)
-    unital, deviation = is_unital(channel)
-
-    achieved, _ = singlet_fraction(apply_to_half(channel, inp.state))
-    residuals = {
-        "tp": check.tp_residual,
-        "cp_min_eigenvalue": check.cp_min_eigenvalue,
-        "dual_choi_entrywise": float(
-            np.abs(backward.matrix - swap_conjugate(forward.matrix)).max()
-        ),
-        "dual_choi_spectrum": float(
-            np.abs(backward.eig.eigenvalues - forward.eig.eigenvalues).max()
-        ),
-        "pt_spectrum_identity": abs(pt_spectrum_identity_residual(forward.matrix)),
-        "negativity_relation": negativity_relation_residual(channel),
-        "eigenvector_correspondence": eigenvector_correspondence_check(channel),
-        "optimal_input_achievement": abs(achieved - frac.lambda_max),
-    }
     return ChannelReport(
         label=channel.describe(),
         F_lambda=frac.value,
         lambda_max=frac.lambda_max,
         entanglement_breaking=frac.entanglement_breaking,
-        psi0=inp.state,
-        psi0_schmidt=inp.schmidt.coefficients,
-        psi0_degenerate=inp.degenerate,
-        unital=unital,
-        unitality_deviation=deviation,
+        psi0=ctx.optimal_input.state,
+        psi0_schmidt=ctx.optimal_input.schmidt.coefficients,
+        psi0_degenerate=ctx.optimal_input.degenerate,
+        unital=ctx.unital,
+        unitality_deviation=ctx.unitality_deviation,
         f_tel=teleportation_fidelity(frac.value),
-        N_choi=negativity(forward.matrix),
+        N_choi=negativity(ctx.choi_state.matrix),
         F1=preprocessed_fidelity(channel),
-        residuals=residuals,
+        residuals=_evaluate(ctx, reported_only=True),
     )

@@ -7,12 +7,11 @@ from singletopt._batched import (
     filter_basis,
     filter_coefficients,
     magic_top_eig_batch,
-    partial_transpose_batch,
     su2_euler_batch,
 )
 from singletopt.channel import apply_to_half
 from singletopt.entmetrics import negativity
-from singletopt.linalg import I2
+from singletopt.linalg import I2, partial_transpose
 from singletopt.locc import _filters_from_params, _magic_filter_table
 from singletopt.oneshot import _input_filters, _pt_filter_table, channel_negativity
 
@@ -67,7 +66,7 @@ def test_search_tables_match_explicit_states(rank, rho, filters):
 
     pt = coeffs @ _pt_filter_table(rho)
     np.testing.assert_allclose(
-        pt[:, :16].reshape(-1, 4, 4), partial_transpose_batch(states), rtol=0, atol=1e-14
+        pt[:, :16].reshape(-1, 4, 4), partial_transpose(states), rtol=0, atol=1e-14
     )
     np.testing.assert_allclose(pt[:, 16], trace, rtol=0, atol=1e-14)
 

@@ -4,12 +4,25 @@ import numpy as np
 import pytest
 
 from singletopt.channel import KrausChannel, amplitude_damping, depolarizing, identity
-from singletopt.choi import choi, dual_choi, eigenvector_correspondence_check
+from singletopt.choi import (
+    DEGENERACY_GAP,
+    choi,
+    dual_choi,
+    eigenvector_correspondence_check,
+)
 from singletopt.entmetrics import schmidt
-from singletopt.linalg import I2, PHI_PLUS, swap_conjugate
+from singletopt.linalg import (
+    I2,
+    PAULIS,
+    PHI_PLUS,
+    _TIE_TOL,
+    eigenvalue_clusters,
+    hermitian_eig,
+    swap_conjugate,
+)
 from singletopt.oneshot import report
 
-from conftest import random_channels
+from conftest import random_channels, random_unitary
 
 # The package re-exports the function ``choi``, which shadows the module.
 choi_module = importlib.import_module("singletopt.choi")
@@ -100,6 +113,24 @@ def test_correspondence_degenerate_depolarizing():
 def test_correspondence_random_channels():
     for c in random_channels(61, 20):
         assert eigenvector_correspondence_check(c) < 1e-9
+
+
+def test_gap_between_tie_break_and_degeneracy():
+    # A rotated Pauli channel whose Choi spectrum has a 1e-10 gap: above the
+    # tie-break, below the degeneracy gap.
+    u = random_unitary(np.random.default_rng(17))
+    weights = [0.5, 0.2 + 1e-10, 0.2, 0.1 - 1e-10]
+    c = KrausChannel(kraus=tuple(np.sqrt(q) * u @ s for q, s in zip(weights, PAULIS)))
+    matrix = choi(c).matrix
+    eig = hermitian_eig(matrix)
+    gap = eig.eigenvalues[1] - eig.eigenvalues[2]
+    assert _TIE_TOL < gap < DEGENERACY_GAP
+    # No tie-break reordering: every eigenvector keeps its own eigenvalue.
+    assert list(eigenvalue_clusters(eig.eigenvalues, _TIE_TOL)) == [(k, k + 1) for k in range(4)]
+    assert np.abs(eig.reconstruct() - matrix).max() < 1e-12
+    # The correspondence check treats the pair as one eigenspace.
+    assert list(eigenvalue_clusters(eig.eigenvalues, DEGENERACY_GAP)) == [(0, 1), (1, 3), (3, 4)]
+    assert eigenvector_correspondence_check(c) < 1e-9
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ from singletopt.linalg import (
     PAULI_Z,
     PHI_PLUS,
     SWAP,
+    eigenvalue_clusters,
     hermitian_eig,
     is_hermitian,
     is_psd,
@@ -133,6 +134,26 @@ def test_partial_transpose_involution_and_bell_spectrum():
     eigs = np.linalg.eigvalsh(partial_transpose(proj, "first"))
     np.testing.assert_allclose(eigs, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
     np.testing.assert_allclose(partial_transpose(np.eye(4) / 4, "second"), np.eye(4) / 4)
+
+
+def test_partial_transpose_takes_batch_axes():
+    rng = np.random.default_rng(6)
+    stack = np.array([random_density(rng) for _ in range(6)]).reshape(2, 3, 4, 4)
+    for side in ("first", "second"):
+        batched = partial_transpose(stack, side)
+        assert batched.shape == stack.shape
+        for index in np.ndindex(2, 3):
+            np.testing.assert_array_equal(batched[index], partial_transpose(stack[index], side))
+    with pytest.raises(ValueError):
+        partial_transpose(np.zeros((3, 4, 2)))
+
+
+def test_eigenvalue_clusters_chain_neighbors():
+    w = np.array([0.5, 0.5 - 1e-10, 0.3, 0.3 - 6e-13, 0.3 - 1.2e-12])
+    assert list(eigenvalue_clusters(w, 1e-12)) == [(0, 1), (1, 2), (2, 5)]
+    assert list(eigenvalue_clusters(w, 1e-8)) == [(0, 2), (2, 5)]
+    assert list(eigenvalue_clusters(w, 0.0)) == [(k, k + 1) for k in range(5)]
+    assert list(eigenvalue_clusters(np.array([]), 1.0)) == []
 
 
 def test_partial_transpose_amplitude_damping_min_eigenvalue():

@@ -7,6 +7,7 @@ from singletopt.entmetrics import negativity, singlet_fraction
 from singletopt.linalg import I2, PHI_PLUS, partial_transpose, tensor_product
 from singletopt.locc import (
     GAP_TOLERANCE,
+    channel_fstar,
     fstar,
     fstar_bracket,
     fstar_certificate,
@@ -217,3 +218,18 @@ def test_gap_sign_and_strictness_on_random_channels():
             assert abs(gap) < 1e-6
         elif deviation > 1e-2:
             assert strict
+
+
+def test_channel_fstar_solves_once_per_channel_object(monkeypatch):
+    from singletopt import locc
+
+    c = amplitude_damping(0.4)
+    value = channel_fstar(c)
+    assert value == fstar(choi(c).matrix)
+
+    def unexpected(rho):
+        raise AssertionError("fstar solved again")
+
+    monkeypatch.setattr(locc, "fstar", unexpected)
+    assert channel_fstar(c) == value
+    assert postprocessing_gap(c)[0] == float(choi(c).eig.eigenvalues[0]) - value

@@ -4,14 +4,17 @@ import pytest
 from singletopt.channel import (
     amplitude_damping,
     apply_to_half,
+    bit_flip,
     depolarizing,
     identity,
     is_unital,
+    phase_damping,
     unitary,
 )
 from singletopt.choi import choi
 from singletopt.entmetrics import negativity, singlet_fraction
 from singletopt.oneshot import (
+    IDENTITIES,
     channel_negativity,
     classify,
     negativity_relation_residual,
@@ -20,6 +23,7 @@ from singletopt.oneshot import (
     preprocessed_fidelity,
     preprocessed_fidelity_oracle,
     report,
+    residuals,
 )
 
 from conftest import random_channels, random_pauli_mixture, random_unitary
@@ -251,3 +255,32 @@ def test_report_roundtrips_to_dict():
     assert data["F_lambda"] == rep.F_lambda
     assert len(data["psi0"]) == 4
     assert set(data["residuals"]) == set(rep.residuals)
+
+
+@pytest.mark.parametrize("family", [amplitude_damping, depolarizing, phase_damping, bit_flip])
+@pytest.mark.parametrize("p", [0.0, 0.5, 2 / 3, 1.0])
+def test_report_residuals_are_the_reported_rows(family, p):
+    c = family(p)
+    every = residuals(c)
+    rows = {row.name: row for row in IDENTITIES}
+    assert report(c).residuals == {k: v for k, v in every.items() if rows[k].reported}
+    for name, value in every.items():
+        assert 0.0 <= value <= rows[name].tolerance, name
+
+
+def test_report_skips_identities_that_do_not_apply():
+    # Fully depolarizing: entanglement breaking, degenerate dual-Choi top.
+    rep = report(depolarizing(1.0))
+    assert "negativity_relation" not in rep.residuals
+    assert "optimal_input_achievement" not in rep.residuals
+    assert set(rep.residuals) == {
+        "tp", "cp", "dual_choi_entrywise", "dual_choi_spectrum",
+        "pt_spectrum_identity", "eigenvector_correspondence",
+    }
+    # cp is a residual: zero for a CP map, whatever its smallest Choi eigenvalue.
+    assert report(depolarizing(2 / 3)).residuals["cp"] == 0.0
+
+
+def test_identity_names_are_unique():
+    names = [row.name for row in IDENTITIES]
+    assert len(names) == len(set(names))
