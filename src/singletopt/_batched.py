@@ -1,48 +1,39 @@
-"""Vectorized building blocks for the derivative-free searches.
+"""Filter picture shared by the three derivative-free searches.
 
-All functions operate on stacks of small matrices (leading batch axis) so
-the optimizers can evaluate hundreds of candidates per objective call.
+Each search scores a stack of one-sided filters A on a fixed two-qubit
+state rho through the filtered states (A (x) I) rho (A (x) I)^dag.  Those
+are quadratic in the filter's entries, so :func:`filter_basis` turns rho
+into 16 matrices once, the table builders fold in the transform a search
+needs (magic basis or partial transpose) plus the trace, and
+:func:`apply_filter_table` scores a whole stack with one matrix product.
+Every search depends on its filter only through A^dag A, so a left unitary
+factor cancels and :func:`filter_batch` needs two Euler angles, not three.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import I2, MAGIC_BASIS
+from .linalg import I2, partial_transpose, to_magic_basis
 
 
-def su2_euler_batch(alpha, beta, gamma) -> np.ndarray:
-    """Stack of SU(2) matrices Rz(alpha) Ry(beta) Rz(gamma)."""
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    c = np.cos(beta / 2)
-    s = np.sin(beta / 2)
-    plus = np.exp(-0.5j * (alpha + gamma))
-    minus = np.exp(-0.5j * (alpha - gamma))
-    out = np.empty(np.broadcast(alpha, beta, gamma).shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = plus * c
-    out[..., 0, 1] = -minus * s
-    out[..., 1, 0] = minus.conj() * s
-    out[..., 1, 1] = plus.conj() * c
-    return out
+def filter_batch(diagonal, alpha, beta) -> np.ndarray:
+    """Stack of filters diag(d) (Rz(alpha) Ry(beta))^T.
 
-
-def kron_left_identity(a: np.ndarray) -> np.ndarray:
-    """Batched I (x) A for a stack of 2x2 matrices."""
-    return np.einsum("ac,...bd->...abcd", I2, a).reshape(a.shape[:-2] + (4, 4))
-
-
-def magic_top_eig_batch(m: np.ndarray) -> np.ndarray:
-    """lambda_max of Re(Q^dag M Q) for a stack of Hermitian 4x4 matrices.
-
-    This is the (unnormalized) maximal overlap with the maximally entangled
-    manifold: the magic basis makes that manifold the real unit sphere.
+    ``diagonal`` is an (n, 2) array of row scales d; ``alpha`` and ``beta``
+    are length-n angle arrays.  A left Rz factor on the rotation would
+    commute with diag(d) and leave A^dag A unchanged, so it is not a
+    parameter.
     """
-    transformed = MAGIC_BASIS.conj().T @ m @ MAGIC_BASIS
-    sym = transformed.real
-    sym = (sym + np.swapaxes(sym, -1, -2)) / 2
-    return np.linalg.eigvalsh(sym)[..., -1]
+    half = np.exp(-0.5j * np.asarray(alpha, dtype=float))
+    beta = np.asarray(beta, dtype=float) / 2
+    c, s = np.cos(beta), np.sin(beta)
+    out = np.empty(half.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = half * c
+    out[..., 0, 1] = half.conj() * s
+    out[..., 1, 0] = -half * s
+    out[..., 1, 1] = half.conj() * c
+    return out * np.asarray(diagonal, dtype=float)[..., :, None]
 
 
 def filter_basis(rho: np.ndarray) -> np.ndarray:
@@ -67,3 +58,44 @@ def filter_coefficients(a: np.ndarray) -> np.ndarray:
     """
     flat = np.asarray(a, dtype=complex).reshape(-1, 4)
     return (flat[:, :, None] * flat.conj()[:, None, :]).reshape(-1, 16)
+
+
+def _with_trace(basis: np.ndarray, transformed: np.ndarray) -> np.ndarray:
+    """(16, 17) table: the flattened transformed basis, then its traces."""
+    trace = np.trace(basis, axis1=1, axis2=2)[:, None]
+    return np.concatenate([transformed.reshape(16, 16), trace], 1)
+
+
+def magic_filter_table(rho: np.ndarray) -> np.ndarray:
+    """Real table giving Re(Q^dag m Q) and Tr m of filtered states of rho.
+
+    Q is the magic basis and m = (A (x) I) rho (A (x) I)^dag.  The real part
+    is symmetric up to rounding; symmetrizing each basis matrix symmetrizes
+    it exactly.  The table is real, so :func:`apply_filter_table` feeds it
+    the coefficients as interleaved (Re, Im) pairs.
+    """
+    basis = filter_basis(rho)
+    magic = to_magic_basis(basis)
+    table = _with_trace(basis, (magic + np.swapaxes(magic, 1, 2)) / 2)
+    # Re(c z) = Re(c) Re(z) - Im(c) Im(z), rows in the order of c.view(float64).
+    return np.stack([table.real, -table.imag], axis=1).reshape(32, 17)
+
+
+def pt_filter_table(rho: np.ndarray) -> np.ndarray:
+    """Complex table giving m^Gamma and Tr m of filtered states of rho,
+    with Gamma the partial transpose on the first qubit."""
+    basis = filter_basis(rho)
+    return _with_trace(basis, partial_transpose(basis))
+
+
+def apply_filter_table(table: np.ndarray, filters: np.ndarray):
+    """Score a stack of filters with a table from this module.
+
+    Returns the (n, 4, 4) transformed filtered states and their (n,) real
+    traces.
+    """
+    coeffs = filter_coefficients(filters)
+    if not np.iscomplexobj(table):
+        coeffs = coeffs.view(np.float64)
+    out = coeffs @ table
+    return out[:, :16].reshape(-1, 4, 4), out[:, 16].real

@@ -21,6 +21,7 @@ from .linalg import (
     PAULI_Z,
     PAULIS,
     PHI_PLUS,
+    has_maximally_mixed_marginal,
     hermitian_eig,
     is_unitary,
 )
@@ -300,6 +301,12 @@ def canonical_form(channel: KrausChannel) -> CanonicalForm:
     )
 
 
+# How far from I/2 the first marginal of a Choi matrix handed to
+# :func:`kraus_from_choi` may be; matrices read from outside the package
+# get the same 1e-8 slack as its Hermiticity check.
+_MARGINAL_TOL = 1e-8
+
+
 def kraus_from_choi(choi, tol: float = 1e-9) -> KrausChannel:
     """Recover a trace-orthogonal Kraus set from a Choi matrix.
 
@@ -312,8 +319,7 @@ def kraus_from_choi(choi, tol: float = 1e-9) -> KrausChannel:
     matrix = np.asarray(getattr(choi, "matrix", choi), dtype=complex)
     if matrix.shape != (4, 4):
         raise ValueError(f"expected a 4x4 Choi matrix, got shape {matrix.shape}")
-    marginal = matrix.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
-    if np.linalg.norm(marginal - I2 / 2) > 1e-8:
+    if not has_maximally_mixed_marginal(matrix, _MARGINAL_TOL):
         raise ValueError("Choi matrix does not have a maximally mixed first marginal")
     eig = hermitian_eig(matrix, tol=1e-8)
     ops = []

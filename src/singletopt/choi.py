@@ -16,11 +16,11 @@ import numpy as np
 
 from .channel import KrausChannel, apply_to_half, dual
 from .linalg import (
-    I2,
     PHI_PLUS,
     SWAP,
     EigenDecomposition,
     eigenvalue_clusters,
+    has_maximally_mixed_marginal,
     hermitian_eig,
     swap_conjugate,
 )
@@ -45,6 +45,11 @@ DEGENERACY_GAP = 1e-8
 # entanglement after a single use; the classical value 1/2 is then reported.
 ENTANGLEMENT_BREAKING_THRESHOLD = 0.5 + 1e-12
 
+# How far from I/2 the first marginal of a Choi state may be.  Built from
+# Kraus operators it is exact up to rounding, so a larger deviation means
+# the channel is not trace preserving.
+_MARGINAL_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class ChoiState:
@@ -62,10 +67,8 @@ def _build(matrix: np.ndarray, source: str, check_marginal: bool) -> ChoiState:
     eig = hermitian_eig(matrix, tol=1e-9)
     if eig.eigenvalues.min() < -1e-9:
         raise ValueError("Choi matrix is not positive semidefinite")
-    if check_marginal:
-        marginal = matrix.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
-        if np.linalg.norm(marginal - I2 / 2) > 1e-10:
-            raise ValueError("Choi matrix first marginal is not maximally mixed")
+    if check_marginal and not has_maximally_mixed_marginal(matrix, _MARGINAL_TOL):
+        raise ValueError("Choi matrix first marginal is not maximally mixed")
     frozen = np.array(matrix)
     frozen.setflags(write=False)
     return ChoiState(matrix=frozen, eig=eig, source=source)

@@ -20,11 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    I2,
     MAGIC_BASIS,
     _fix_phase,
+    has_maximally_mixed_marginal,
     is_hermitian,
     partial_transpose,
+    to_magic_basis,
 )
 from .optimize import SearchSpec, compass_search
 
@@ -38,6 +39,12 @@ __all__ = [
     "pt_spectrum_identity_residual",
     "as_density_matrix",
 ]
+
+
+# How far from I/2 the first marginal of a state handed to
+# :func:`pt_spectrum_identity_residual` may be; the same slack as the
+# Hermiticity check on any state read from outside the package.
+_MARGINAL_TOL = 1e-8
 
 
 def as_density_matrix(state: np.ndarray) -> np.ndarray:
@@ -67,7 +74,7 @@ def singlet_fraction(rho: np.ndarray) -> tuple[float, np.ndarray]:
     4-vector achieving ``<phi| rho |phi> = value``.
     """
     rho = as_density_matrix(rho)
-    real_part = (MAGIC_BASIS.conj().T @ rho @ MAGIC_BASIS).real
+    real_part = to_magic_basis(rho).real
     sym = (real_part + real_part.T) / 2
     w, v = np.linalg.eigh(sym)
     value = float(w[-1])
@@ -146,8 +153,7 @@ def pt_spectrum_identity_residual(sigma: np.ndarray) -> float:
     apply to them.
     """
     sigma = as_density_matrix(sigma)
-    marginal = sigma.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
-    if np.linalg.norm(marginal - I2 / 2) > 1e-8:
+    if not has_maximally_mixed_marginal(sigma, _MARGINAL_TOL):
         raise ValueError("first marginal is not maximally mixed")
     lam_max = float(np.linalg.eigvalsh(sigma).max())
     lam_min_pt = float(np.linalg.eigvalsh(partial_transpose(sigma, "first")).min())

@@ -33,6 +33,7 @@ __all__ = [
     "partial_transpose",
     "swap_conjugate",
     "to_magic_basis",
+    "has_maximally_mixed_marginal",
 ]
 
 I2 = np.eye(2, dtype=complex)
@@ -217,9 +218,17 @@ def to_magic_basis(m: np.ndarray) -> np.ndarray:
 
     Maximally entangled pure states have real coordinate vectors there, so
     the real part of the transformed matrix governs overlaps with the
-    maximally entangled manifold.
+    maximally entangled manifold.  Leading axes of ``m`` are batch axes, as
+    for :func:`partial_transpose`.
     """
     m = np.asarray(m, dtype=complex)
-    if m.shape != (4, 4):
+    if m.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
     return MAGIC_BASIS.conj().T @ m @ MAGIC_BASIS
+
+
+def has_maximally_mixed_marginal(m: np.ndarray, tol: float) -> bool:
+    """Whether the first-qubit marginal of a 4x4 operator is within ``tol``
+    of I/2 (Frobenius norm)."""
+    marginal = np.asarray(m).reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
+    return bool(np.linalg.norm(marginal - I2 / 2) <= tol)

@@ -42,11 +42,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._batched import filter_basis, filter_coefficients, su2_euler_batch
+from ._batched import apply_filter_table, filter_batch, magic_filter_table
 from .channel import KrausChannel
 from .choi import ENTANGLEMENT_BREAKING_THRESHOLD, choi
 from .entmetrics import as_density_matrix, schmidt, singlet_fraction
-from .linalg import I2, MAGIC_BASIS, PAULIS, partial_transpose, tensor_product
+from .linalg import I2, PAULIS, partial_transpose, tensor_product
 from .optimize import SearchSpec, compass_search
 
 __all__ = [
@@ -248,61 +248,42 @@ def fstar_filter_oracle(
     """Maximize the filter-protocol value directly (primal oracle for fstar).
 
     Filters are parameterized as A = diag(1, s) V^dag with s in [0, 1] and
-    V a special unitary.  This is fully general: a left unitary factor only
-    conjugates the success state locally, leaving both the success
-    probability and its singlet fraction unchanged, and pinning the top
-    singular value to 1 loses nothing whenever filtering helps at all (the
-    trivial separable preparation, worth exactly 1/2, covers the remaining
-    states).  The search includes the identity filter, so the result never
-    falls below the plain singlet fraction of ``rho``.
+    V = Rz(alpha) Ry(beta).  This is fully general: a left unitary factor
+    only conjugates the success state locally, leaving both the success
+    probability and its singlet fraction unchanged (so a third Euler angle
+    would cancel), and pinning the top singular value to 1 loses nothing
+    whenever filtering helps at all (the trivial separable preparation,
+    worth exactly 1/2, covers the remaining states).  The search includes
+    the identity filter, so the result never falls below the plain singlet
+    fraction of ``rho``.
     """
     rho = as_density_matrix(rho)
-    table = _magic_filter_table(rho)
+    table = magic_filter_table(rho)
 
     def objective(x: np.ndarray) -> np.ndarray:
-        out = filter_coefficients(_filters_from_params(x)).view(np.float64) @ table
+        scale = np.stack([np.ones(len(x)), x[:, 0]], axis=-1)
+        filters = filter_batch(scale, x[:, 1], x[:, 2]).conj()
+        states, trace = apply_filter_table(table, filters)
         # p F(m/p) folds into the unnormalized top overlap of m itself.
-        top = np.linalg.eigvalsh(out[:, :16].reshape(-1, 4, 4))[:, -1]
-        return top + (1.0 - out[:, 16]) / 2.0
+        return np.linalg.eigvalsh(states)[:, -1] + (1.0 - trace) / 2.0
 
     # Coarse deterministic grid to locate the right basin.  The landscape
     # has a flat plateau of unitary filters at s = 1 worth exactly the
     # plain singlet fraction; genuine optima typically hug that plateau
     # from below, so the s axis is sampled densely near 1.
     s_axis = np.array([0.15, 0.35, 0.55, 0.7, 0.8, 0.87, 0.92, 0.96, 0.99])
-    grid = np.stack(
-        [
-            g.ravel()
-            for g in np.meshgrid(
-                s_axis,
-                np.arange(10) * (np.pi / 5),
-                np.linspace(0.0, np.pi, 6),
-                np.arange(10) * (np.pi / 5),
-                indexing="ij",
-            )
-        ],
-        axis=-1,
-    )
-    # Scored one value of s at a time, blocks the size of a search batch: a
-    # single 5400-row product is large enough for OpenBLAS to wake its
-    # thread pool, whose workers then spin after the call without making it
-    # faster.
-    scores = np.concatenate([objective(b) for b in np.split(grid, len(s_axis))])
-    top = grid[np.argsort(scores)[-24:]]
+    axes = (s_axis, np.arange(10) * (np.pi / 5), np.linspace(0.0, np.pi, 6))
+    grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    top = grid[np.argsort(objective(grid))[-24:]]
 
     rng = np.random.default_rng(seed)
-    random_starts = np.empty((restarts, 4))
+    random_starts = np.empty((restarts, 3))
     random_starts[:, 0] = rng.uniform(0.0, 1.0, restarts)
     random_starts[:, 1] = rng.uniform(0.0, 2 * np.pi, restarts)
     random_starts[:, 2] = rng.uniform(0.0, np.pi, restarts)
-    random_starts[:, 3] = rng.uniform(0.0, 2 * np.pi, restarts)
-    starts = np.vstack([[(1.0, 0, 0, 0)], top, random_starts])
+    starts = np.vstack([[(1.0, 0, 0)], top, random_starts])
 
-    spec = SearchSpec.build(
-        4,
-        clip={0: (0.0, 1.0)},
-        wrap={k: 2 * np.pi for k in range(1, 4)},
-    )
+    spec = SearchSpec.build(3, clip={0: (0.0, 1.0)}, wrap={1: 2 * np.pi, 2: 2 * np.pi})
     x, _ = compass_search(
         objective,
         starts,
@@ -314,7 +295,7 @@ def fstar_filter_oracle(
         direction_seed=seed + 1,
     )
 
-    filt = _filters_from_params(x[None, :])[0]
+    filt = filter_batch([(1.0, x[0])], [x[1]], [x[2]])[0].conj()
     big = tensor_product(filt, I2)
     unnormalized = big @ rho @ big.conj().T
     p = float(np.trace(unnormalized).real)
@@ -326,31 +307,6 @@ def fstar_filter_oracle(
         success_state=success,
         fstar_value=max(0.5, p * value + (1.0 - p) / 2.0),
     )
-
-
-def _magic_filter_table(rho: np.ndarray) -> np.ndarray:
-    """(32, 17) real table taking filter coefficients to the filtered state.
-
-    For coefficients c = :func:`filter_coefficients` viewed as interleaved
-    (Re, Im) pairs, ``c @ table`` gives Re(Q^dag m Q) flattened in the first
-    16 columns (Q the magic basis, m = (A (x) I) rho (A (x) I)^dag) and Tr m
-    in the last.  The real part is symmetric up to rounding; symmetrizing
-    each basis matrix symmetrizes it exactly.
-    """
-    basis = filter_basis(rho)
-    magic = MAGIC_BASIS.conj().T @ basis @ MAGIC_BASIS
-    magic = (magic + np.swapaxes(magic, 1, 2)) / 2
-    trace = np.trace(basis, axis1=1, axis2=2)[:, None]
-    table = np.concatenate([magic.reshape(16, 16), trace], 1)
-    # Re(c z) = Re(c) Re(z) - Im(c) Im(z), rows in the order of c.view(float64).
-    return np.stack([table.real, -table.imag], axis=1).reshape(32, 17)
-
-
-def _filters_from_params(x: np.ndarray) -> np.ndarray:
-    """Filters diag(1, s) V^dag; the diagonal factor scales the second row."""
-    filters = su2_euler_batch(x[:, 1], x[:, 2], x[:, 3]).conj().swapaxes(1, 2)
-    filters[:, 1, :] *= np.clip(x[:, 0], 0.0, 1.0)[:, None]
-    return filters
 
 
 def postprocessing_gap(channel: KrausChannel) -> tuple[float, bool]:

@@ -21,11 +21,10 @@ from typing import Callable
 import numpy as np
 
 from ._batched import (
-    filter_basis,
-    filter_coefficients,
-    kron_left_identity,
-    magic_top_eig_batch,
-    su2_euler_batch,
+    apply_filter_table,
+    filter_batch,
+    magic_filter_table,
+    pt_filter_table,
 )
 from .channel import (
     KrausChannel,
@@ -51,7 +50,7 @@ from .entmetrics import (
     singlet_fraction_oracle,
     teleportation_fidelity,
 )
-from .linalg import partial_transpose, swap_conjugate
+from .linalg import swap_conjugate
 from .locc import channel_fstar, fstar_filter_oracle, postprocessing_gap
 from .optimize import SearchSpec, compass_search
 
@@ -133,26 +132,6 @@ def preprocessed_fidelity(channel: KrausChannel) -> float:
     return float(dual_choi(channel).eig.eigenvalues[0])
 
 
-def _schmidt_family_states(lam, alpha, beta, gamma) -> np.ndarray:
-    """States (I (x) V(angles)) (sqrt(lam)|00> + sqrt(1-lam)|11>), batched."""
-    lam = np.asarray(lam, dtype=float)
-    base = np.zeros(lam.shape + (4,), dtype=complex)
-    base[..., 0] = np.sqrt(np.clip(lam, 0.0, 1.0))
-    base[..., 3] = np.sqrt(np.clip(1.0 - lam, 0.0, 1.0))
-    v = su2_euler_batch(alpha, beta, gamma)
-    return np.einsum("...ij,...j->...i", kron_left_identity(v), base)
-
-
-def _output_states(channel: KrausChannel, psi: np.ndarray) -> np.ndarray:
-    """Channel action on the second qubit for a batch of pure inputs."""
-    rho = psi[..., :, None] * psi[..., None, :].conj()
-    out = np.zeros_like(rho)
-    for op in channel.kraus:
-        big = kron_left_identity(np.asarray(op)[None, :, :])[0]
-        out += big @ rho @ big.conj().T
-    return out
-
-
 def preprocessed_fidelity_oracle(
     channel: KrausChannel,
     schmidt_points: int = 17,
@@ -161,29 +140,34 @@ def preprocessed_fidelity_oracle(
 ) -> float:
     """Grid maximization of the output singlet fraction over pure inputs.
 
-    Inputs are swept in Schmidt form (weight times a local unitary on the
-    transmitted qubit; a local unitary on the kept qubit cannot change the
-    singlet fraction).  The best grid cells are polished by coordinate
-    search.  Always a lower bound on :func:`preprocessed_fidelity`.
+    Inputs are swept in Schmidt form: weight lam and a local unitary
+    V = Rz(alpha) Ry(beta) on the transmitted qubit.  A local unitary on the
+    kept qubit cannot change the singlet fraction, and a third Euler angle
+    on V would act as one (its Rz factor commutes with the Schmidt
+    weights), so two angles reach every input that matters.  The input
+    with amplitude matrix A = diag(sqrt(lam), sqrt(1 - lam)) V^T, the vector
+    ``A.reshape(4)``, is sent to 2 (A (x) I) J (A (x) I)^dag with J the
+    Choi state, so each probe is scored on the Choi state's magic filter
+    table.  The best grid cells are polished by coordinate search.  Always
+    a lower bound on :func:`preprocessed_fidelity`.
     """
     lam = np.linspace(0.0, 1.0, schmidt_points)
     alpha = np.arange(angle_points) * (2 * np.pi / angle_points)
     beta = np.linspace(0.0, np.pi, max(3, angle_points // 2 + 1))
-    gamma = np.arange(angle_points) * (2 * np.pi / angle_points)
-    grids = np.meshgrid(lam, alpha, beta, gamma, indexing="ij")
+    grids = np.meshgrid(lam, alpha, beta, indexing="ij")
     params = np.stack([g.ravel() for g in grids], axis=-1)
+    table = magic_filter_table(choi(channel).matrix)
 
     def objective(x: np.ndarray) -> np.ndarray:
-        psi = _schmidt_family_states(x[:, 0], x[:, 1], x[:, 2], x[:, 3])
-        return magic_top_eig_batch(_output_states(channel, psi))
+        scale = np.sqrt(np.stack([x[:, 0], 1.0 - x[:, 0]], axis=-1))
+        states, _ = apply_filter_table(table, filter_batch(scale, x[:, 1], x[:, 2]))
+        return 2.0 * np.linalg.eigvalsh(states)[:, -1]
 
     values = objective(params)
     if not refine:
         return float(values.max())
     top = np.argsort(values)[-6:]
-    spec = SearchSpec.build(
-        4, clip={0: (0.0, 1.0)}, wrap={1: 2 * np.pi, 2: 2 * np.pi, 3: 2 * np.pi}
-    )
+    spec = SearchSpec.build(3, clip={0: (0.0, 1.0)}, wrap={1: 2 * np.pi, 2: 2 * np.pi})
     _, best = compass_search(
         objective, params[top], spec, step0=0.3, step_tol=1e-7
     )
@@ -230,7 +214,11 @@ def negativity_relation_residual(channel: KrausChannel) -> float:
 
 @dataclass(frozen=True)
 class NegativitySearch:
-    """Best output negativity found over pure inputs."""
+    """Best output negativity found over pure inputs.
+
+    ``euler_angles`` is (alpha, beta) of the rotation Rz(alpha) Ry(beta)
+    on the transmitted qubit; see :func:`channel_negativity`.
+    """
 
     value: float
     input_state: np.ndarray
@@ -247,66 +235,42 @@ def channel_negativity(
     """Maximize output negativity over all pure inputs.
 
     Inputs are parameterized through the equivalent filter picture: the
-    output for the Schmidt-form input (weight lam, local unitary V on the
-    transmitted qubit) is the Choi state filtered on the kept side by
-    W_lam V^T, renormalized.  The kept-side unitary is dropped since
-    negativity is invariant under local unitaries.  The search runs the
-    requested number of random restarts plus the maximally entangled seed,
-    so the result never falls below the Choi negativity.
+    Schmidt-form input with weight lam and local unitary V = Rz(alpha)
+    Ry(beta) on the transmitted qubit is ``A.reshape(4)`` for the filter
+    A = diag(sqrt(lam), sqrt(1 - lam)) V^T, and its output is the Choi state
+    filtered on the kept side by A, times 2.  The kept-side unitary, and
+    with it a third Euler angle on V, is dropped since negativity is
+    invariant under local unitaries.  The search runs the requested number
+    of random restarts plus the maximally entangled seed, so the result
+    never falls below the Choi negativity.
     """
-    table = _pt_filter_table(choi(channel).matrix)
+    table = pt_filter_table(choi(channel).matrix)
 
     def objective(x: np.ndarray) -> np.ndarray:
-        out = filter_coefficients(_input_filters(x)) @ table
-        p = out[:, 16].real
-        lam_min = np.linalg.eigvalsh(out[:, :16].reshape(-1, 4, 4))[:, 0]
+        scale = np.sqrt(np.stack([x[:, 0], 1.0 - x[:, 0]], axis=-1))
+        states, p = apply_filter_table(table, filter_batch(scale, x[:, 1], x[:, 2]))
+        lam_min = np.linalg.eigvalsh(states)[:, 0]
         safe = np.where(p > 1e-14, p, 1.0)
         return np.where(p > 1e-14, np.maximum(0.0, -2.0 * lam_min / safe), 0.0)
 
     rng = np.random.default_rng(seed)
-    starts = np.empty((restarts + 1, 4))
-    starts[0] = (0.5, 0.0, 0.0, 0.0)
+    starts = np.empty((restarts + 1, 3))
+    starts[0] = (0.5, 0.0, 0.0)
     starts[1:, 0] = rng.uniform(0.0, 1.0, restarts)
     starts[1:, 1] = rng.uniform(0.0, 2 * np.pi, restarts)
     starts[1:, 2] = rng.uniform(0.0, np.pi, restarts)
-    starts[1:, 3] = rng.uniform(0.0, 2 * np.pi, restarts)
 
-    spec = SearchSpec.build(
-        4, clip={0: (0.0, 1.0)}, wrap={1: 2 * np.pi, 2: 2 * np.pi, 3: 2 * np.pi}
-    )
+    spec = SearchSpec.build(3, clip={0: (0.0, 1.0)}, wrap={1: 2 * np.pi, 2: 2 * np.pi})
     x, value = compass_search(
         objective, starts, spec, step0=0.4, step_tol=1e-7, max_evals=budget
     )
-    psi = _schmidt_family_states(
-        np.array([x[0]]), np.array([x[1]]), np.array([x[2]]), np.array([x[3]])
-    )[0]
+    scale = np.sqrt([(x[0], 1.0 - x[0])])
     return NegativitySearch(
         value=value,
-        input_state=psi,
+        input_state=filter_batch(scale, [x[1]], [x[2]])[0].reshape(4),
         schmidt_weight=float(max(x[0], 1.0 - x[0])),
-        euler_angles=(float(x[1]), float(x[2]), float(x[3])),
+        euler_angles=(float(x[1]), float(x[2])),
     )
-
-
-def _pt_filter_table(rho: np.ndarray) -> np.ndarray:
-    """(16, 17) table taking filter coefficients to the filtered state.
-
-    For coefficients c = :func:`filter_coefficients`, ``c @ table`` gives
-    the partial transpose of m = (A (x) I) rho (A (x) I)^dag flattened in
-    the first 16 columns and Tr m in the last.
-    """
-    basis = filter_basis(rho)
-    trace = np.trace(basis, axis1=1, axis2=2)[:, None]
-    return np.concatenate([partial_transpose(basis).reshape(16, 16), trace], 1)
-
-
-def _input_filters(x: np.ndarray) -> np.ndarray:
-    """Filters W_lam V^T; the diagonal W_lam scales the rows of V^T."""
-    lam = np.clip(x[:, 0], 0.0, 1.0)
-    filters = np.swapaxes(su2_euler_batch(x[:, 1], x[:, 2], x[:, 3]), 1, 2)
-    filters[:, 0, :] *= np.sqrt(lam)[:, None]
-    filters[:, 1, :] *= np.sqrt(1.0 - lam)[:, None]
-    return filters
 
 
 class IdentityContext:

@@ -4,9 +4,9 @@ One small engine serves every maximization in the package: all restarts are
 advanced together as one batch, each iteration probes every coordinate
 direction for every restart in a single vectorized objective call, the best
 improving probe per restart is accepted, and a restart's step is halved
-whenever none of its probes improve.  Per-restart starting points are drawn
-up front from a single seeded generator, so serial and parallel evaluation
-give identical results.
+whenever none of its probes improve.  The only randomness, the optional
+extra probe directions, comes from a seeded generator, so a search is
+reproducible from its arguments.
 """
 
 from __future__ import annotations

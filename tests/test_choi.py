@@ -3,14 +3,21 @@ import importlib
 import numpy as np
 import pytest
 
-from singletopt.channel import KrausChannel, amplitude_damping, depolarizing, identity
+from singletopt.channel import (
+    KrausChannel,
+    amplitude_damping,
+    choi_matrix,
+    depolarizing,
+    identity,
+    kraus_from_choi,
+)
 from singletopt.choi import (
     DEGENERACY_GAP,
     choi,
     dual_choi,
     eigenvector_correspondence_check,
 )
-from singletopt.entmetrics import schmidt
+from singletopt.entmetrics import pt_spectrum_identity_residual, schmidt
 from singletopt.linalg import (
     I2,
     PAULIS,
@@ -176,3 +183,23 @@ def test_invalid_channel_raises_on_every_call(builds, build):
         with pytest.raises(ValueError, match="trace"):
             build(c)
     assert len(builds) == 2
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-7])
+def test_marginal_tolerance_of_each_caller(eps):
+    """A unit-trace map with sum A^dag A = I + eps Z has first marginal
+    eps / sqrt(2) away from I/2: past the Choi build's 1e-10 at either
+    eps, past the 1e-8 of Kraus extraction and the PT identity only at
+    the larger one."""
+    c = KrausChannel(kraus=(np.diag([np.sqrt(1 + eps), np.sqrt(1 - eps)]),))
+    matrix = choi_matrix(c)
+    with pytest.raises(ValueError, match="first marginal is not maximally mixed"):
+        choi(c)
+    if eps < 1e-8:
+        assert len(kraus_from_choi(matrix).kraus) == 1
+        assert abs(pt_spectrum_identity_residual(matrix)) < 1e-8
+    else:
+        with pytest.raises(ValueError, match="maximally mixed first marginal"):
+            kraus_from_choi(matrix)
+        with pytest.raises(ValueError, match="first marginal is not maximally mixed"):
+            pt_spectrum_identity_residual(matrix)

@@ -9,6 +9,7 @@ from singletopt.linalg import (
     PHI_PLUS,
     SWAP,
     eigenvalue_clusters,
+    has_maximally_mixed_marginal,
     hermitian_eig,
     is_hermitian,
     is_psd,
@@ -209,3 +210,26 @@ def test_magic_basis_makes_maximally_entangled_projectors_real():
         transformed = to_magic_basis(np.outer(phi, phi.conj()))
         assert np.abs(transformed.imag).max() < 1e-12
         assert np.abs(transformed - transformed.T).max() < 1e-12
+
+
+def test_to_magic_basis_takes_batch_axes():
+    rng = np.random.default_rng(23)
+    stack = np.array([random_density(rng) for _ in range(6)]).reshape(2, 3, 4, 4)
+    batched = to_magic_basis(stack)
+    assert batched.shape == (2, 3, 4, 4)
+    for index in np.ndindex(2, 3):
+        np.testing.assert_array_equal(batched[index], to_magic_basis(stack[index]))
+    with pytest.raises(ValueError):
+        to_magic_basis(np.zeros((3, 2, 2)))
+
+
+def test_maximally_mixed_marginal_check():
+    rng = np.random.default_rng(31)
+    assert has_maximally_mixed_marginal(np.eye(4) / 4, 0.0)
+    assert has_maximally_mixed_marginal(np.outer(PHI_PLUS, PHI_PLUS.conj()), 1e-15)
+    for _ in range(10):
+        rho = random_density(rng)
+        marginal = rho.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
+        distance = np.linalg.norm(marginal - I2 / 2)
+        assert has_maximally_mixed_marginal(rho, distance * (1 + 1e-9))
+        assert not has_maximally_mixed_marginal(rho, distance * (1 - 1e-9))
