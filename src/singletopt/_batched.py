@@ -15,6 +15,20 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import I2, partial_transpose, to_magic_basis
+from .optimize import SearchSpec
+
+# Search parameters (weight, alpha, beta): the weight is clipped to [0, 1],
+# the two angles wrap at 2 pi.
+FILTER_SPEC = SearchSpec.build(3, clip={0: (0.0, 1.0)}, wrap={1: 2 * np.pi, 2: 2 * np.pi})
+
+
+def random_filter_params(rng: np.random.Generator, n: int) -> np.ndarray:
+    """(n, 3) random starts: weight from U[0, 1), then alpha from
+    U[0, 2 pi), then beta from U[0, pi), drawn in that order."""
+    weight = rng.uniform(0.0, 1.0, n)
+    alpha = rng.uniform(0.0, 2 * np.pi, n)
+    beta = rng.uniform(0.0, np.pi, n)
+    return np.stack([weight, alpha, beta], axis=-1)
 
 
 def filter_batch(diagonal, alpha, beta) -> np.ndarray:

@@ -103,15 +103,19 @@ def validate(channel: KrausChannel, tol: float = 1e-9) -> ValidationReport:
 
     ``tp_residual`` is the Frobenius distance of sum A_i^dag A_i from the
     identity; ``cp_min_eigenvalue`` is the smallest eigenvalue of the Choi
-    matrix.  ``ok`` requires both within ``tol``.  The two measurements are
-    taken once per channel object and kept on it; ``ok`` is decided per call.
+    matrix, NaN if that overflows.  ``ok`` requires both within ``tol``.  The
+    two measurements are taken once per channel object and kept on it; ``ok``
+    is decided per call.
     """
     measured = channel._states.get("validation")
     if measured is None:
-        total = sum(op.conj().T @ op for op in channel.kraus)
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = sum(op.conj().T @ op for op in channel.kraus)
+            matrix = choi_matrix(channel)
+        finite = np.isfinite(matrix).all()
         measured = (
             float(np.linalg.norm(total - I2)),
-            float(np.linalg.eigvalsh(choi_matrix(channel)).min()),
+            float(np.linalg.eigvalsh(matrix).min()) if finite else float("nan"),
         )
         channel._states["validation"] = measured
     tp_residual, cp_min = measured
@@ -307,7 +311,7 @@ def canonical_form(channel: KrausChannel) -> CanonicalForm:
 _MARGINAL_TOL = 1e-8
 
 
-def kraus_from_choi(choi, tol: float = 1e-9) -> KrausChannel:
+def kraus_from_choi(choi) -> KrausChannel:
     """Recover a trace-orthogonal Kraus set from a Choi matrix.
 
     Each eigenpair (p_k, |v_k>) of the Choi matrix yields an operator

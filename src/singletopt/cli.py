@@ -32,7 +32,7 @@ from .channel import (
     validate,
 )
 from .choi import choi
-from .entmetrics import negativity
+from .entmetrics import negativity, teleportation_fidelity
 from .locc import channel_fstar, postprocessing_gap
 from .oneshot import (
     IDENTITIES,
@@ -139,7 +139,7 @@ SWEEP_COLUMNS = {
     "entanglement_breaking": lambda c, seed: float(
         optimal_singlet_fraction(c).entanglement_breaking
     ),
-    "f_tel": lambda c, seed: (2 * optimal_singlet_fraction(c).value + 1) / 3,
+    "f_tel": lambda c, seed: teleportation_fidelity(optimal_singlet_fraction(c).value),
     "F1": lambda c, seed: preprocessed_fidelity(c),
     "N_choi": lambda c, seed: negativity(choi(c).matrix),
     "N_channel": lambda c, seed: channel_negativity(c, seed=seed).value,

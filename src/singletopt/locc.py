@@ -42,12 +42,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._batched import apply_filter_table, filter_batch, magic_filter_table
+from ._batched import (
+    FILTER_SPEC,
+    apply_filter_table,
+    filter_batch,
+    magic_filter_table,
+    random_filter_params,
+)
 from .channel import KrausChannel
 from .choi import ENTANGLEMENT_BREAKING_THRESHOLD, choi
 from .entmetrics import as_density_matrix, schmidt, singlet_fraction
 from .linalg import I2, PAULIS, partial_transpose, tensor_product
-from .optimize import SearchSpec, compass_search
+from .optimize import compass_search
 
 __all__ = [
     "GAP_TOLERANCE",
@@ -240,10 +246,7 @@ class FilterProtocol:
 
 
 def fstar_filter_oracle(
-    rho: np.ndarray,
-    restarts: int = 32,
-    seed: int = 0,
-    max_iters: int = 250,
+    rho: np.ndarray, restarts: int = 32, seed: int = 0
 ) -> FilterProtocol:
     """Maximize the filter-protocol value directly (primal oracle for fstar).
 
@@ -276,24 +279,9 @@ def fstar_filter_oracle(
     grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
     top = grid[np.argsort(objective(grid))[-24:]]
 
-    rng = np.random.default_rng(seed)
-    random_starts = np.empty((restarts, 3))
-    random_starts[:, 0] = rng.uniform(0.0, 1.0, restarts)
-    random_starts[:, 1] = rng.uniform(0.0, 2 * np.pi, restarts)
-    random_starts[:, 2] = rng.uniform(0.0, np.pi, restarts)
+    random_starts = random_filter_params(np.random.default_rng(seed), restarts)
     starts = np.vstack([[(1.0, 0, 0)], top, random_starts])
-
-    spec = SearchSpec.build(3, clip={0: (0.0, 1.0)}, wrap={1: 2 * np.pi, 2: 2 * np.pi})
-    x, _ = compass_search(
-        objective,
-        starts,
-        spec,
-        step0=0.4,
-        step_tol=1e-7,
-        max_iters=max_iters,
-        extra_directions=4,
-        direction_seed=seed + 1,
-    )
+    x, _ = compass_search(objective, starts, FILTER_SPEC, step0=0.4, step_tol=1e-7)
 
     filt = filter_batch([(1.0, x[0])], [x[1]], [x[2]])[0].conj()
     big = tensor_product(filt, I2)

@@ -21,10 +21,12 @@ from typing import Callable
 import numpy as np
 
 from ._batched import (
+    FILTER_SPEC,
     apply_filter_table,
     filter_batch,
     magic_filter_table,
     pt_filter_table,
+    random_filter_params,
 )
 from .channel import (
     KrausChannel,
@@ -52,7 +54,7 @@ from .entmetrics import (
 )
 from .linalg import swap_conjugate
 from .locc import channel_fstar, fstar_filter_oracle, postprocessing_gap
-from .optimize import SearchSpec, compass_search
+from .optimize import compass_search
 
 __all__ = [
     "ENTANGLEMENT_BREAKING_THRESHOLD",
@@ -132,12 +134,12 @@ def preprocessed_fidelity(channel: KrausChannel) -> float:
     return float(dual_choi(channel).eig.eigenvalues[0])
 
 
-def preprocessed_fidelity_oracle(
-    channel: KrausChannel,
-    schmidt_points: int = 17,
-    angle_points: int = 12,
-    refine: bool = True,
-) -> float:
+# Grid of the pure-input oracle: Schmidt weights and alpha values.
+_SCHMIDT_POINTS = 17
+_ANGLE_POINTS = 12
+
+
+def preprocessed_fidelity_oracle(channel: KrausChannel, refine: bool = True) -> float:
     """Grid maximization of the output singlet fraction over pure inputs.
 
     Inputs are swept in Schmidt form: weight lam and a local unitary
@@ -148,12 +150,13 @@ def preprocessed_fidelity_oracle(
     with amplitude matrix A = diag(sqrt(lam), sqrt(1 - lam)) V^T, the vector
     ``A.reshape(4)``, is sent to 2 (A (x) I) J (A (x) I)^dag with J the
     Choi state, so each probe is scored on the Choi state's magic filter
-    table.  The best grid cells are polished by coordinate search.  Always
-    a lower bound on :func:`preprocessed_fidelity`.
+    table.  The best grid cells are polished by coordinate search unless
+    ``refine`` is False.  A lower bound on :func:`preprocessed_fidelity`
+    up to rounding.
     """
-    lam = np.linspace(0.0, 1.0, schmidt_points)
-    alpha = np.arange(angle_points) * (2 * np.pi / angle_points)
-    beta = np.linspace(0.0, np.pi, max(3, angle_points // 2 + 1))
+    lam = np.linspace(0.0, 1.0, _SCHMIDT_POINTS)
+    alpha = np.arange(_ANGLE_POINTS) * (2 * np.pi / _ANGLE_POINTS)
+    beta = np.linspace(0.0, np.pi, _ANGLE_POINTS // 2 + 1)
     grids = np.meshgrid(lam, alpha, beta, indexing="ij")
     params = np.stack([g.ravel() for g in grids], axis=-1)
     table = magic_filter_table(choi(channel).matrix)
@@ -167,10 +170,7 @@ def preprocessed_fidelity_oracle(
     if not refine:
         return float(values.max())
     top = np.argsort(values)[-6:]
-    spec = SearchSpec.build(3, clip={0: (0.0, 1.0)}, wrap={1: 2 * np.pi, 2: 2 * np.pi})
-    _, best = compass_search(
-        objective, params[top], spec, step0=0.3, step_tol=1e-7
-    )
+    _, best = compass_search(objective, params[top], FILTER_SPEC, step0=0.3, step_tol=1e-7)
     return float(max(best, values.max()))
 
 
@@ -226,11 +226,12 @@ class NegativitySearch:
     euler_angles: tuple
 
 
+# Random starts of the negativity search, next to the maximally entangled one.
+_NEGATIVITY_RESTARTS = 16
+
+
 def channel_negativity(
-    channel: KrausChannel,
-    restarts: int = 16,
-    budget: int = 5000,
-    seed: int = 0,
+    channel: KrausChannel, budget: int = 5000, seed: int = 0
 ) -> NegativitySearch:
     """Maximize output negativity over all pure inputs.
 
@@ -240,9 +241,10 @@ def channel_negativity(
     A = diag(sqrt(lam), sqrt(1 - lam)) V^T, and its output is the Choi state
     filtered on the kept side by A, times 2.  The kept-side unitary, and
     with it a third Euler angle on V, is dropped since negativity is
-    invariant under local unitaries.  The search runs the requested number
-    of random restarts plus the maximally entangled seed, so the result
-    never falls below the Choi negativity.
+    invariant under local unitaries.  The search runs 16 random restarts
+    drawn from ``seed`` plus the maximally entangled start, so the result
+    never falls below the Choi negativity; it stops before ``budget``
+    objective evaluations are exceeded.
     """
     table = pt_filter_table(choi(channel).matrix)
 
@@ -253,16 +255,10 @@ def channel_negativity(
         safe = np.where(p > 1e-14, p, 1.0)
         return np.where(p > 1e-14, np.maximum(0.0, -2.0 * lam_min / safe), 0.0)
 
-    rng = np.random.default_rng(seed)
-    starts = np.empty((restarts + 1, 3))
-    starts[0] = (0.5, 0.0, 0.0)
-    starts[1:, 0] = rng.uniform(0.0, 1.0, restarts)
-    starts[1:, 1] = rng.uniform(0.0, 2 * np.pi, restarts)
-    starts[1:, 2] = rng.uniform(0.0, np.pi, restarts)
-
-    spec = SearchSpec.build(3, clip={0: (0.0, 1.0)}, wrap={1: 2 * np.pi, 2: 2 * np.pi})
+    random_starts = random_filter_params(np.random.default_rng(seed), _NEGATIVITY_RESTARTS)
+    starts = np.vstack([[(0.5, 0.0, 0.0)], random_starts])
     x, value = compass_search(
-        objective, starts, spec, step0=0.4, step_tol=1e-7, max_evals=budget
+        objective, starts, FILTER_SPEC, step0=0.4, step_tol=1e-7, max_evals=budget
     )
     scale = np.sqrt([(x[0], 1.0 - x[0])])
     return NegativitySearch(

@@ -4,9 +4,8 @@ One small engine serves every maximization in the package: all restarts are
 advanced together as one batch, each iteration probes every coordinate
 direction for every restart in a single vectorized objective call, the best
 improving probe per restart is accepted, and a restart's step is halved
-whenever none of its probes improve.  The only randomness, the optional
-extra probe directions, comes from a seeded generator, so a search is
-reproducible from its arguments.
+whenever none of its probes improve.  The search is deterministic given its
+starts.
 """
 
 from __future__ import annotations
@@ -57,35 +56,28 @@ def compass_search(
     step_tol: float = 1e-7,
     max_evals: int | None = None,
     max_iters: int = 400,
-    extra_directions: int = 0,
-    direction_seed: int = 0,
 ):
     """Maximize ``objective`` from a batch of starting points.
 
     ``objective`` maps an (n, d) parameter array to n values and must be
-    pure.  Probes are the +-coordinate directions; ``extra_directions``
-    adds that many random +-unit-direction pairs per iteration (drawn from
-    ``direction_seed``, so runs stay reproducible), which lets the search
-    follow valleys that are not axis aligned.  Returns ``(x_best, f_best)``
-    for the single best restart.
+    pure.  Probes are the +-coordinate directions, a positive spanning set,
+    which is all compass search needs to converge (Kolda, Lewis and
+    Torczon, SIAM Rev. 45, 385).  The search stops once every restart's
+    step is below ``step_tol``, before a batch would exceed ``max_evals``,
+    or after ``max_iters`` iterations.  Returns ``(x_best, f_best)`` for
+    the single best restart.
     """
     x = spec.project(np.array(x0, dtype=float))
     n, d = x.shape
     f = np.asarray(objective(x), dtype=float)
     step = np.full(n, float(step0))
     evals = n
-    rng = np.random.default_rng(direction_seed) if extra_directions else None
+    offsets = np.concatenate([np.eye(d), -np.eye(d)])
+    m = 2 * d
 
     for _ in range(max_iters):
         if (step < step_tol).all():
             break
-        directions = np.eye(d)
-        if extra_directions:
-            extra = rng.standard_normal((extra_directions, d))
-            extra /= np.linalg.norm(extra, axis=1, keepdims=True)
-            directions = np.concatenate([directions, extra])
-        offsets = np.concatenate([directions, -directions])
-        m = offsets.shape[0]
         if max_evals is not None and evals + m * n > max_evals:
             break
         candidates = x[None, :, :] + step[None, :, None] * offsets[:, None, :]

@@ -57,6 +57,19 @@ def test_validate_rejects_double_identity():
     assert rep.tp_residual == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
+def test_validate_non_finite_choi_is_not_ok(monkeypatch):
+    # Entries of 1e155 square to infinity: no eigensolver sees the matrix.
+    c = KrausChannel(kraus=(np.array([[1e155, 0.0], [0.0, 1e155]]),))
+
+    def fail(_):
+        raise AssertionError("eigvalsh called on a non-finite Choi matrix")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    rep = validate(c)
+    assert not rep.ok
+    assert np.isnan(rep.cp_min_eigenvalue)
+
+
 def test_kraus_shape_rejected():
     with pytest.raises(ValueError):
         KrausChannel(kraus=(np.eye(3),))
@@ -324,10 +337,13 @@ def test_named_channel_dispatch():
 
 
 def test_json_roundtrip():
-    c = random_channel(11, 3)
-    data = json.loads(json.dumps(channel_to_dict(c)))
-    back = channel_from_dict(data)
-    np.testing.assert_allclose(choi_matrix(back), choi_matrix(c), atol=1e-15)
+    for rank in (1, 2, 3, 4):
+        for seed in range(25):
+            c = random_channel(9100 + seed, rank)
+            back = channel_from_dict(json.loads(json.dumps(channel_to_dict(c))))
+            assert len(back.kraus) == rank
+            # JSON floats round-trip exactly, so the Kraus set does too.
+            np.testing.assert_array_equal(choi_matrix(back), choi_matrix(c))
 
 
 def test_json_named_form():
@@ -345,13 +361,7 @@ def test_json_compresses_long_kraus_lists():
     for op in c.kraus:
         ops.append(op / np.sqrt(2))
         ops.append(op / np.sqrt(2))
-    doubled = {
-        "kraus": [
-            [[[float(x.real), float(x.imag)] for x in row] for row in op]
-            for op in ops
-        ]
-    }
-    back = channel_from_dict(doubled)
+    back = channel_from_dict(_kraus_spec(ops))
     assert len(back.kraus) <= 4
     np.testing.assert_allclose(choi_matrix(back), choi_matrix(c), atol=1e-9)
 
@@ -363,3 +373,77 @@ def test_json_rejects_garbage():
         channel_from_dict({"something": 1})
     with pytest.raises(ValueError):
         channel_from_dict([1, 2, 3])
+
+
+# ---------------------------------------------------------------------------
+# Seeded property tests of the JSON wire format
+# ---------------------------------------------------------------------------
+
+
+def _isometry_kraus(rng, count):
+    """``count`` Kraus operators from a random isometry (any count >= 1)."""
+    g = rng.standard_normal((2 * count, 2)) + 1j * rng.standard_normal((2 * count, 2))
+    q, _ = np.linalg.qr(g)
+    return [q[2 * k : 2 * k + 2, :] for k in range(count)]
+
+
+def _kraus_spec(ops):
+    """Wire form of any number of Kraus operators."""
+    return {
+        "kraus": [[[[float(x.real), float(x.imag)] for x in row] for row in op] for op in ops]
+    }
+
+
+def test_json_roundtrip_of_long_kraus_lists_reproduces_choi_matrix():
+    rng = np.random.default_rng(9200)
+    for _ in range(40):
+        ops = _isometry_kraus(rng, int(rng.integers(5, 9)))
+        # The Choi matrix is additive over the Kraus set: sum it in blocks of
+        # at most four operators.
+        expected = sum(
+            choi_matrix(KrausChannel(kraus=tuple(ops[k : k + 4])))
+            for k in range(0, len(ops), 4)
+        )
+        back = channel_from_dict(json.loads(json.dumps(_kraus_spec(ops))))
+        assert len(back.kraus) <= 4
+        assert validate(back).ok
+        np.testing.assert_allclose(choi_matrix(back), expected, atol=1e-12)
+
+
+# Replacements for one real or imaginary part that no parser may accept.
+_BAD_PARTS = [
+    "0.5", None, [0.5], {"re": 0.5}, True, False,
+    float("nan"), float("inf"), -float("inf"), 10**400, json.loads("1e400"),
+]
+
+
+def _malformed_spec(rng):
+    """A valid Kraus spec of 1-8 operators with one seeded defect."""
+    ops = _kraus_spec(_isometry_kraus(rng, int(rng.integers(1, 9))))["kraus"]
+    j = int(rng.integers(len(ops)))
+    op = ops[j]
+    i, k = (int(v) for v in rng.integers(2, size=2))
+    kind = int(rng.integers(7))
+    if kind == 0:  # a part replaced by a non-number, boolean or non-finite value
+        op[i][k][int(rng.integers(2))] = _BAD_PARTS[int(rng.integers(len(_BAD_PARTS)))]
+    elif kind == 1:  # an entry nested one level too deep
+        op[i][k] = [op[i][k]]
+    elif kind == 2:  # an entry that is a bare number, not a pair
+        op[i][k] = op[i][k][0]
+    elif kind == 3:  # a row with a third entry
+        op[i].append([0.0, 0.0])
+    elif kind == 4:  # a pair with a third part
+        op[i][k].append(0.0)
+    elif kind == 5:  # an operator that is a flat list of numbers
+        ops[j] = [x for row in op for pair in row for x in pair]
+    else:  # the whole operator list nested one level too deep
+        ops = [ops]
+    return {"kraus": ops}
+
+
+def test_json_malformed_kraus_specs_raise_value_error():
+    rng = np.random.default_rng(9300)
+    for _ in range(300):
+        spec = _malformed_spec(rng)
+        with pytest.raises(ValueError):
+            channel_from_dict(spec)

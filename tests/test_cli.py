@@ -72,6 +72,19 @@ def test_analyze_invalid_channel_exits_3(capsys, tmp_path):
     assert "tp_residual" in err
 
 
+@pytest.mark.parametrize("scale", [1e155, 1e200])
+def test_analyze_overflowing_kraus_exits_3(capsys, tmp_path, scale):
+    # Finite entries whose squares overflow: validation must fail cleanly
+    # instead of handing a non-finite Choi matrix to an eigensolver.
+    spec = {"kraus": [[[[scale, 0.0], [0.0, 0.0]], [[0.0, 0.0], [scale, 0.0]]]]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(["analyze", "--file", str(path)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: channel failed CPTP validation: tp_residual=")
+
+
 def test_analyze_validates_each_channel_once(capsys, monkeypatch):
     from singletopt import channel as channel_module
 

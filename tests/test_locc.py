@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from singletopt.channel import amplitude_damping, depolarizing, identity, named_channel
+from singletopt import locc
+from singletopt.channel import (
+    amplitude_damping,
+    depolarizing,
+    identity,
+    named_channel,
+    random_channel,
+)
 from singletopt.choi import choi
 from singletopt.entmetrics import negativity, singlet_fraction
 from singletopt.linalg import I2, PHI_PLUS, partial_transpose, tensor_product
@@ -165,6 +172,43 @@ def test_oracle_unital_choi_gains_nothing():
     target, _ = singlet_fraction(state.matrix)
     proto = fstar_filter_oracle(state.matrix, seed=6)
     assert proto.fstar_value == pytest.approx(target, abs=1e-6)
+
+
+def test_oracle_search_ends_before_iteration_cap(monkeypatch):
+    # On these Choi states every search stops on its step tolerance, not on
+    # the engine's 400-iteration cap: one objective batch per iteration plus
+    # the starts.  Elsewhere a losing restart can still reach the cap; see
+    # the next test.
+    batches = []
+    search = locc.compass_search
+
+    def counting_search(objective, *args, **kwargs):
+        calls = [0]
+
+        def counted(x):
+            calls[0] += 1
+            return objective(x)
+
+        try:
+            return search(counted, *args, **kwargs)
+        finally:
+            batches.append(calls[0])
+
+    monkeypatch.setattr(locc, "compass_search", counting_search)
+    for k in range(20):
+        fstar_filter_oracle(choi(random_channel(5000 + k, 1 + k % 4)).matrix, seed=k)
+    assert len(batches) == 20
+    assert max(batches) - 1 < 400
+
+
+@pytest.mark.parametrize("seed, rank", [(700030100086, 3), (700061100180, 4), (700113100336, 4)])
+def test_oracle_is_exact_when_a_losing_restart_reaches_the_cap(seed, rank):
+    # Audit channels on which one restart crawls along a valley until the
+    # 400-iteration cap while the winning restart has converged: the answer
+    # must still be the optimum.
+    c = random_channel(seed, rank)
+    proto = fstar_filter_oracle(choi(c).matrix, restarts=16, seed=seed)
+    assert abs(proto.fstar_value - channel_fstar(c)) <= 1e-12
 
 
 def test_fstar_matches_oracle_on_random_states():
