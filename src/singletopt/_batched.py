@@ -1,20 +1,20 @@
-"""Filter picture shared by the three derivative-free searches.
+"""Filter picture shared by the two derivative-free oracle searches.
 
 Each search scores a stack of one-sided filters A on a fixed two-qubit
 state rho through the filtered states (A (x) I) rho (A (x) I)^dag.  Those
 are quadratic in the filter's entries, so :func:`filter_basis` turns rho
-into 16 matrices once, the table builders fold in the transform a search
-needs (magic basis or partial transpose) plus the trace, and
-:func:`apply_filter_table` scores a whole stack with one matrix product.
-Every search depends on its filter only through A^dag A, so a left unitary
-factor cancels and :func:`filter_batch` needs two Euler angles, not three.
+into 16 matrices once, :func:`magic_filter_table` folds in the magic basis
+plus the trace, and :func:`apply_filter_table` scores a whole stack with
+one matrix product.  Both searches depend on their filter only through
+A^dag A, so a left unitary factor cancels and :func:`filter_batch` needs two
+Euler angles, not three.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import I2, partial_transpose, to_magic_basis
+from .linalg import I2, to_magic_basis
 from .optimize import SearchSpec
 
 # Search parameters (weight, alpha, beta): the weight is clipped to [0, 1],
@@ -74,12 +74,6 @@ def filter_coefficients(a: np.ndarray) -> np.ndarray:
     return (flat[:, :, None] * flat.conj()[:, None, :]).reshape(-1, 16)
 
 
-def _with_trace(basis: np.ndarray, transformed: np.ndarray) -> np.ndarray:
-    """(16, 17) table: the flattened transformed basis, then its traces."""
-    trace = np.trace(basis, axis1=1, axis2=2)[:, None]
-    return np.concatenate([transformed.reshape(16, 16), trace], 1)
-
-
 def magic_filter_table(rho: np.ndarray) -> np.ndarray:
     """Real table giving Re(Q^dag m Q) and Tr m of filtered states of rho.
 
@@ -90,26 +84,17 @@ def magic_filter_table(rho: np.ndarray) -> np.ndarray:
     """
     basis = filter_basis(rho)
     magic = to_magic_basis(basis)
-    table = _with_trace(basis, (magic + np.swapaxes(magic, 1, 2)) / 2)
+    trace = np.trace(basis, axis1=1, axis2=2)[:, None]
+    symmetric = (magic + np.swapaxes(magic, 1, 2)) / 2
+    table = np.concatenate([symmetric.reshape(16, 16), trace], 1)
     # Re(c z) = Re(c) Re(z) - Im(c) Im(z), rows in the order of c.view(float64).
     return np.stack([table.real, -table.imag], axis=1).reshape(32, 17)
 
 
-def pt_filter_table(rho: np.ndarray) -> np.ndarray:
-    """Complex table giving m^Gamma and Tr m of filtered states of rho,
-    with Gamma the partial transpose on the first qubit."""
-    basis = filter_basis(rho)
-    return _with_trace(basis, partial_transpose(basis))
-
-
 def apply_filter_table(table: np.ndarray, filters: np.ndarray):
-    """Score a stack of filters with a table from this module.
+    """Score a stack of filters with :func:`magic_filter_table`.
 
-    Returns the (n, 4, 4) transformed filtered states and their (n,) real
-    traces.
+    Returns the (n, 4, 4) transformed filtered states and their (n,) traces.
     """
-    coeffs = filter_coefficients(filters)
-    if not np.iscomplexobj(table):
-        coeffs = coeffs.view(np.float64)
-    out = coeffs @ table
-    return out[:, :16].reshape(-1, 4, 4), out[:, 16].real
+    out = filter_coefficients(filters).view(np.float64) @ table
+    return out[:, :16].reshape(-1, 4, 4), out[:, 16]

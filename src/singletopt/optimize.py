@@ -1,7 +1,7 @@
 """Derivative-free coordinate search with random restarts.
 
-One small engine serves every maximization in the package: all restarts are
-advanced together as one batch, each iteration probes every coordinate
+One small engine serves both oracle searches: all restarts are advanced
+together as one batch, each iteration probes every coordinate
 direction for every restart in a single vectorized objective call, the best
 improving probe per restart is accepted, and a restart's step is halved
 whenever none of its probes improve.  The search is deterministic given its

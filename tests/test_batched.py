@@ -1,5 +1,5 @@
-"""Filter picture shared by the three searches: the builder, the filter basis
-and the tables built on it."""
+"""Filter picture shared by the two oracle searches: the builder, the filter
+basis and the magic table built on it."""
 
 import numpy as np
 import pytest
@@ -10,12 +10,11 @@ from singletopt._batched import (
     filter_batch,
     filter_coefficients,
     magic_filter_table,
-    pt_filter_table,
 )
 from singletopt.channel import apply_to_half
 from singletopt.choi import choi
-from singletopt.entmetrics import negativity, singlet_fraction
-from singletopt.linalg import I2, partial_transpose, to_magic_basis
+from singletopt.entmetrics import negativity, schmidt, singlet_fraction
+from singletopt.linalg import I2, to_magic_basis
 from singletopt.oneshot import channel_negativity
 
 from conftest import random_channels, random_density
@@ -75,10 +74,6 @@ def test_search_tables_match_explicit_states(rank, rho, filters):
     )
     np.testing.assert_allclose(magic_trace, trace.real, rtol=0, atol=1e-14)
 
-    pt, pt_trace = apply_filter_table(pt_filter_table(rho), filters)
-    np.testing.assert_allclose(pt, partial_transpose(states), rtol=0, atol=1e-14)
-    np.testing.assert_allclose(pt_trace, trace.real, rtol=0, atol=1e-14)
-
 
 def test_row_scaled_filters_equal_diagonal_products():
     rng = np.random.default_rng(7)
@@ -115,18 +110,12 @@ def test_input_filter_output_is_filtered_choi_state():
 
 
 def _objectives(rho, filters):
-    """The three search objectives, read off the tables as the searches do."""
+    """The two search objectives, read off the table as the searches do."""
     magic, trace = apply_filter_table(magic_filter_table(rho), filters)
     top = np.linalg.eigvalsh(magic)[:, -1]
-    pt, p = apply_filter_table(pt_filter_table(rho), filters)
-    lam_min = np.linalg.eigvalsh(pt)[:, 0]
-    safe = np.where(p > 1e-14, p, 1.0)
     return {
         "fstar_filter_oracle": top + (1.0 - trace) / 2.0,
         "preprocessed_fidelity_oracle": 2.0 * top,
-        "channel_negativity": np.where(
-            p > 1e-14, np.maximum(0.0, -2.0 * lam_min / safe), 0.0
-        ),
     }
 
 
@@ -152,6 +141,6 @@ def test_left_rz_factor_cancels_in_every_objective(rank):
 def test_channel_negativity_value_is_its_input_negativity():
     for k, c in enumerate(random_channels(303, 8)):
         search = channel_negativity(c, seed=k)
-        assert len(search.euler_angles) == 2
+        assert abs(search.schmidt_weight - schmidt(search.input_state).coefficients[0]) <= 1e-12
         out = apply_to_half(c, search.input_state)
         assert abs(search.value - negativity(out)) <= 1e-12
