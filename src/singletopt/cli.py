@@ -33,10 +33,10 @@ from .channel import (
 )
 from .choi import choi
 from .entmetrics import negativity, teleportation_fidelity
-from .locc import channel_fstar, postprocessing_gap
+from .locc import channel_fstars, postprocessing_gap
 from .oneshot import (
     IDENTITIES,
-    channel_negativity,
+    channel_negativities,
     negativity_relation_residual,
     optimal_input_state,
     optimal_singlet_fraction,
@@ -132,28 +132,38 @@ def _cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Each column maps a row's channel and its search seed to one value.
+def _each(fn):
+    """A closed-form column: ``fn`` of each row's channel."""
+    return lambda channels, seeds: [fn(c) for c in channels]
+
+
+def _gap_column(channels, seeds) -> list:
+    """lambda_max - F* per row; NaN on entanglement-breaking rows, where
+    neither side is meaningful."""
+    breaking = [optimal_singlet_fraction(c).entanglement_breaking for c in channels]
+    channel_fstars([c for c, b in zip(channels, breaking) if not b])
+    return [float("nan") if b else postprocessing_gap(c)[0] for c, b in zip(channels, breaking)]
+
+
+# Each column maps the rows' channels and their search seeds to one value
+# per row.  The F* and N_channel columns solve all rows in one batched search.
 SWEEP_COLUMNS = {
-    "F_lambda": lambda c, seed: optimal_singlet_fraction(c).value,
-    "lambda_max": lambda c, seed: optimal_singlet_fraction(c).lambda_max,
-    "entanglement_breaking": lambda c, seed: float(
-        optimal_singlet_fraction(c).entanglement_breaking
+    "F_lambda": _each(lambda c: optimal_singlet_fraction(c).value),
+    "lambda_max": _each(lambda c: optimal_singlet_fraction(c).lambda_max),
+    "entanglement_breaking": _each(
+        lambda c: float(optimal_singlet_fraction(c).entanglement_breaking)
     ),
-    "f_tel": lambda c, seed: teleportation_fidelity(optimal_singlet_fraction(c).value),
-    "F1": lambda c, seed: preprocessed_fidelity(c),
-    "N_choi": lambda c, seed: negativity(choi(c).matrix),
-    "N_channel": lambda c, seed: channel_negativity(c, seed=seed).value,
-    "fstar_choi": lambda c, seed: channel_fstar(c),
-    "gap": lambda c, seed: (
-        float("nan")
-        if optimal_singlet_fraction(c).entanglement_breaking
-        else postprocessing_gap(c)[0]
-    ),
-    "schmidt_lambda": lambda c, seed: float(
-        optimal_input_state(c).schmidt.coefficients[0]
-    ),
-    "unitality_deviation": lambda c, seed: is_unital(c)[1],
-    "negativity_relation_residual": lambda c, seed: negativity_relation_residual(c),
+    "f_tel": _each(lambda c: teleportation_fidelity(optimal_singlet_fraction(c).value)),
+    "F1": _each(preprocessed_fidelity),
+    "N_choi": _each(lambda c: negativity(choi(c).matrix)),
+    "N_channel": lambda channels, seeds: [
+        search.value for search in channel_negativities(channels, seeds)
+    ],
+    "fstar_choi": lambda channels, seeds: channel_fstars(channels),
+    "gap": _gap_column,
+    "schmidt_lambda": _each(lambda c: float(optimal_input_state(c).schmidt.coefficients[0])),
+    "unitality_deviation": _each(lambda c: is_unital(c)[1]),
+    "negativity_relation_residual": _each(negativity_relation_residual),
 }
 
 
@@ -192,18 +202,17 @@ def _cmd_sweep(args) -> int:
         print(f"error: cannot write --out: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    rows = []
     try:
-        for index, value in enumerate(np.linspace(args.start, args.stop, args.steps)):
-            channel = named_channel(args.name, {args.param: float(value)})
-            row = [float(SWEEP_COLUMNS[c](channel, args.seed + index)) for c in columns]
-            rows.append([float(value)] + row)
+        params = [float(v) for v in np.linspace(args.start, args.stop, args.steps)]
+        channels = [named_channel(args.name, {args.param: value}) for value in params]
+        seeds = [args.seed + index for index in range(len(channels))]
+        table = [SWEEP_COLUMNS[c](channels, seeds) for c in columns]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     lines = ["param," + ",".join(columns)]
-    for row in rows:
+    for row in zip(params, *table):
         lines.append(",".join(_fmt(x) for x in row))
     text = "\n".join(lines) + "\n"
     try:
@@ -226,12 +235,14 @@ def _cmd_audit(args) -> int:
         return EXIT_USAGE
 
     channels = []
-    worst = {}  # identity -> (residual, channel index)
-    counts = {row.name: 0 for row in IDENTITIES}
     for index in range(args.count):
         chan_seed = (args.seed * 1_000_003 + index) % (2**63)
-        channel = random_channel(chan_seed, index % 4 + 1)
-        channels.append((channel, chan_seed))
+        channels.append((random_channel(chan_seed, index % 4 + 1), chan_seed))
+    # The F* rows of every channel read one batched solve.
+    channel_fstars([channel for channel, _ in channels])
+    worst = {}  # identity -> (residual, channel index)
+    counts = {row.name: 0 for row in IDENTITIES}
+    for index, (channel, chan_seed) in enumerate(channels):
         for name, value in residuals(channel, seed=chan_seed).items():
             counts[name] += 1
             if name not in worst or value > worst[name][0]:

@@ -41,6 +41,12 @@ __all__ = [
 ]
 
 
+# Slack of the checks on a state read from outside the package: Hermiticity
+# (Frobenius norm of rho - rho^dag), unit norm or trace, and positivity.
+_HERMITIAN_TOL = 1e-8
+_UNIT_TOL = 1e-9
+_PSD_TOL = 1e-9
+
 # How far from I/2 the first marginal of a state handed to
 # :func:`pt_spectrum_identity_residual` may be; the same slack as the
 # Hermiticity check on any state read from outside the package.
@@ -52,18 +58,38 @@ def as_density_matrix(state: np.ndarray) -> np.ndarray:
     state = np.asarray(state, dtype=complex)
     if state.shape == (4,):
         norm = np.linalg.norm(state)
-        if abs(norm - 1.0) > 1e-9:
+        if abs(norm - 1.0) > _UNIT_TOL:
             raise ValueError(f"pure state norm is {norm}, expected 1")
         return np.outer(state, state.conj())
     if state.shape != (4, 4):
         raise ValueError(f"expected a 4-vector or 4x4 matrix, got shape {state.shape}")
-    if not is_hermitian(state, 1e-8):
+    if not is_hermitian(state, _HERMITIAN_TOL):
         raise ValueError("density matrix is not Hermitian")
     trace = np.trace(state).real
-    if abs(trace - 1.0) > 1e-9:
+    if abs(trace - 1.0) > _UNIT_TOL:
         raise ValueError(f"density matrix has trace {trace}, expected 1")
-    if np.linalg.eigvalsh(state).min() < -1e-9:
+    if np.linalg.eigvalsh(state).min() < -_PSD_TOL:
         raise ValueError("density matrix is not positive semidefinite")
+    return state
+
+
+def _as_density_stack(state: np.ndarray) -> np.ndarray:
+    """:func:`as_density_matrix` that also takes a (..., 4, 4) stack.
+
+    The stack's matrices are checked together; any that fails is checked
+    again alone, so a bad stack raises what its first bad matrix would.
+    """
+    state = np.asarray(state, dtype=complex)
+    if state.ndim <= 2:
+        return as_density_matrix(state)
+    if state.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a (..., 4, 4) stack, got shape {state.shape}")
+    skew = np.linalg.norm(state - state.conj().swapaxes(-1, -2), axis=(-2, -1))
+    trace = np.trace(state, axis1=-2, axis2=-1).real
+    bottom = np.linalg.eigvalsh(state)[..., 0]
+    bad = (skew > _HERMITIAN_TOL) | (np.abs(trace - 1.0) > _UNIT_TOL) | (bottom < -_PSD_TOL)
+    for rho in state[bad]:
+        as_density_matrix(rho)
     return state
 
 

@@ -31,9 +31,12 @@ as the lower bound.  The solve stops once the bracket is narrower than
 ``GAP_TOLERANCE`` and raises if that takes more than ``MAX_NEWTON_STEPS``
 steps, so a reported F* is never an unconverged estimate.  The lower end
 is a rank-one value and the upper end bounds the full program, so a closed
-bracket also certifies rank-one optimality for that state.  The filter
-protocol oracle maximizes the primal protocol value directly, by an
-independent route.
+bracket also certifies rank-one optimality for that state.  The solve
+takes leading batch axes: one Newton loop advances a whole stack of
+states, each retiring on its own bracket, and :func:`channel_fstars`
+solves many channels' Choi states in one such call.  The filter protocol
+oracle maximizes the primal protocol value directly, by an independent
+route.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from ._batched import (
 )
 from .channel import KrausChannel
 from .choi import ENTANGLEMENT_BREAKING_THRESHOLD, choi
-from .entmetrics import as_density_matrix, schmidt, singlet_fraction
+from .entmetrics import _as_density_stack, as_density_matrix, singlet_fraction
 from .linalg import I2, PAULIS, partial_transpose, tensor_product
 from .optimize import compass_search
 
@@ -61,6 +64,7 @@ __all__ = [
     "FilterProtocol",
     "FstarCertificate",
     "channel_fstar",
+    "channel_fstars",
     "fstar",
     "fstar_bracket",
     "fstar_certificate",
@@ -89,33 +93,42 @@ _T_START = 10.0
 _T_GROWTH = 50.0
 # Squared Newton decrement below which an iterate counts as centered.
 _CENTERED = 1e-3
+# Barrier parameter: log det of the 4x4 M plus log det of the 2x2 Y.
+_BARRIER_NU = 6.0
 
 
-def _frame_minimum(gamma: np.ndarray, ua: np.ndarray, ub: np.ndarray):
-    """Minimum of <x|gamma|x> over x = s1 u1(x)v1 + t e^{i th} u2(x)v2.
+def _frame_minimum(gamma: np.ndarray, v: np.ndarray):
+    """Minimum of <x|gamma|x> over x = s1 u1(x)v1 + t e^{i th} u2(x)v2, per state.
 
+    (u_k, v_k) is the Schmidt frame of the 4-vector ``v``, read from the SVD
+    of its 2x2 amplitude matrix; gamma and v carry one leading batch axis.
     The top singular value is pinned at s1 = 1/sqrt(2) (the feasibility
     cap; any minimizer with negative value saturates it) and the phase
     aligns the cross term to be maximally negative, leaving a scalar
-    quadratic in t on [0, s1].  Returns the minimum and its vector.
+    quadratic in t on [0, s1].  Returns the minima and their vectors.
     """
-    w1 = np.kron(ua[:, 0], ub[:, 0])
-    w2 = np.kron(ua[:, 1], ub[:, 1])
-    h11 = np.vdot(w1, gamma @ w1).real
-    h22 = np.vdot(w2, gamma @ w2).real
-    cross = np.vdot(w1, gamma @ w2)
-    h12 = abs(cross)
-    phase = -cross.conjugate() / h12 if h12 > 0 else 1.0
-    candidates = [0.0, _S1]
-    if h22 > 0:
-        t = _S1 * h12 / h22
-        if 0.0 < t < _S1:
-            candidates.append(t)
-    best_t = min(
-        candidates, key=lambda t: _S1 * _S1 * h11 - 2.0 * _S1 * h12 * t + h22 * t * t
+    u, _, vh = np.linalg.svd(v.reshape(-1, 2, 2))
+    # w[:, k] = u_k (x) v_k; the phases SVD leaves free cancel in each product.
+    w = np.einsum("nik,nkj->nkij", u, vh).reshape(-1, 2, 4)
+    h = w.conj() @ gamma @ w.swapaxes(1, 2)
+    h11, h22, cross = h[:, 0, 0].real, h[:, 1, 1].real, h[:, 0, 1]
+    h12 = np.abs(cross)
+    nonzero = h12 > 0
+    phase = np.ones_like(cross)
+    phase[nonzero] = -cross[nonzero].conj() / h12[nonzero]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_mid = _S1 * h12 / h22
+    # Candidates t = 0, s1 and the interior stationary point (t = 0 again
+    # where there is none); argmin keeps the first of equal values.
+    interior = (h22 > 0) & (t_mid > 0.0) & (t_mid < _S1)
+    t = np.stack(
+        [np.zeros_like(h12), np.full_like(h12, _S1), np.where(interior, t_mid, 0.0)], axis=1
     )
-    value = _S1 * _S1 * h11 - 2.0 * _S1 * h12 * best_t + h22 * best_t * best_t
-    return value, _S1 * w1 + best_t * phase * w2
+    q = _S1 * _S1 * h11[:, None] - 2.0 * _S1 * h12[:, None] * t + h22[:, None] * t * t
+    pick = q.argmin(axis=1)[:, None]
+    best_t = np.take_along_axis(t, pick, axis=1)[:, 0]
+    value = np.take_along_axis(q, pick, axis=1)[:, 0]
+    return value, _S1 * w[:, 0] + (best_t * phase)[:, None] * w[:, 1]
 
 
 @dataclass(frozen=True)
@@ -127,13 +140,14 @@ class FstarCertificate:
     (the zero vector stands for preparing a separable state).  ``dual`` is
     a 2x2 matrix Y with Y >= 0 and rho^Gamma + Y (x) I >= 0, giving
     ``upper = 1/2 + Tr Y / 2``.  ``newton_steps`` counts the barrier steps.
+    For a stack of states every field carries the stack's leading axes.
     """
 
-    lower: float
-    upper: float
+    lower: float | np.ndarray
+    upper: float | np.ndarray
     primal: np.ndarray
     dual: np.ndarray
-    newton_steps: int
+    newton_steps: int | np.ndarray
 
 
 def fstar_certificate(rho: np.ndarray) -> FstarCertificate:
@@ -145,88 +159,146 @@ def fstar_certificate(rho: np.ndarray) -> FstarCertificate:
     Y = (1 - lambda_min(rho^Gamma)) I.  With M = rho^Gamma + Y (x) I and
     E_k = sigma_k (x) I, the log det M terms of gradient and Hessian are
     d_k = -Tr(M^-1 E_k) and H_kl = Tr(M^-1 E_k M^-1 E_l), with M^-1 from one
-    Hermitian eigendecomposition per step.  After each centering the primal
-    frame candidate is evaluated; the solve returns once the iterate is
-    checked strictly dual feasible and ``upper - lower <= GAP_TOLERANCE``,
-    and raises ``RuntimeError`` if that has not happened within
-    ``MAX_NEWTON_STEPS``.
-    A PPT state returns ``(1/2, 1/2)`` exactly, without iterating.
-    """
-    rho = as_density_matrix(rho)
-    gamma = partial_transpose(rho, "first")
-    best_value, best_x = 0.0, np.zeros(4, dtype=complex)
-    lam_min = float(np.linalg.eigvalsh(gamma)[0])
-    if lam_min >= 0.0:
-        return FstarCertificate(0.5, 0.5, best_x, np.zeros((2, 2), dtype=complex), 0)
+    Hermitian eigendecomposition per step.  The primal frame candidate is
+    evaluated only at centered iterates whose barrier bound nu / t (nu = 6)
+    is within ``GAP_TOLERANCE``: only then is the upper end certified that
+    close to the optimum, and on random and Choi states no earlier frame
+    closed the bracket.  The solve returns once the iterate is checked
+    strictly dual feasible and ``upper - lower <= GAP_TOLERANCE``, and
+    raises ``RuntimeError`` if that has not happened within
+    ``MAX_NEWTON_STEPS``.  A PPT state returns ``(1/2, 1/2)`` exactly,
+    without iterating.
 
-    z = np.array([1.0 - lam_min, 0.0, 0.0, 0.0])
-    t = _T_START
-    steps, centered = 0, False
-    while True:
+    Leading axes of ``rho`` are batch axes: one loop advances every state of
+    a (..., 4, 4) stack, each retiring on its own bracket, and the fields
+    come back with the stack's leading axes.  A single state gives scalar
+    ``lower``, ``upper`` and ``newton_steps``.
+    """
+    rho = _as_density_stack(rho)
+    batch = rho.shape[:-2]
+    gamma = partial_transpose(rho, "first").reshape(-1, 4, 4)
+    n = len(gamma)
+    lower, upper = np.full(n, 0.5), np.full(n, 0.5)
+    primal = np.zeros((n, 4), dtype=complex)
+    dual = np.zeros((n, 2, 2), dtype=complex)
+    steps = np.zeros(n, dtype=int)
+
+    lam_min = np.linalg.eigvalsh(gamma)[:, 0]
+    # The states still iterating, and each one's solver state.
+    live = np.flatnonzero(lam_min < 0.0)
+    gamma = gamma[live]
+    z = np.zeros((len(live), 4))
+    z[:, 0] = 1.0 - lam_min[live]
+    t = np.full(len(live), _T_START)
+    count = np.zeros(len(live), dtype=int)
+    centered = np.zeros(len(live), dtype=bool)
+    best_value = np.zeros(len(live))
+    best_x = np.zeros((len(live), 4), dtype=complex)
+    while len(live):
         # One Hermitian eigensolve gives M^-1, the feasibility margin and,
         # at a centered iterate, the primal frame.
-        vals, vecs = np.linalg.eigh(gamma + (z @ _DUAL_BASIS_FLAT).reshape(4, 4))
-        if centered:
-            value, x = _frame_minimum(gamma, *schmidt(vecs[:, 0]).local_bases)
-            if value < best_value:
-                best_value, best_x = value, x
-            lower, upper = 0.5 - best_value, 0.5 + z[0]
+        vals, vecs = np.linalg.eigh(gamma + (z @ _DUAL_BASIS_FLAT).reshape(-1, 4, 4))
+        done = np.zeros(len(live), dtype=bool)
+        check = np.flatnonzero(centered & (_BARRIER_NU / t <= GAP_TOLERANCE))
+        if len(check):
+            value, x = _frame_minimum(gamma[check], vecs[check, :, 0])
+            better = value < best_value[check]
+            best_value[check[better]] = value[better]
+            best_x[check[better]] = x[better]
             # The barrier keeps iterates interior; the check makes that explicit.
-            feasible = vals[0] > 0.0 and z[0] > np.linalg.norm(z[1:])
-            if feasible and upper - lower <= GAP_TOLERANCE:
-                dual = np.tensordot(z, _PAULIS, 1)
-                return FstarCertificate(float(lower), float(upper), best_x, dual, steps)
-            t *= _T_GROWTH
-        if steps == MAX_NEWTON_STEPS:
+            feasible = (vals[check, 0] > 0.0) & (
+                z[check, 0] > np.linalg.norm(z[check, 1:], axis=1)
+            )
+            closed = (0.5 + z[check, 0]) - (0.5 - best_value[check]) <= GAP_TOLERANCE
+            done[check[feasible & closed]] = True
+        if done.any():
+            out = live[done]
+            lower[out] = 0.5 - best_value[done]
+            upper[out] = 0.5 + z[done, 0]
+            primal[out] = best_x[done]
+            dual[out] = np.tensordot(z[done], _PAULIS, 1)
+            steps[out] = count[done]
+            live, gamma, z, t, count, centered, best_value, best_x, vals, vecs = (
+                x[~done]
+                for x in (live, gamma, z, t, count, centered, best_value, best_x, vals, vecs)
+            )
+            if not len(live):
+                break
+        t[centered] *= _T_GROWTH
+        if (count == MAX_NEWTON_STEPS).any():
             raise RuntimeError(
                 f"fstar: bracket still wider than {GAP_TOLERANCE:.0e} "
                 f"after {MAX_NEWTON_STEPS} Newton steps"
             )
-        a = ((vecs / vals) @ vecs.conj().T) @ _DUAL_BASIS
-        grad = -np.trace(a, axis1=1, axis2=2).real
-        hess = (a.reshape(4, 16) @ a.transpose(0, 2, 1).reshape(4, 16).T).real
+        a = ((vecs / vals[:, None, :]) @ vecs.conj().swapaxes(1, 2))[:, None] @ _DUAL_BASIS
+        grad = -np.trace(a, axis1=2, axis2=3).real
+        hess = (a.reshape(-1, 4, 16) @ a.swapaxes(2, 3).reshape(-1, 4, 16).swapaxes(1, 2)).real
         w = _SIGNATURE * z
-        q = z @ w  # det Y
-        grad += -2.0 / q * w
-        grad[0] += t
-        hess += (-2.0 / q) * _SIGNATURE_DIAG + (4.0 / q**2) * np.outer(w, w)
-        delta = np.linalg.solve(hess, -grad)
-        decrement2 = -grad @ delta
-        z = z + delta / (1.0 + np.sqrt(decrement2))
-        steps += 1
+        q = (z * w).sum(axis=1)  # det Y
+        grad += (-2.0 / q)[:, None] * w
+        grad[:, 0] += t
+        hess += (-2.0 / q)[:, None, None] * _SIGNATURE_DIAG
+        hess += (4.0 / q**2)[:, None, None] * (w[:, :, None] * w[:, None, :])
+        # An explicit trailing axis: numpy 1.x reads a 2-D b as a stack of
+        # vectors, numpy 2 as one matrix.
+        delta = np.linalg.solve(hess, -grad[:, :, None])[:, :, 0]
+        decrement2 = -(grad * delta).sum(axis=1)
+        z = z + delta / (1.0 + np.sqrt(decrement2))[:, None]
+        count += 1
         centered = decrement2 <= _CENTERED
 
+    if not batch:
+        return FstarCertificate(
+            float(lower[0]), float(upper[0]), primal[0], dual[0], int(steps[0])
+        )
+    return FstarCertificate(
+        lower.reshape(batch),
+        upper.reshape(batch),
+        primal.reshape(batch + (4,)),
+        dual.reshape(batch + (2, 2)),
+        steps.reshape(batch),
+    )
 
-def fstar_bracket(rho: np.ndarray) -> tuple[float, float]:
+
+def fstar_bracket(rho: np.ndarray) -> tuple:
     """Certified ``(lower, upper)`` bracket on F*(rho), at most
-    ``GAP_TOLERANCE`` wide; see :func:`fstar_certificate`."""
+    ``GAP_TOLERANCE`` wide, per state of a stack; see
+    :func:`fstar_certificate`."""
     cert = fstar_certificate(rho)
     return cert.lower, cert.upper
 
 
-def fstar(rho: np.ndarray) -> float:
+def fstar(rho: np.ndarray) -> float | np.ndarray:
     """Best singlet fraction reachable from ``rho`` by TP local protocols.
 
     Returns the lower end of the certified bracket from
     :func:`fstar_certificate`: the value of an explicit feasible protocol,
-    within ``GAP_TOLERANCE`` of the dual upper bound.  Deterministic, and
-    raises rather than return an unconverged value.
+    within ``GAP_TOLERANCE`` of the dual upper bound.  A (..., 4, 4) stack
+    gives an array with its leading axes.  Deterministic, and raises rather
+    than return an unconverged value.
     """
     return fstar_certificate(rho).lower
 
 
-def channel_fstar(channel: KrausChannel) -> float:
-    """:func:`fstar` of the channel's Choi state.
+def channel_fstars(channels) -> list:
+    """:func:`fstar` of each channel's Choi state, as a list of floats.
 
-    Solved on the first call for a channel object and kept next to its
-    Choi state (see :func:`choi.choi`), so every caller that needs F* of the
-    same channel shares one solve.
+    Solved once per channel object and kept next to its Choi state (see
+    :func:`choi.choi`), so every caller that needs F* of the same channel
+    shares one solve; the channels without a kept value are solved together,
+    in one :func:`fstar` call on the stack of their Choi states.
     """
-    value = channel._states.get("fstar")
-    if value is None:
-        value = fstar(choi(channel).matrix)
-        channel._states["fstar"] = value
-    return value
+    missing = list({id(c): c for c in channels if "fstar" not in c._states}.values())
+    if missing:
+        values = fstar(np.array([choi(c).matrix for c in missing]))
+        for channel, value in zip(missing, values):
+            channel._states["fstar"] = float(value)
+    return [c._states["fstar"] for c in channels]
+
+
+def channel_fstar(channel: KrausChannel) -> float:
+    """:func:`fstar` of the channel's Choi state; see :func:`channel_fstars`."""
+    return channel_fstars([channel])[0]
 
 
 @dataclass(frozen=True)

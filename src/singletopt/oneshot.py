@@ -5,7 +5,8 @@ Choi state; the pure input achieving it is the top eigenvector of the dual
 Choi state, maximally entangled exactly when the channel is unital.  This
 module computes those, the related teleportation fidelity, the negativity
 identity lambda_max = (1 + N)/2, the output negativity maximized over all
-pure inputs by alternating eigen-steps, and an aggregated report.
+pure inputs by alternating eigen-steps (for many channels at once in one
+batched search), and an aggregated report.
 
 ``IDENTITIES`` lists every identity the package rests on, each as a
 residual with its tolerance; :func:`report` shows the closed-form ones and
@@ -51,7 +52,7 @@ from .entmetrics import (
     singlet_fraction_oracle,
     teleportation_fidelity,
 )
-from .linalg import I2, partial_transpose, swap_conjugate
+from .linalg import partial_transpose, swap_conjugate
 from .locc import channel_fstar, fstar_filter_oracle, postprocessing_gap
 from .optimize import compass_search
 
@@ -72,6 +73,7 @@ __all__ = [
     "classify",
     "negativity_relation_residual",
     "channel_negativity",
+    "channel_negativities",
     "residuals",
     "report",
 ]
@@ -216,7 +218,7 @@ class NegativitySearch:
     """Best output negativity found over pure inputs.
 
     ``iterations`` counts the winning start's steps; ``converged`` is False
-    only if some start hit the step cap of :func:`channel_negativity`.
+    only if some start hit the step cap of :func:`channel_negativities`.
     """
 
     value: float
@@ -230,10 +232,42 @@ class NegativitySearch:
 _NEGATIVITY_RESTARTS = 16
 # Cap on the steps of one start; at most 112 on the sweep families, 1,398 on random channels.
 _NEGATIVITY_MAX_ITERS = 2000
+# Starts per stacked eigensolve in the steps.  Each 4x4 matrix is solved on
+# its own, so blocks change no value; they cap the steps' temporaries, which
+# would otherwise grow with the number of channels searched together.
+_NEGATIVITY_BLOCK = 128
 
 
-def channel_negativity(channel: KrausChannel, seed: int = 0) -> NegativitySearch:
-    """Maximize output negativity over all pure inputs.
+def _w_step(a: np.ndarray, g: np.ndarray, owner: np.ndarray) -> tuple:
+    """Bottom eigenpair of K G K^dag with K = conj(A) (x) I, per start; each
+    start reads the G of its row ``owner`` of ``g``."""
+    lam, w = np.empty(len(a)), np.empty((len(a), 4), dtype=complex)
+    for start in range(0, len(a), _NEGATIVITY_BLOCK):
+        block = slice(start, start + _NEGATIVITY_BLOCK)
+        k = np.zeros((len(a[block]), 2, 2, 2, 2), dtype=complex)
+        k[:, :, 0, :, 0] = k[:, :, 1, :, 1] = a[block].conj()
+        k = k.reshape(-1, 4, 4)
+        vals, vecs = np.linalg.eigh(k @ g[owner[block]] @ k.conj().swapaxes(1, 2))
+        lam[block], w[block] = vals[:, 0], vecs[:, :, 0]
+    return lam, w
+
+
+def _a_step(w: np.ndarray, g: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """A, with vec(A) the bottom eigenvector of L(w)^dag G L(w), per start as
+    in :func:`_w_step`; L(w)[(k, j), (l, k')] = delta_kk' w_lj."""
+    a = np.empty((len(w), 2, 2), dtype=complex)
+    for start in range(0, len(w), _NEGATIVITY_BLOCK):
+        block = slice(start, start + _NEGATIVITY_BLOCK)
+        l = np.zeros((len(w[block]), 2, 2, 2, 2), dtype=complex)
+        l[:, 0, :, :, 0] = l[:, 1, :, :, 1] = w[block].reshape(-1, 2, 2).swapaxes(1, 2)
+        l = l.reshape(-1, 4, 4)
+        _, v = np.linalg.eigh(l.conj().swapaxes(1, 2) @ g[owner[block]] @ l)
+        a[block] = v[:, :, 0].reshape(-1, 2, 2)
+    return a
+
+
+def channel_negativities(channels, seeds) -> list:
+    """Maximize output negativity over all pure inputs, for each channel.
 
     With J the Choi state and G = J^Gamma (kept qubit), the input
     ``A.reshape(4)``, ||A||_F = 1, has output negativity
@@ -241,47 +275,67 @@ def channel_negativity(channel: KrausChannel, seed: int = 0) -> NegativitySearch
     eigen-steps alternate: with A fixed, w is the bottom eigenvector of that
     form; with w fixed, (A^T (x) I) w = L(w) vec(A) and vec(A) becomes the
     bottom eigenvector of L(w)^dag G L(w).  No step lowers the negativity.
-    The maximally entangled start and 16 random ones drawn from ``seed``
-    step together, so the result never falls below the Choi negativity; a
-    start retires once a step gains at most 1e-15, or after
-    ``_NEGATIVITY_MAX_ITERS`` steps.  lambda_min(G) = 1/2 - lambda_max(J), so
-    G >= 0 (up to 1e-12) on a channel flagged entanglement breaking: every
-    output is separable, and the result is 0.0 at the maximally entangled input.
+    Each channel searches from the maximally entangled start and 16 random
+    ones drawn from its seed, so its result never falls below its Choi
+    negativity; a start retires once a step gains at most 1e-15, or after
+    ``_NEGATIVITY_MAX_ITERS`` steps.  The starts of all channels step
+    together, each with its own channel's G, and each channel returns the
+    best of its own starts.  lambda_min(G) = 1/2 - lambda_max(J), so G >= 0
+    (up to 1e-12) on a channel flagged entanglement breaking: every output
+    is separable, and the result is 0.0 at the maximally entangled input.
     """
+    if len(seeds) != len(channels):
+        raise ValueError(f"{len(channels)} channels but {len(seeds)} seeds")
     mes = np.eye(2, dtype=complex) / np.sqrt(2.0)
-    state = choi(channel)
-    if float(state.eig.eigenvalues[0]) <= ENTANGLEMENT_BREAKING_THRESHOLD:
-        return NegativitySearch(0.0, mes.reshape(4), 0.5, 0, True)
-    g = partial_transpose(state.matrix)
-    x = random_filter_params(np.random.default_rng(seed), _NEGATIVITY_RESTARTS)
-    scale = np.sqrt(np.stack([x[:, 0], 1.0 - x[:, 0]], axis=-1))
-    a = np.concatenate([mes[None], filter_batch(scale, x[:, 1], x[:, 2])])
+    results, live = [None] * len(channels), []
+    for i, channel in enumerate(channels):
+        if float(choi(channel).eig.eigenvalues[0]) <= ENTANGLEMENT_BREAKING_THRESHOLD:
+            results[i] = NegativitySearch(0.0, mes.flatten(), 0.5, 0, True)
+        else:
+            live.append(i)
+    if not live:
+        return results
+    starts = []
+    for i in live:
+        x = random_filter_params(np.random.default_rng(seeds[i]), _NEGATIVITY_RESTARTS)
+        scale = np.sqrt(np.stack([x[:, 0], 1.0 - x[:, 0]], axis=-1))
+        starts += [mes[None], filter_batch(scale, x[:, 1], x[:, 2])]
+    a = np.concatenate(starts)
+    per_channel = _NEGATIVITY_RESTARTS + 1
+    g = partial_transpose(np.array([choi(channels[i]).matrix for i in live]))
+    owner = np.repeat(np.arange(len(live)), per_channel)
     value = np.full(len(a), np.inf)
     steps = np.zeros(len(a), dtype=int)
     active = np.arange(len(a))
     while True:
         # w-step, which also scores the current A exactly.
-        k = np.einsum("nab,cd->nacbd", a[active].conj(), I2).reshape(-1, 4, 4)
-        lam, w = np.linalg.eigh(k @ g @ k.conj().swapaxes(1, 2))
-        moved = value[active] - lam[:, 0] > 1e-15
-        value[active] = lam[:, 0]
+        lam, w = _w_step(a[active], g, owner[active])
+        moved = value[active] - lam > 1e-15
+        value[active] = lam
         keep = moved & (steps[active] < _NEGATIVITY_MAX_ITERS)
         if not keep.any():
             break
-        # A-step on the starts still moving: L(w)[(k, j), (l, k')] = delta_kk' w_lj.
-        active, w = active[keep], w[keep, :, 0].reshape(-1, 2, 2)
-        l = np.einsum("kK,nlj->nkjlK", I2, w).reshape(-1, 4, 4)
-        _, v = np.linalg.eigh(l.conj().swapaxes(1, 2) @ g @ l)
-        a[active] = v[:, :, 0].reshape(-1, 2, 2)
+        # A-step on the starts still moving.
+        active = active[keep]
+        a[active] = _a_step(w[keep], g, owner[active])
         steps[active] += 1
-    best = int(value.argmin())
-    return NegativitySearch(
-        value=-4.0 * float(value[best]),
-        input_state=a[best].reshape(4),
-        schmidt_weight=float(np.linalg.svd(a[best], compute_uv=False)[0] ** 2),
-        iterations=int(steps[best]),
-        converged=bool((steps < _NEGATIVITY_MAX_ITERS).all()),
-    )
+    best = value.reshape(-1, per_channel).argmin(axis=1) + per_channel * np.arange(len(live))
+    weights = np.linalg.svd(a[best], compute_uv=False)[:, 0] ** 2
+    converged = (steps < _NEGATIVITY_MAX_ITERS).reshape(-1, per_channel).all(axis=1)
+    for j, i in enumerate(live):
+        results[i] = NegativitySearch(
+            value=-4.0 * float(value[best[j]]),
+            input_state=a[best[j]].reshape(4),
+            schmidt_weight=float(weights[j]),
+            iterations=int(steps[best[j]]),
+            converged=bool(converged[j]),
+        )
+    return results
+
+
+def channel_negativity(channel: KrausChannel, seed: int = 0) -> NegativitySearch:
+    """Best output negativity over pure inputs; see :func:`channel_negativities`."""
+    return channel_negativities([channel], [seed])[0]
 
 
 class IdentityContext:

@@ -1,10 +1,21 @@
+import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
 from singletopt import cli, oneshot
-from singletopt.channel import channel_from_dict, channel_to_dict, depolarizing
+from singletopt.channel import (
+    channel_from_dict,
+    channel_to_dict,
+    depolarizing,
+    is_unital,
+    named_channel,
+)
+from singletopt.choi import choi
+from singletopt.entmetrics import negativity, teleportation_fidelity
+from singletopt.locc import fstar
 
 
 def run(argv, capsys):
@@ -233,6 +244,57 @@ def test_sweep_byte_identical_across_runs(tmp_path, capsys):
     assert cli.main(args + ["--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def _reference_row(c, seed):
+    """Every sweep column of one row, from the per-channel library calls."""
+    frac = oneshot.optimal_singlet_fraction(c)
+    lam = float(choi(c).eig.eigenvalues[0])
+    return {
+        "F_lambda": frac.value,
+        "lambda_max": frac.lambda_max,
+        "entanglement_breaking": float(frac.entanglement_breaking),
+        "f_tel": teleportation_fidelity(frac.value),
+        "F1": oneshot.preprocessed_fidelity(c),
+        "N_choi": negativity(choi(c).matrix),
+        "N_channel": oneshot.channel_negativity(c, seed=seed).value,
+        "fstar_choi": fstar(choi(c).matrix),
+        "gap": math.nan if frac.entanglement_breaking else lam - fstar(choi(c).matrix),
+        "schmidt_lambda": float(oneshot.optimal_input_state(c).schmidt.coefficients[0]),
+        "unitality_deviation": is_unital(c)[1],
+        "negativity_relation_residual": oneshot.negativity_relation_residual(c),
+    }
+
+
+@pytest.mark.parametrize(
+    "family", ["amplitude_damping", "depolarizing", "phase_damping", "bit_flip"]
+)
+def test_sweep_all_columns_match_per_row_reference(family, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    columns = list(cli.SWEEP_COLUMNS)
+    code, _, err = run(
+        ["sweep", "--name", family, "--from", "0", "--to", "1", "--steps", "21",
+         "--columns", ",".join(columns), "--out", str(out), "--seed", "7"],
+        capsys,
+    )
+    assert code == 0, err
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 21 and list(rows[0]) == ["param"] + columns
+    for index, (row, p) in enumerate(zip(rows, np.linspace(0.0, 1.0, 21))):
+        assert float(row["param"]) == float(p)
+        expected = _reference_row(named_channel(family, {"p": float(p)}), 7 + index)
+        for column in columns:
+            got, want = float(row[column]), expected[column]
+            if column == "gap":
+                assert math.isnan(got) == (expected["entanglement_breaking"] == 1.0)
+                assert math.isnan(got) == math.isnan(want)
+                if math.isnan(got):
+                    continue
+            if column == "N_channel":
+                assert got == want, (index, column)
+            else:
+                assert got == want or abs(got - want) <= 1e-12, (index, column, got, want)
 
 
 def test_audit_small_run_passes(capsys, tmp_path, monkeypatch):

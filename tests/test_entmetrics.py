@@ -67,6 +67,14 @@ def test_singlet_fraction_rejects_invalid():
         singlet_fraction(np.diag([1.5, -0.5, 0, 0]).astype(complex))
 
 
+@pytest.mark.parametrize("fn", [singlet_fraction, negativity, pt_spectrum_identity_residual])
+def test_single_state_functions_reject_stacks(fn):
+    # Only the F* solve takes batch axes; a stack here is a shape error.
+    stack = np.array([BELL, np.eye(4) / 4])
+    with pytest.raises(ValueError, match="4x4 matrix"):
+        fn(stack)
+
+
 def test_singlet_fraction_local_unitary_invariance():
     rng = np.random.default_rng(3)
     for _ in range(15):

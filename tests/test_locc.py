@@ -277,3 +277,85 @@ def test_channel_fstar_solves_once_per_channel_object(monkeypatch):
     monkeypatch.setattr(locc, "fstar", unexpected)
     assert channel_fstar(c) == value
     assert postprocessing_gap(c)[0] == float(choi(c).eig.eigenvalues[0]) - value
+
+
+def _mixed_stack():
+    """PPT states, random states of rank 1-4 and the four families' Choi
+    states at the 21 sweep points, interleaved in one stack."""
+    rng = np.random.default_rng(4242)
+    ppt = [np.eye(4) / 4, choi(depolarizing(1.0)).matrix, 0.2 * BELL + 0.8 * np.eye(4) / 4]
+    ppt += [np.outer(s, s.conj()) for s in (random_product_state(rng) for _ in range(3))]
+    randoms = [random_density(rng, rank=1 + k % 4) for k in range(24)]
+    families = [
+        choi(named_channel(name, {"p": float(p)})).matrix
+        for name in ("amplitude_damping", "depolarizing", "phase_damping", "bit_flip")
+        for p in np.linspace(0.0, 1.0, 21)
+    ]
+    states = ppt + randoms + families
+    order = np.random.default_rng(17).permutation(len(states))
+    return np.array(states)[order]
+
+
+def test_fstar_certificate_stack_matches_per_state_solves():
+    stack = _mixed_stack()
+    cert = fstar_certificate(stack)
+    n = len(stack)
+    assert cert.lower.shape == cert.upper.shape == cert.newton_steps.shape == (n,)
+    assert cert.primal.shape == (n, 4) and cert.dual.shape == (n, 2, 2)
+    assert (cert.upper - cert.lower <= 1e-10).all()
+    steps = set()
+    for k, rho in enumerate(stack):
+        single = fstar_certificate(rho)
+        assert isinstance(single.lower, float) and isinstance(single.newton_steps, int)
+        assert abs(cert.lower[k] - single.lower) <= 1e-12
+        assert abs(cert.upper[k] - single.upper) <= 1e-12
+        assert cert.newton_steps[k] == single.newton_steps
+        steps.add(single.newton_steps)
+        ppt = np.linalg.eigvalsh(partial_transpose(rho, "first")).min() >= 0.0
+        assert (single.newton_steps == 0) == ppt
+        if ppt:
+            assert (cert.lower[k], cert.upper[k]) == (0.5, 0.5)
+    assert len(steps) > 2  # each state stops on its own rule
+    lower, upper = fstar_bracket(stack)
+    assert np.array_equal(lower, cert.lower) and np.array_equal(upper, cert.upper)
+    assert np.array_equal(fstar(stack), cert.lower)
+
+
+def test_fstar_certificate_keeps_leading_axes():
+    stack = _mixed_stack()[:6]
+    cert = fstar_certificate(stack.reshape(2, 3, 4, 4))
+    assert cert.lower.shape == (2, 3) and cert.primal.shape == (2, 3, 4)
+    assert np.array_equal(cert.lower.ravel(), fstar(stack))
+
+
+def test_fstar_stack_raises_when_a_bracket_stays_open(monkeypatch):
+    monkeypatch.setattr(locc, "MAX_NEWTON_STEPS", 3)
+    with pytest.raises(RuntimeError, match="3 Newton steps"):
+        fstar_certificate(_mixed_stack())
+
+
+def test_fstar_stack_rejects_a_non_state():
+    stack = _mixed_stack()[:4].copy()
+    stack[2] *= 2.0
+    with pytest.raises(ValueError, match="trace"):
+        fstar(stack)
+
+
+def test_channel_fstars_solves_missing_channels_in_one_call(monkeypatch):
+    channels = [amplitude_damping(0.3), depolarizing(0.2), amplitude_damping(0.6)]
+    known = channel_fstar(channels[1])
+    calls = []
+    solve = locc.fstar
+
+    def counting(rho):
+        calls.append(np.shape(rho))
+        return solve(rho)
+
+    monkeypatch.setattr(locc, "fstar", counting)
+    values = locc.channel_fstars(channels + [channels[0]])
+    assert calls == [(2, 4, 4)]
+    assert values[1] == known and values[3] == values[0]
+    for c, value in zip(channels, values):
+        assert isinstance(value, float)
+        assert abs(value - solve(choi(c).matrix)) <= 1e-12
+    assert locc.channel_fstars(channels) == values[:3] and len(calls) == 1

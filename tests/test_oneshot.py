@@ -17,6 +17,7 @@ from singletopt.choi import choi
 from singletopt.entmetrics import negativity, singlet_fraction
 from singletopt.oneshot import (
     IDENTITIES,
+    channel_negativities,
     channel_negativity,
     classify,
     negativity_relation_residual,
@@ -236,6 +237,31 @@ def test_channel_negativity_converges_on_every_sweep_row(family):
     for index, p in enumerate(np.linspace(0.0, 1.0, 21)):
         search = channel_negativity(named_channel(family, {"p": float(p)}), seed=index)
         assert search.converged
+
+
+def test_channel_negativities_equal_the_row_by_row_searches():
+    # The 84 rows of the four sweep families over p in [0, 1], seed 7 + row,
+    # entanglement-breaking rows included, searched as one batch.
+    channels, seeds = [], []
+    for family in ("amplitude_damping", "depolarizing", "phase_damping", "bit_flip"):
+        for index, p in enumerate(np.linspace(0.0, 1.0, 21)):
+            channels.append(named_channel(family, {"p": float(p)}))
+            seeds.append(7 + index)
+    batch = channel_negativities(channels, seeds)
+    assert len(batch) == 84
+    breaking = 0
+    for c, seed, found in zip(channels, seeds, batch):
+        alone = channel_negativity(c, seed=seed)
+        assert found.value == alone.value
+        assert found.iterations == alone.iterations
+        assert found.converged == alone.converged
+        assert np.array_equal(found.input_state, alone.input_state)
+        assert found.schmidt_weight == alone.schmidt_weight
+        breaking += found.iterations == 0 and found.value == 0.0
+    assert breaking >= 3
+    assert channel_negativities([], []) == []
+    with pytest.raises(ValueError, match="seeds"):
+        channel_negativities(channels[:2], seeds[:1])
 
 
 def test_inequality_chain():
