@@ -73,9 +73,9 @@ class KrausChannel:
     kraus: tuple
     label: str = ""
     params: Mapping[str, float] = field(default_factory=dict)
-    # Choi and dual-Choi states of this object, built and checked once by
-    # :mod:`singletopt.choi` and then shared read-only, and the two numbers
-    # :func:`validate` measures.
+    # What :func:`validate` measures (its two numbers and the Choi matrix it
+    # takes them from), and the Choi and dual-Choi states that
+    # :mod:`singletopt.choi` builds once from there and shares read-only.
     _states: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -104,8 +104,11 @@ def validate(channel: KrausChannel, tol: float = 1e-9) -> ValidationReport:
     ``tp_residual`` is the Frobenius distance of sum A_i^dag A_i from the
     identity; ``cp_min_eigenvalue`` is the smallest eigenvalue of the Choi
     matrix, NaN if that overflows.  ``ok`` requires both within ``tol``.  The
-    two measurements are taken once per channel object and kept on it; ``ok``
-    is decided per call.
+    two measurements are taken once per channel object and kept on it, with
+    the Choi matrix, which :func:`singletopt.choi.choi` builds from; ``ok``
+    is decided per call.  At the default ``tol`` this is the package's one
+    CPTP acceptance rule: :mod:`singletopt.choi` builds states only for
+    channels it accepts.
     """
     measured = channel._states.get("validation")
     if measured is None:
@@ -118,6 +121,7 @@ def validate(channel: KrausChannel, tol: float = 1e-9) -> ValidationReport:
             float(np.linalg.eigvalsh(matrix).min()) if finite else float("nan"),
         )
         channel._states["validation"] = measured
+        channel._states["choi_matrix"] = matrix
     tp_residual, cp_min = measured
     ok = tp_residual <= tol and cp_min >= -tol
     return ValidationReport(tp_residual=tp_residual, cp_min_eigenvalue=cp_min, ok=ok)

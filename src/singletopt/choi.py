@@ -5,7 +5,14 @@ through the channel; it encodes the channel completely and its spectral
 structure carries the optimal singlet fraction and optimal input state.
 The dual Choi state (built analogously from the daggered Kraus operators)
 is entrywise the swap-conjugate of the Choi state, so the two share a
-spectrum and paired eigenvectors share Schmidt coefficients.
+spectrum and paired eigenvectors share Schmidt coefficients; that identity
+is checked by the ``dual_choi_entrywise`` row of ``oneshot.IDENTITIES``,
+not here.
+
+Both states are built only for channels that pass
+:func:`singletopt.channel.validate`, the package's one CPTP acceptance rule
+(sum A^dag A within 1e-9 of I, Choi eigenvalues at least -1e-9); a
+channel that fails it raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -14,16 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import KrausChannel, apply_to_half, dual
-from .linalg import (
-    PHI_PLUS,
-    SWAP,
-    EigenDecomposition,
-    eigenvalue_clusters,
-    has_maximally_mixed_marginal,
-    hermitian_eig,
-    swap_conjugate,
-)
+from .channel import KrausChannel, apply_to_half, dual, validate
+from .linalg import PHI_PLUS, SWAP, EigenDecomposition, eigenvalue_clusters, hermitian_eig
 
 __all__ = [
     "ChoiState",
@@ -45,11 +44,6 @@ DEGENERACY_GAP = 1e-8
 # entanglement after a single use; the classical value 1/2 is then reported.
 ENTANGLEMENT_BREAKING_THRESHOLD = 0.5 + 1e-12
 
-# How far from I/2 the first marginal of a Choi state may be.  Built from
-# Kraus operators it is exact up to rounding, so a larger deviation means
-# the channel is not trace preserving.
-_MARGINAL_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class ChoiState:
@@ -60,56 +54,51 @@ class ChoiState:
     source: str = ""
 
 
-def _build(matrix: np.ndarray, source: str, check_marginal: bool) -> ChoiState:
-    trace = np.trace(matrix).real
-    if abs(trace - 1.0) > 1e-12:
-        raise ValueError(f"Choi matrix has trace {trace}, expected 1")
-    eig = hermitian_eig(matrix, tol=1e-9)
-    if eig.eigenvalues.min() < -1e-9:
-        raise ValueError("Choi matrix is not positive semidefinite")
-    if check_marginal and not has_maximally_mixed_marginal(matrix, _MARGINAL_TOL):
-        raise ValueError("Choi matrix first marginal is not maximally mixed")
-    frozen = np.array(matrix)
-    frozen.setflags(write=False)
-    return ChoiState(matrix=frozen, eig=eig, source=source)
+def _build(matrix: np.ndarray, source: str) -> ChoiState:
+    matrix.setflags(write=False)
+    return ChoiState(matrix=matrix, eig=hermitian_eig(matrix, tol=1e-9), source=source)
+
+
+def _require_cptp(channel: KrausChannel) -> None:
+    """The one CPTP gate: raise unless :func:`validate` accepts ``channel``."""
+    check = validate(channel)
+    if not check.ok:
+        raise ValueError(
+            "channel is not CPTP: "
+            f"tp_residual={check.tp_residual:.3e}, "
+            f"cp_min_eigenvalue={check.cp_min_eigenvalue:.3e}"
+        )
 
 
 def choi(channel: KrausChannel) -> ChoiState:
     """Choi state of a channel: send half of |Phi+> through it.
 
-    Built and checked on the first call for a channel object; later calls
-    return the same read-only state.  Only a state that passed its checks is
-    stored, so a channel that fails them raises again on every call.
+    Built on the first call for a channel object from the Choi matrix that
+    :func:`~singletopt.channel.validate` measured; later calls return the
+    same read-only state.  A channel that fails ``validate`` raises
+    ``ValueError`` on every call, and no state is built for it.
     """
     state = channel._states.get("choi")
     if state is None:
-        matrix = apply_to_half(channel, PHI_PLUS)
-        state = _build(matrix, channel.describe(), check_marginal=True)
+        _require_cptp(channel)
+        state = _build(channel._states["choi_matrix"], channel.describe())
         channel._states["choi"] = state
     return state
 
 
 def dual_choi(channel: KrausChannel) -> ChoiState:
-    """Choi-type state of the dual map.
+    """Choi-type state of the dual map, built from the daggered Kraus list.
 
-    Constructed from the daggered Kraus list and cross-checked against the
-    independent identity dual = (V^dag choi V)^*, so both construction paths
-    are exercised once per channel object; later calls return the same
-    read-only state, as for :func:`choi`.  Unit trace and positivity always
-    hold, but the maximally mixed marginal moves to the other side unless
-    the channel is unital, so no marginal condition is imposed here.
+    Gated, memoized and read-only as :func:`choi`.  Its maximally mixed
+    marginal moves to the other side unless the channel is unital.  That it
+    equals the swap-conjugate of :func:`choi` entrywise is the
+    ``dual_choi_entrywise`` row of ``oneshot.IDENTITIES``.
     """
     state = channel._states.get("dual_choi")
     if state is None:
+        _require_cptp(channel)
         matrix = apply_to_half(dual(channel), PHI_PLUS)
-        mirrored = swap_conjugate(apply_to_half(channel, PHI_PLUS))
-        mismatch = np.abs(matrix - mirrored).max()
-        if mismatch > 1e-12:
-            raise AssertionError(
-                f"dual Choi construction mismatch ({mismatch:.3e}): "
-                "Kraus route and swap-conjugate route disagree"
-            )
-        state = _build(matrix, f"dual({channel.describe()})", check_marginal=False)
+        state = _build(matrix, f"dual({channel.describe()})")
         channel._states["dual_choi"] = state
     return state
 

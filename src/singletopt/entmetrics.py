@@ -226,28 +226,8 @@ def _grid_maximum(rho: np.ndarray, resolution_deg: float):
     n_beta = max(3, int(round(np.pi / step)) + 1)
     betas = np.linspace(0.0, np.pi, n_beta)
     phases = np.arange(n_phase) * (2 * np.pi / n_phase)
-
-    half = betas / 2
-    c2 = (np.cos(half) ** 2)[:, None, None]
-    s2 = (np.sin(half) ** 2)[:, None, None]
-    cs = (np.cos(half) * np.sin(half))[:, None, None]
-
-    e = np.exp(1j * phases)
-    a_term = (rho[0, 3] * e**2).real[None, :, None]
-    b_term = (rho[1, 2] * e**2).real[None, None, :]
-    w1 = (rho[0, 2] - rho[1, 3]) * e
-    w2 = (rho[2, 3] - rho[0, 1]) * e
-    cross = (
-        np.outer(w1.real + w2.real, np.cos(phases))
-        - np.outer(w1.imag - w2.imag, np.sin(phases))
-    )[None, :, :]
-
-    diag_c = (rho[0, 0] + rho[3, 3]).real / 2
-    diag_s = (rho[1, 1] + rho[2, 2]).real / 2
-    grid = c2 * (diag_c + a_term) + s2 * (diag_s - b_term) + cs * cross
-
-    flat = int(grid.argmax())
-    ib, ip, im = np.unravel_index(flat, grid.shape)
+    grid = _mes_overlap(rho, betas[:, None, None], phases[:, None], phases)
+    ib, ip, im = np.unravel_index(int(grid.argmax()), grid.shape)
     return float(grid[ib, ip, im]), (betas[ib], phases[ip], phases[im])
 
 

@@ -238,32 +238,30 @@ _NEGATIVITY_MAX_ITERS = 2000
 _NEGATIVITY_BLOCK = 128
 
 
-def _w_step(a: np.ndarray, g: np.ndarray, owner: np.ndarray) -> tuple:
-    """Bottom eigenpair of K G K^dag with K = conj(A) (x) I, per start; each
-    start reads the G of its row ``owner`` of ``g``."""
-    lam, w = np.empty(len(a)), np.empty((len(a), 4), dtype=complex)
-    for start in range(0, len(a), _NEGATIVITY_BLOCK):
+def _bottom_eigenpairs(x: np.ndarray, embed: Callable, g: np.ndarray, owner: np.ndarray) -> tuple:
+    """Bottom eigenpair of M^dag G M per start, with M = ``embed`` of its row
+    of ``x`` and G the row ``owner`` of ``g``."""
+    lam, vec = np.empty(len(x)), np.empty((len(x), 4), dtype=complex)
+    for start in range(0, len(x), _NEGATIVITY_BLOCK):
         block = slice(start, start + _NEGATIVITY_BLOCK)
-        k = np.zeros((len(a[block]), 2, 2, 2, 2), dtype=complex)
-        k[:, :, 0, :, 0] = k[:, :, 1, :, 1] = a[block].conj()
-        k = k.reshape(-1, 4, 4)
-        vals, vecs = np.linalg.eigh(k @ g[owner[block]] @ k.conj().swapaxes(1, 2))
-        lam[block], w[block] = vals[:, 0], vecs[:, :, 0]
-    return lam, w
+        m = embed(x[block])
+        vals, vecs = np.linalg.eigh(m.conj().swapaxes(1, 2) @ g[owner[block]] @ m)
+        lam[block], vec[block] = vals[:, 0], vecs[:, :, 0]
+    return lam, vec
 
 
-def _a_step(w: np.ndarray, g: np.ndarray, owner: np.ndarray) -> np.ndarray:
-    """A, with vec(A) the bottom eigenvector of L(w)^dag G L(w), per start as
-    in :func:`_w_step`; L(w)[(k, j), (l, k')] = delta_kk' w_lj."""
-    a = np.empty((len(w), 2, 2), dtype=complex)
-    for start in range(0, len(w), _NEGATIVITY_BLOCK):
-        block = slice(start, start + _NEGATIVITY_BLOCK)
-        l = np.zeros((len(w[block]), 2, 2, 2, 2), dtype=complex)
-        l[:, 0, :, :, 0] = l[:, 1, :, :, 1] = w[block].reshape(-1, 2, 2).swapaxes(1, 2)
-        l = l.reshape(-1, 4, 4)
-        _, v = np.linalg.eigh(l.conj().swapaxes(1, 2) @ g[owner[block]] @ l)
-        a[block] = v[:, :, 0].reshape(-1, 2, 2)
-    return a
+def _transpose_kron_identity(a: np.ndarray) -> np.ndarray:
+    """A^T (x) I per start: the w-step form is K G K^dag, K = conj(A) (x) I."""
+    m = np.zeros((len(a), 2, 2, 2, 2), dtype=complex)
+    m[:, :, 0, :, 0] = m[:, :, 1, :, 1] = a.swapaxes(1, 2)
+    return m.reshape(-1, 4, 4)
+
+
+def _lift(w: np.ndarray) -> np.ndarray:
+    """L(w) per start, L(w)[(k, j), (l, k')] = delta_kk' w_lj."""
+    l = np.zeros((len(w), 2, 2, 2, 2), dtype=complex)
+    l[:, 0, :, :, 0] = l[:, 1, :, :, 1] = w.reshape(-1, 2, 2).swapaxes(1, 2)
+    return l.reshape(-1, 4, 4)
 
 
 def channel_negativities(channels, seeds) -> list:
@@ -309,7 +307,7 @@ def channel_negativities(channels, seeds) -> list:
     active = np.arange(len(a))
     while True:
         # w-step, which also scores the current A exactly.
-        lam, w = _w_step(a[active], g, owner[active])
+        lam, w = _bottom_eigenpairs(a[active], _transpose_kron_identity, g, owner[active])
         moved = value[active] - lam > 1e-15
         value[active] = lam
         keep = moved & (steps[active] < _NEGATIVITY_MAX_ITERS)
@@ -317,7 +315,7 @@ def channel_negativities(channels, seeds) -> list:
             break
         # A-step on the starts still moving.
         active = active[keep]
-        a[active] = _a_step(w[keep], g, owner[active])
+        a[active] = _bottom_eigenpairs(w[keep], _lift, g, owner[active])[1].reshape(-1, 2, 2)
         steps[active] += 1
     best = value.reshape(-1, per_channel).argmin(axis=1) + per_channel * np.arange(len(live))
     weights = np.linalg.svd(a[best], compute_uv=False)[:, 0] ** 2
@@ -481,16 +479,12 @@ class ChannelReport:
 def report(channel: KrausChannel) -> ChannelReport:
     """Compute all derived quantities and identity residuals for a channel.
 
-    ``residuals`` holds every applicable reported row of ``IDENTITIES``.
-    Raises ``ValueError`` if the channel fails CPTP validation.
+    ``residuals`` holds every applicable reported row of ``IDENTITIES``,
+    among them ``dual_choi_entrywise``, the one check that the dual Choi
+    state is the swap-conjugate of the Choi state.  A channel that fails
+    :func:`~singletopt.channel.validate` raises the ``ValueError`` of
+    :func:`~singletopt.choi.choi`.
     """
-    check = validate(channel)
-    if not check.ok:
-        raise ValueError(
-            "channel is not CPTP: "
-            f"tp_residual={check.tp_residual:.3e}, "
-            f"cp_min_eigenvalue={check.cp_min_eigenvalue:.3e}"
-        )
     ctx = IdentityContext(channel)
     frac = optimal_singlet_fraction(channel)
     return ChannelReport(

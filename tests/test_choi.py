@@ -10,6 +10,7 @@ from singletopt.channel import (
     depolarizing,
     identity,
     kraus_from_choi,
+    validate,
 )
 from singletopt.choi import (
     DEGENERACY_GAP,
@@ -146,9 +147,9 @@ def builds(monkeypatch):
     sources = []
     original = choi_module._build
 
-    def counting(matrix, source, check_marginal):
+    def counting(matrix, source):
         sources.append(source)
-        return original(matrix, source, check_marginal)
+        return original(matrix, source)
 
     monkeypatch.setattr(choi_module, "_build", counting)
     return sources
@@ -180,20 +181,21 @@ def test_equal_channels_build_their_own_states(builds):
 def test_invalid_channel_raises_on_every_call(builds, build):
     c = KrausChannel(kraus=(2 * I2,))
     for _ in range(2):
-        with pytest.raises(ValueError, match="trace"):
+        with pytest.raises(ValueError, match="not CPTP"):
             build(c)
-    assert len(builds) == 2
+    assert len(builds) == 0
 
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-7])
 def test_marginal_tolerance_of_each_caller(eps):
     """A unit-trace map with sum A^dag A = I + eps Z has first marginal
-    eps / sqrt(2) away from I/2: past the Choi build's 1e-10 at either
-    eps, past the 1e-8 of Kraus extraction and the PT identity only at
-    the larger one."""
+    eps / sqrt(2) away from I/2 and tp_residual sqrt(2) eps: past
+    ``validate``'s 1e-9, so rejected by the Choi build, at either eps,
+    past the 1e-8 of Kraus extraction and the PT identity only at the
+    larger one."""
     c = KrausChannel(kraus=(np.diag([np.sqrt(1 + eps), np.sqrt(1 - eps)]),))
     matrix = choi_matrix(c)
-    with pytest.raises(ValueError, match="first marginal is not maximally mixed"):
+    with pytest.raises(ValueError, match="not CPTP"):
         choi(c)
     if eps < 1e-8:
         assert len(kraus_from_choi(matrix).kraus) == 1
@@ -203,3 +205,24 @@ def test_marginal_tolerance_of_each_caller(eps):
             kraus_from_choi(matrix)
         with pytest.raises(ValueError, match="first marginal is not maximally mixed"):
             pt_spectrum_identity_residual(matrix)
+
+
+def _near_tp(eps, direction):
+    """A one-operator map with sum A^dag A = I + eps Z or (1 + eps) I."""
+    diagonal = [1 + eps, 1 - eps] if direction == "Z" else [1 + eps, 1 + eps]
+    return KrausChannel(kraus=(np.diag(np.sqrt(diagonal)),))
+
+
+@pytest.mark.parametrize("build", [choi, dual_choi])
+@pytest.mark.parametrize("direction", ["Z", "I"])
+@pytest.mark.parametrize("eps, accepted", [(1e-10, True), (5e-10, True), (1e-9, False), (1e-7, False)])
+def test_build_raises_exactly_when_validate_rejects(build, direction, eps, accepted):
+    # tp_residual is sqrt(2) eps in both directions, so validate's 1e-9
+    # falls between 5e-10 and 1e-9.
+    c = _near_tp(eps, direction)
+    assert validate(c).ok == accepted
+    if accepted:
+        assert build(c) is build(c)
+    else:
+        with pytest.raises(ValueError, match="not CPTP: tp_residual="):
+            build(c)

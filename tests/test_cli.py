@@ -96,6 +96,24 @@ def test_analyze_overflowing_kraus_exits_3(capsys, tmp_path, scale):
     assert err.startswith("error: channel failed CPTP validation: tp_residual=")
 
 
+@pytest.mark.parametrize("eps, expected", [(5e-10, 0), (1e-7, 3)])
+def test_analyze_near_tp_channel_exits_by_validate(capsys, tmp_path, eps, expected):
+    # sum A^dag A = I + eps Z: tp_residual sqrt(2) eps, either side of 1e-9.
+    # Accepted channels are analyzed in full; rejected ones end in exit 3.
+    diagonal = np.sqrt([1 + eps, 1 - eps])
+    spec = {"kraus": [[[[diagonal[0], 0.0], [0.0, 0.0]], [[0.0, 0.0], [diagonal[1], 0.0]]]]}
+    path = tmp_path / "near_tp.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(["analyze", "--file", str(path)], capsys)
+    assert code == expected
+    if expected == 0:
+        assert err == ""
+        assert "\n  tp: " in out
+    else:
+        assert out == ""
+        assert err.startswith("error: channel failed CPTP validation: tp_residual=")
+
+
 def test_analyze_validates_each_channel_once(capsys, monkeypatch):
     from singletopt import channel as channel_module
 
