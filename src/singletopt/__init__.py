@@ -9,16 +9,12 @@ paired with an independent brute-force oracle.
 """
 
 from .channel import (
-    BlochRepresentation,
-    CanonicalForm,
     KrausChannel,
     ValidationReport,
     amplitude_damping,
     apply,
     apply_to_half,
     bit_flip,
-    bloch_representation,
-    canonical_form,
     channel_from_dict,
     channel_to_dict,
     choi_matrix,

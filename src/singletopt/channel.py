@@ -1,7 +1,6 @@
 """Qubit channels in Kraus form.
 
-Construction, CPTP validation, duals, unitality, the affine Bloch-sphere
-picture with its canonical (diagonalized) form, and extraction of a
+Construction, CPTP validation, duals, unitality and extraction of a
 trace-orthogonal Kraus set from a Choi matrix.  Channels are immutable and
 all operations are pure functions.
 """
@@ -19,7 +18,6 @@ from .linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    PAULIS,
     PHI_PLUS,
     has_maximally_mixed_marginal,
     hermitian_eig,
@@ -29,16 +27,12 @@ from .linalg import (
 __all__ = [
     "KrausChannel",
     "ValidationReport",
-    "BlochRepresentation",
-    "CanonicalForm",
     "validate",
     "dual",
     "is_unital",
     "apply",
     "apply_to_half",
     "choi_matrix",
-    "bloch_representation",
-    "canonical_form",
     "kraus_from_choi",
     "identity",
     "unitary",
@@ -187,128 +181,6 @@ def choi_matrix(channel: KrausChannel) -> np.ndarray:
     return apply_to_half(channel, PHI_PLUS)
 
 
-@dataclass(frozen=True)
-class BlochRepresentation:
-    """Affine action r -> T r + t on Bloch vectors."""
-
-    T: np.ndarray
-    t: np.ndarray
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        r = _bloch_vector(rho)
-        return _from_bloch(self.T @ r + self.t, float(np.trace(rho).real))
-
-
-def _bloch_vector(rho: np.ndarray) -> np.ndarray:
-    return np.array(
-        [np.trace(sigma @ rho).real for sigma in (PAULI_X, PAULI_Y, PAULI_Z)]
-    )
-
-
-def _from_bloch(r: np.ndarray, trace: float = 1.0) -> np.ndarray:
-    out = trace * I2 / 2
-    for coeff, sigma in zip(r, (PAULI_X, PAULI_Y, PAULI_Z)):
-        out = out + coeff * sigma / 2
-    return out
-
-
-def bloch_representation(channel: KrausChannel) -> BlochRepresentation:
-    """T_ij = Tr(sigma_i L(sigma_j))/2 and t_i = Tr(sigma_i L(I))/2."""
-    sigmas = (PAULI_X, PAULI_Y, PAULI_Z)
-    T = np.empty((3, 3))
-    for j, sj in enumerate(sigmas):
-        image = apply(channel, sj)
-        for i, si in enumerate(sigmas):
-            T[i, j] = np.trace(si @ image).real / 2
-    t = np.array(
-        [np.trace(si @ apply(channel, I2)).real / 2 for si in sigmas]
-    )
-    T.setflags(write=False)
-    t.setflags(write=False)
-    return BlochRepresentation(T=T, t=t)
-
-
-def _su2_from_rotation(R: np.ndarray) -> np.ndarray:
-    """SU(2) element covering a proper rotation R (quaternion extraction).
-
-    The returned U satisfies U (r.sigma) U^dag = ((R r).sigma) for all r.
-    """
-    tr = R[0, 0] + R[1, 1] + R[2, 2]
-    if tr > 0:
-        s = np.sqrt(1.0 + tr) * 2
-        w = 0.25 * s
-        x = (R[2, 1] - R[1, 2]) / s
-        y = (R[0, 2] - R[2, 0]) / s
-        z = (R[1, 0] - R[0, 1]) / s
-    elif R[0, 0] >= R[1, 1] and R[0, 0] >= R[2, 2]:
-        s = np.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2
-        w = (R[2, 1] - R[1, 2]) / s
-        x = 0.25 * s
-        y = (R[0, 1] + R[1, 0]) / s
-        z = (R[0, 2] + R[2, 0]) / s
-    elif R[1, 1] >= R[2, 2]:
-        s = np.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2
-        w = (R[0, 2] - R[2, 0]) / s
-        x = (R[0, 1] + R[1, 0]) / s
-        y = 0.25 * s
-        z = (R[1, 2] + R[2, 1]) / s
-    else:
-        s = np.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2
-        w = (R[1, 0] - R[0, 1]) / s
-        x = (R[0, 2] + R[2, 0]) / s
-        y = (R[1, 2] + R[2, 1]) / s
-        z = 0.25 * s
-    return w * I2 - 1j * (x * PAULI_X + y * PAULI_Y + z * PAULI_Z)
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Decomposition L = U1 . L' . U2 with L' diagonal in the Bloch picture.
-
-    ``lambdas`` holds the signed singular values of the Bloch matrix (any
-    reflection is absorbed into the sign of the third entry) and ``t`` the
-    translation expressed in the canonical frame.
-    """
-
-    U1: np.ndarray
-    U2: np.ndarray
-    lambdas: np.ndarray
-    t: np.ndarray
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        inner = self.U2 @ np.asarray(rho, dtype=complex) @ self.U2.conj().T
-        r = _bloch_vector(inner)
-        mapped = _from_bloch(self.lambdas * r + self.t, float(np.trace(rho).real))
-        return self.U1 @ mapped @ self.U1.conj().T
-
-
-def canonical_form(channel: KrausChannel) -> CanonicalForm:
-    """Rotate the Bloch action into diagonal form.
-
-    The Bloch matrix is factored T = R1 D R2 with R1, R2 proper rotations
-    and D the signed singular values; U1, U2 are SU(2) elements covering R1
-    and R2, and the translation is moved into the canonical frame.
-    """
-    rep = bloch_representation(channel)
-    u, s, vt = np.linalg.svd(rep.T)
-    du = np.linalg.det(u)
-    dv = np.linalg.det(vt)
-    r1 = u.copy()
-    r1[:, 2] *= du
-    r2 = vt.copy()
-    r2[2, :] *= dv
-    lambdas = np.array([s[0], s[1], s[2] * du * dv])
-    t_canonical = r1.T @ rep.t
-    lambdas.setflags(write=False)
-    t_canonical.setflags(write=False)
-    return CanonicalForm(
-        U1=_su2_from_rotation(r1),
-        U2=_su2_from_rotation(r2),
-        lambdas=lambdas,
-        t=t_canonical,
-    )
-
-
 # How far from I/2 the first marginal of a Choi matrix handed to
 # :func:`kraus_from_choi` may be; matrices read from outside the package
 # get the same 1e-8 slack as its Hermiticity check.
@@ -329,6 +201,12 @@ def kraus_from_choi(choi) -> KrausChannel:
         raise ValueError(f"expected a 4x4 Choi matrix, got shape {matrix.shape}")
     if not has_maximally_mixed_marginal(matrix, _MARGINAL_TOL):
         raise ValueError("Choi matrix does not have a maximally mixed first marginal")
+    return _kraus_set(matrix)
+
+
+def _kraus_set(matrix: np.ndarray) -> KrausChannel:
+    """One operator sqrt(2 p_k) [v_k reshaped column-wise] per eigenpair
+    (p_k, |v_k>) of the 4x4 Choi matrix with p_k >= 1e-12."""
     eig = hermitian_eig(matrix, tol=1e-8)
     ops = []
     for p, vec in zip(eig.eigenvalues, eig.eigenvectors.T):
@@ -497,7 +375,10 @@ def channel_from_dict(data: Mapping) -> KrausChannel:
     """Parse either {"name": ..., "params": {...}} or {"kraus": [...]}.
 
     Kraus lists longer than four operators are compressed through the Choi
-    matrix back to a trace-orthogonal set of at most four.
+    matrix back to a trace-orthogonal set of at most four.  The Choi matrix
+    of a Kraus list is positive, so any list compresses; the result keeps
+    the list's sum A^dag A, and :func:`validate` judges it as it judges a
+    short list.
     """
     if not isinstance(data, Mapping):
         raise ValueError("channel spec must be a JSON object")
@@ -519,6 +400,6 @@ def channel_from_dict(data: Mapping) -> KrausChannel:
             raise ValueError("empty Kraus list")
         if len(ops) > 4:
             bell = np.outer(PHI_PLUS, PHI_PLUS.conj())
-            return kraus_from_choi(_act_on_second(np.array(ops), bell))
+            return _kraus_set(_act_on_second(np.array(ops), bell))
         return KrausChannel(kraus=tuple(ops), label="custom")
     raise ValueError("channel spec needs a 'name' or 'kraus' field")

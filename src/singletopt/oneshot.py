@@ -5,8 +5,9 @@ Choi state; the pure input achieving it is the top eigenvector of the dual
 Choi state, maximally entangled exactly when the channel is unital.  This
 module computes those, the related teleportation fidelity, the negativity
 identity lambda_max = (1 + N)/2, the output negativity maximized over all
-pure inputs by alternating eigen-steps (for many channels at once in one
-batched search), and an aggregated report.
+pure inputs under a closed-form upper bound that certifies the maximally
+entangled input on unital channels (elsewhere by alternating eigen-steps,
+for many channels at once in one batched search), and an aggregated report.
 
 ``IDENTITIES`` lists every identity the package rests on, each as a
 residual with its tolerance; :func:`report` shows the closed-form ones and
@@ -215,10 +216,15 @@ def negativity_relation_residual(channel: KrausChannel) -> float:
 
 @dataclass(frozen=True)
 class NegativitySearch:
-    """Best output negativity found over pure inputs.
+    """Best output negativity found over pure inputs, with an upper bound.
 
-    ``iterations`` counts the winning start's steps; ``converged`` is False
-    only if some start hit the step cap of :func:`channel_negativities`.
+    ``iterations`` counts the winning start's steps, 0 where the bound
+    certifies the maximally entangled input and no search runs;
+    ``converged`` is False only if some start hit the step cap of
+    :func:`channel_negativities`.  ``upper`` bounds the output negativity
+    of every pure input: 4 ||W||_inf for a W with (J + W)^Gamma >= 0, equal
+    to ``value`` to 1e-12 where it certifies, 0.0 on entanglement-breaking
+    channels.
     """
 
     value: float
@@ -226,6 +232,7 @@ class NegativitySearch:
     schmidt_weight: float
     iterations: int
     converged: bool
+    upper: float
 
 
 # Random starts of the negativity search, next to the maximally entangled one.
@@ -264,23 +271,57 @@ def _lift(w: np.ndarray) -> np.ndarray:
     return l.reshape(-1, 4, 4)
 
 
+# Widest gap between the certified bound and the maximally entangled input's
+# negativity at which that input is returned unsearched.
+_CERTIFIED_GAP = 1e-12
+
+
+def _mes_certificates(states) -> tuple:
+    """G = J^Gamma, the maximally entangled input's output negativity and an
+    upper bound on every pure input's, for each Choi state J.
+
+    With (lambda, e) the top eigenpair of J, t = (2 lambda - 1)/4 and
+    W = t (I - 2 ee^dag), eps = max(0, -lambda_min((J + W)^Gamma)) makes
+    (J + W + eps I)^Gamma >= 0.  Since ||(vv^dag)^Gamma||_1 = ||V||_1^2 for a
+    pure input v, V its 2x2 amplitude matrix, every output negativity is at
+    most 4 ||W + eps I||_inf = 4 (t + eps) (Vidal and Werner, PRA 65,
+    032314).  The maximally entangled input reaches -2 lambda_min(G) =
+    2 lambda - 1, so the bound closes where eps vanishes.  It does on every
+    unital channel: J is then Bell-diagonal up to local unitaries and
+    (J + W)^Gamma has lambda_min = 1/2 + 2t - lambda = 0.
+    """
+    lam = np.array([state.eig.eigenvalues[0] for state in states])
+    e = np.array([state.eig.eigenvectors[:, 0] for state in states])
+    t = (2.0 * lam - 1.0) / 4.0
+    w = t[:, None, None] * (np.eye(4) - 2.0 * e[:, :, None] * e[:, None, :].conj())
+    g = partial_transpose(np.array([state.matrix for state in states]))
+    bottom = np.linalg.eigvalsh(np.concatenate([g, g + partial_transpose(w)]))[:, 0]
+    reached, shifted = np.split(bottom, 2)
+    return g, -2.0 * reached, 4.0 * (t + np.maximum(0.0, -shifted))
+
+
 def channel_negativities(channels, seeds) -> list:
     """Maximize output negativity over all pure inputs, for each channel.
 
     With J the Choi state and G = J^Gamma (kept qubit), the input
     ``A.reshape(4)``, ||A||_F = 1, has output negativity
-    -4 min over unit w of <w|(conj(A) (x) I) G (A^T (x) I)|w>.  Two exact
-    eigen-steps alternate: with A fixed, w is the bottom eigenvector of that
-    form; with w fixed, (A^T (x) I) w = L(w) vec(A) and vec(A) becomes the
-    bottom eigenvector of L(w)^dag G L(w).  No step lowers the negativity.
-    Each channel searches from the maximally entangled start and 16 random
-    ones drawn from its seed, so its result never falls below its Choi
-    negativity; a start retires once a step gains at most 1e-15, or after
+    -4 min over unit w of <w|(conj(A) (x) I) G (A^T (x) I)|w>.
+    lambda_min(G) = 1/2 - lambda_max(J), so G >= 0 (up to 1e-12) on a
+    channel flagged entanglement breaking: every output is separable, and
+    the result is 0.0 at the maximally entangled input.  Every other channel
+    gets the upper bound of :func:`_mes_certificates`; where it is within
+    1e-12 of the maximally entangled input's negativity (on every unital
+    channel), that input is returned with ``iterations = 0`` and no search.
+    The rest are searched: two exact eigen-steps alternate.  With A fixed, w
+    is the bottom eigenvector of the form above; with w fixed,
+    (A^T (x) I) w = L(w) vec(A) and vec(A) becomes the bottom eigenvector of
+    L(w)^dag G L(w).  No step lowers the negativity.  Each searched channel
+    starts from the maximally entangled input and 16 random ones drawn from
+    its seed, so its result never falls below its Choi negativity; a start
+    retires once a step gains at most 1e-15, or after
     ``_NEGATIVITY_MAX_ITERS`` steps.  The starts of all channels step
     together, each with its own channel's G, and each channel returns the
-    best of its own starts.  lambda_min(G) = 1/2 - lambda_max(J), so G >= 0
-    (up to 1e-12) on a channel flagged entanglement breaking: every output
-    is separable, and the result is 0.0 at the maximally entangled input.
+    best of its own starts.
     """
     if len(seeds) != len(channels):
         raise ValueError(f"{len(channels)} channels but {len(seeds)} seeds")
@@ -288,9 +329,17 @@ def channel_negativities(channels, seeds) -> list:
     results, live = [None] * len(channels), []
     for i, channel in enumerate(channels):
         if float(choi(channel).eig.eigenvalues[0]) <= ENTANGLEMENT_BREAKING_THRESHOLD:
-            results[i] = NegativitySearch(0.0, mes.flatten(), 0.5, 0, True)
+            results[i] = NegativitySearch(0.0, mes.flatten(), 0.5, 0, True, 0.0)
         else:
             live.append(i)
+    if not live:
+        return results
+    g, reached, upper = _mes_certificates([choi(channels[i]) for i in live])
+    closed = upper - reached <= _CERTIFIED_GAP
+    for i, value, bound in zip(np.array(live)[closed], reached[closed], upper[closed]):
+        results[i] = NegativitySearch(float(value), mes.flatten(), 0.5, 0, True, float(bound))
+    live = [i for i, done in zip(live, closed) if not done]
+    g, upper = g[~closed], upper[~closed]
     if not live:
         return results
     starts = []
@@ -300,7 +349,6 @@ def channel_negativities(channels, seeds) -> list:
         starts += [mes[None], filter_batch(scale, x[:, 1], x[:, 2])]
     a = np.concatenate(starts)
     per_channel = _NEGATIVITY_RESTARTS + 1
-    g = partial_transpose(np.array([choi(channels[i]).matrix for i in live]))
     owner = np.repeat(np.arange(len(live)), per_channel)
     value = np.full(len(a), np.inf)
     steps = np.zeros(len(a), dtype=int)
@@ -327,6 +375,7 @@ def channel_negativities(channels, seeds) -> list:
             schmidt_weight=float(weights[j]),
             iterations=int(steps[best[j]]),
             converged=bool(converged[j]),
+            upper=float(upper[j]),
         )
     return results
 

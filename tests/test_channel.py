@@ -9,8 +9,6 @@ from singletopt.channel import (
     apply,
     apply_to_half,
     bit_flip,
-    bloch_representation,
-    canonical_form,
     channel_from_dict,
     channel_to_dict,
     choi_matrix,
@@ -189,66 +187,6 @@ def test_apply_to_half_keeps_first_marginal():
         before = state.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
         after = out.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
         np.testing.assert_allclose(after, before, atol=1e-10)
-
-
-def test_bloch_representation_identity():
-    rep = bloch_representation(identity())
-    np.testing.assert_allclose(rep.T, np.eye(3), atol=1e-12)
-    np.testing.assert_allclose(rep.t, np.zeros(3), atol=1e-12)
-
-
-def test_bloch_representation_amplitude_damping():
-    p = 0.3
-    rep = bloch_representation(amplitude_damping(p))
-    root = np.sqrt(1 - p)
-    np.testing.assert_allclose(rep.T, np.diag([root, root, 1 - p]), atol=1e-12)
-    np.testing.assert_allclose(rep.t, [0, 0, p], atol=1e-12)
-
-
-def test_bloch_representation_depolarizing():
-    p = 0.4
-    rep = bloch_representation(depolarizing(p))
-    np.testing.assert_allclose(rep.T, (1 - p) * np.eye(3), atol=1e-12)
-    np.testing.assert_allclose(rep.t, np.zeros(3), atol=1e-12)
-
-
-def test_bloch_representation_reproduces_channel():
-    rng = np.random.default_rng(14)
-    for c in random_channels(37, 6):
-        rep = bloch_representation(c)
-        for _ in range(10):
-            r = rng.standard_normal(3)
-            r *= rng.uniform(0, 1) / np.linalg.norm(r)
-            rho = (I2 + r[0] * PAULI_X + r[1] * PAULI_Y + r[2] * PAULI_Z) / 2
-            np.testing.assert_allclose(rep.apply(rho), apply(c, rho), atol=1e-10)
-
-
-def test_canonical_form_identity_and_amplitude_damping():
-    cf = canonical_form(identity())
-    np.testing.assert_allclose(cf.lambdas, [1, 1, 1], atol=1e-12)
-    np.testing.assert_allclose(cf.t, np.zeros(3), atol=1e-12)
-
-    p = 0.4
-    cf = canonical_form(amplitude_damping(p))
-    root = np.sqrt(1 - p)
-    np.testing.assert_allclose(sorted(cf.lambdas, reverse=True), [root, root, 1 - p], atol=1e-12)
-    np.testing.assert_allclose(np.linalg.norm(cf.t), p, atol=1e-12)
-
-
-def test_canonical_form_unitary_channel():
-    rng = np.random.default_rng(15)
-    cf = canonical_form(unitary(random_unitary(rng)))
-    np.testing.assert_allclose(np.abs(cf.lambdas), [1, 1, 1], atol=1e-10)
-    np.testing.assert_allclose(cf.t, np.zeros(3), atol=1e-10)
-
-
-def test_canonical_form_recomposition():
-    rng = np.random.default_rng(16)
-    for c in random_channels(41, 8):
-        cf = canonical_form(c)
-        for _ in range(13):
-            rho = random_density(rng, dim=2)
-            np.testing.assert_allclose(cf.apply(rho), apply(c, rho), atol=1e-9)
 
 
 def test_kraus_from_choi_identity():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from singletopt.channel import (
+    KrausChannel,
     amplitude_damping,
     apply_to_half,
     bit_flip,
@@ -224,8 +225,82 @@ def test_channel_negativity_beats_random_inputs():
 def test_channel_negativity_is_exactly_zero_when_entanglement_breaking(channel):
     search = channel_negativity(channel)
     assert search.value == 0.0
+    assert search.upper == 0.0
     assert search.iterations == 0
     assert search.converged
+
+
+def _unital_channel(rng):
+    """A random Pauli mixture between random unitaries: unital, and not
+    Bell-diagonal in the standard basis."""
+    u, v = random_unitary(rng), random_unitary(rng)
+    mixture = random_pauli_mixture(rng)
+    return KrausChannel(kraus=tuple(u @ op @ v for op in mixture.kraus), label="unital")
+
+
+def _certificate_cases():
+    rng = np.random.default_rng(4242)
+    cases = [random_channel(9000 + k, 1 + k % 4) for k in range(60)]
+    cases += [random_pauli_mixture(rng) for _ in range(10)]
+    cases += [_unital_channel(rng) for _ in range(10)]
+    return cases
+
+
+def test_negativity_upper_bound_holds():
+    cases = _certificate_cases()
+    closed = 0
+    for k, (c, search) in enumerate(zip(cases, channel_negativities(cases, range(len(cases))))):
+        assert search.upper >= search.value - 1e-14, k
+        if search.upper - search.value > 1e-12:
+            continue
+        # A certified row is the maximally entangled input, unsearched.
+        closed += 1
+        assert search.iterations == 0 and search.converged
+        assert search.schmidt_weight == 0.5
+        out = apply_to_half(c, search.input_state)
+        assert abs(negativity(out) - search.value) <= 1e-12
+    assert 20 <= closed < len(cases)
+
+
+def test_negativity_certificate_is_feasible():
+    # Rebuilt from the top Choi eigenpair with plain numpy: W = t (I - 2 ee^dag),
+    # t = (2 lambda - 1)/4, and eps = upper/4 - t must make (J + W + eps I)^Gamma >= 0.
+    cases = _certificate_cases()
+    for c, search in zip(cases, channel_negativities(cases, range(len(cases)))):
+        eig = choi(c).eig
+        lam, e = float(eig.eigenvalues[0]), eig.eigenvectors[:, 0]
+        if lam <= 0.5 + 1e-12:
+            continue
+        t = (2 * lam - 1) / 4
+        eps = search.upper / 4 - t
+        assert eps >= 0.0
+        m = choi(c).matrix + t * (np.eye(4) - 2 * np.outer(e, e.conj())) + eps * np.eye(4)
+        gamma = m.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
+        assert np.linalg.eigvalsh(gamma).min() >= -1e-14
+
+
+@pytest.mark.parametrize("family", ["depolarizing", "phase_damping", "bit_flip"])
+def test_negativity_certificate_closes_on_unital_sweep_rows(family):
+    channels = [named_channel(family, {"p": float(p)}) for p in np.linspace(0.0, 1.0, 21)]
+    searched = 0
+    for c, search in zip(channels, channel_negativities(channels, range(21))):
+        if optimal_singlet_fraction(c).entanglement_breaking:
+            continue
+        searched += 1
+        assert search.iterations == 0
+        assert abs(search.upper - search.value) <= 1e-12
+        assert abs(search.value - negativity(choi(c).matrix)) <= 1e-12
+    assert searched >= 14
+
+
+def test_negativity_certificate_stays_open_on_amplitude_damping():
+    # Nonunital: the maximally entangled input is beaten, so the search runs.
+    channels = [amplitude_damping(float(p)) for p in np.linspace(0.0, 1.0, 21)[1:-1]]
+    for c, search in zip(channels, channel_negativities(channels, range(19))):
+        assert search.upper - search.value > 1e-12
+        assert search.iterations > 0
+        assert search.value > negativity(choi(c).matrix) + 1e-4
+        assert search.upper >= search.value - 1e-14
 
 
 @pytest.mark.parametrize(
@@ -257,6 +332,7 @@ def test_channel_negativities_equal_the_row_by_row_searches():
         assert found.converged == alone.converged
         assert np.array_equal(found.input_state, alone.input_state)
         assert found.schmidt_weight == alone.schmidt_weight
+        assert found.upper == alone.upper
         breaking += found.iterations == 0 and found.value == 0.0
     assert breaking >= 3
     assert channel_negativities([], []) == []
