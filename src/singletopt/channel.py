@@ -108,10 +108,11 @@ def validate(channel: KrausChannel, tol: float = 1e-9) -> ValidationReport:
     if measured is None:
         with np.errstate(over="ignore", invalid="ignore"):
             total = sum(op.conj().T @ op for op in channel.kraus)
+            tp_residual = float(np.linalg.norm(total - I2))
             matrix = choi_matrix(channel)
         finite = np.isfinite(matrix).all()
         measured = (
-            float(np.linalg.norm(total - I2)),
+            tp_residual,
             float(np.linalg.eigvalsh(matrix).min()) if finite else float("nan"),
         )
         channel._states["validation"] = measured
@@ -371,14 +372,34 @@ def channel_to_dict(channel: KrausChannel) -> dict:
     return {"kraus": [_matrix_to_pairs(op) for op in channel.kraus]}
 
 
+def _compressed(ops: np.ndarray) -> KrausChannel:
+    """The Kraus set of the Choi matrix of stacked (k, 2, 2) operators.
+
+    The Choi matrix is quadratic in the operators, so where it overflows the
+    list is compressed at the power-of-two scale that brings every real and
+    imaginary part below 1, and the result is scaled back: the same set in
+    exact arithmetic, left for :func:`validate` to reject.
+    """
+    bell = np.outer(PHI_PLUS, PHI_PLUS.conj())
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = _act_on_second(ops, bell)
+    if np.isfinite(matrix).all():
+        return _kraus_set(matrix)
+    exponent = np.frexp(np.abs(ops.view(float)).max())[1]
+    small = _kraus_set(_act_on_second(np.ldexp(ops.view(float), -exponent).view(complex), bell))
+    with np.errstate(over="ignore"):
+        kraus = tuple(np.ldexp(op.view(float), exponent).view(complex) for op in small.kraus)
+    return KrausChannel(kraus=kraus, label="from_choi")
+
+
 def channel_from_dict(data: Mapping) -> KrausChannel:
     """Parse either {"name": ..., "params": {...}} or {"kraus": [...]}.
 
     Kraus lists longer than four operators are compressed through the Choi
     matrix back to a trace-orthogonal set of at most four.  The Choi matrix
-    of a Kraus list is positive, so any list compresses; the result keeps
-    the list's sum A^dag A, and :func:`validate` judges it as it judges a
-    short list.
+    of a Kraus list is positive, so any list compresses (at a smaller scale
+    where that matrix overflows); the result keeps the list's sum A^dag A,
+    and :func:`validate` judges it as it judges a short list.
     """
     if not isinstance(data, Mapping):
         raise ValueError("channel spec must be a JSON object")
@@ -399,7 +420,6 @@ def channel_from_dict(data: Mapping) -> KrausChannel:
         if not ops:
             raise ValueError("empty Kraus list")
         if len(ops) > 4:
-            bell = np.outer(PHI_PLUS, PHI_PLUS.conj())
-            return _kraus_set(_act_on_second(np.array(ops), bell))
+            return _compressed(np.array(ops))
         return KrausChannel(kraus=tuple(ops), label="custom")
     raise ValueError("channel spec needs a 'name' or 'kraus' field")

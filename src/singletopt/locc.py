@@ -27,16 +27,21 @@ iterate Y is dual feasible, so 1/2 + Tr Y / 2 is an upper bound, and the
 smallest eigenvector of rho^Gamma + Y (x) I fixes a Schmidt frame on which
 the primal minimization over the second singular value and the relative
 phase is exact, giving a feasible x and hence an achievable protocol value
-as the lower bound.  The solve stops once the bracket is narrower than
-``GAP_TOLERANCE`` and raises if that takes more than ``MAX_NEWTON_STEPS``
-steps, so a reported F* is never an unconverged estimate.  The lower end
-is a rank-one value and the upper end bounds the full program, so a closed
-bracket also certifies rank-one optimality for that state.  The solve
-takes leading batch axes: one Newton loop advances a whole stack of
-states, each retiring on its own bracket, and :func:`channel_fstars`
-solves many channels' Choi states in one such call.  The filter protocol
-oracle maximizes the primal protocol value directly, by an independent
-route.
+as the lower bound.  Before any Newton step the bottom eigenvector of
+rho^Gamma is tried as that frame, against the dual point
+Y = (delta - lambda_min(rho^Gamma)) I: wherever the vector is maximally
+entangled the two ends meet at 1/2 - lambda_min(rho^Gamma) in closed form
+and no barrier step runs.  On every unital Choi state it is, and that value
+is lambda_max(rho), the paper's optimum without post-processing.  The
+solve stops once the bracket is narrower than ``GAP_TOLERANCE`` and raises
+if that takes more than ``MAX_NEWTON_STEPS`` steps, so a reported F* is
+never an unconverged estimate.  The lower end is a rank-one value and the
+upper end bounds the full program, so a closed bracket also certifies
+rank-one optimality for that state.  The solve takes leading batch axes:
+one Newton loop advances a whole stack of states, each retiring on its own
+bracket, and :func:`channel_fstars` solves many channels' Choi states in
+one such call.  The filter protocol oracle maximizes the primal protocol
+value directly, by an independent route.
 """
 
 from __future__ import annotations
@@ -75,8 +80,8 @@ __all__ = [
 # Width of the certified bracket at which the dual solve stops.
 GAP_TOLERANCE = 1e-10
 # Newton steps after which an unclosed bracket raises.  Random states of
-# rank 1-4, the named channels' Choi states and pure product states (PPT up
-# to rounding) close within 64.
+# rank 2-4 and the named channels' Choi states close within 64; pure states
+# and states PPT up to rounding close at step 0.
 MAX_NEWTON_STEPS = 200
 
 _S1 = 1.0 / np.sqrt(2.0)
@@ -95,6 +100,10 @@ _T_GROWTH = 50.0
 _CENTERED = 1e-3
 # Barrier parameter: log det of the 4x4 M plus log det of the 2x2 Y.
 _BARRIER_NU = 6.0
+# Margin by which the step-0 dual point Y = (delta - lambda_min) I clears
+# lambda_min(rho^Gamma + Y (x) I) = 0; far below GAP_TOLERANCE and far above
+# the eigensolver's rounding.
+_STEP0_MARGIN = 1e-12
 
 
 def _frame_minimum(gamma: np.ndarray, v: np.ndarray):
@@ -139,7 +148,8 @@ class FstarCertificate:
     most 1/sqrt(2); it attains ``lower = 1/2 - min(0, <x|rho^Gamma|x>)``
     (the zero vector stands for preparing a separable state).  ``dual`` is
     a 2x2 matrix Y with Y >= 0 and rho^Gamma + Y (x) I >= 0, giving
-    ``upper = 1/2 + Tr Y / 2``.  ``newton_steps`` counts the barrier steps.
+    ``upper = 1/2 + Tr Y / 2``.  ``newton_steps`` counts the barrier steps;
+    0 means the state is PPT or its bracket closed in closed form at step 0.
     For a stack of states every field carries the stack's leading axes.
     """
 
@@ -168,6 +178,15 @@ def fstar_certificate(rho: np.ndarray) -> FstarCertificate:
     raises ``RuntimeError`` if that has not happened within
     ``MAX_NEWTON_STEPS``.  A PPT state returns ``(1/2, 1/2)`` exactly,
     without iterating.
+
+    Step 0 closes the bracket in closed form where it can: the start M
+    shares rho^Gamma's eigenvectors, the frame of the bottom one gives the
+    lower end, and Y = (delta - lambda_min) I with delta = 1e-12 the upper
+    end, checked strictly feasible as on the Newton path.  The bracket is
+    then delta wide wherever that eigenvector is maximally entangled (every
+    unital Choi state, where F* = lambda_max(rho)) and on states PPT up to
+    rounding; such a state returns with ``newton_steps == 0``.  Every other
+    state runs the barrier loop unchanged.
 
     Leading axes of ``rho`` are batch axes: one loop advances every state of
     a (..., 4, 4) stack, each retiring on its own bracket, and the fields
@@ -199,6 +218,23 @@ def fstar_certificate(rho: np.ndarray) -> FstarCertificate:
         # at a centered iterate, the primal frame.
         vals, vecs = np.linalg.eigh(gamma + (z @ _DUAL_BASIS_FLAT).reshape(-1, 4, 4))
         done = np.zeros(len(live), dtype=bool)
+        if not count[0]:
+            # Step 0 (all states start together).  The start M shares
+            # rho^Gamma's eigenvectors, so its eigh serves; an eigh of
+            # rho^Gamma in place of the eigvalsh above would move lambda_min,
+            # and with it every later iterate, in the last bits.
+            y = _STEP0_MARGIN - lam_min[live]
+            value, x = _frame_minimum(gamma, vecs[:, :, 0])
+            # As on the Newton path, the zero vector (lower end 1/2) is the floor.
+            x[value >= 0.0] = 0.0
+            value = np.minimum(value, 0.0)
+            close = np.flatnonzero((0.5 + y) - (0.5 - value) <= GAP_TOLERANCE)
+            margin = np.linalg.eigvalsh(gamma[close] + y[close, None, None] * np.eye(4))
+            close = close[(margin[:, 0] > 0.0) & (y[close] > 0.0)]
+            z[close] = 0.0
+            z[close, 0] = y[close]
+            best_value[close], best_x[close] = value[close], x[close]
+            done[close] = True
         check = np.flatnonzero(centered & (_BARRIER_NU / t <= GAP_TOLERANCE))
         if len(check):
             value, x = _frame_minimum(gamma[check], vecs[check, :, 0])

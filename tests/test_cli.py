@@ -111,6 +111,24 @@ def test_analyze_overflowing_kraus_exits_3(capsys, tmp_path, scale):
     assert err.startswith("error: channel failed CPTP validation: tp_residual=")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("copies", [1, 5])
+@pytest.mark.parametrize("scale", [1e150, 1e155, 1e200, 1.7e308])
+def test_analyze_overflowing_kraus_lists_exit_3_quietly(capsys, tmp_path, copies, scale):
+    # sum A^dag A or the Choi matrix overflows (at 1e150 only the residual's
+    # norm does).  A list longer than four is compressed through its Choi
+    # matrix first; either way validation must reject the channel (exit 3,
+    # one error line) with no numpy warning and no eigensolver error.
+    op = [[[scale, 0.0], [0.0, 0.0]], [[0.0, 0.0], [scale, 0.0]]]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"kraus": [op] * copies}))
+    code, out, err = run(["analyze", "--file", str(path)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: channel failed CPTP validation: tp_residual=")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("eps, expected", [(5e-10, 0), (1e-7, 3)])
 def test_analyze_near_tp_channel_exits_by_validate(capsys, tmp_path, eps, expected):
     # sum A^dag A = I + eps Z: tp_residual sqrt(2) eps, either side of 1e-9.

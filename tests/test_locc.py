@@ -3,9 +3,11 @@ import pytest
 
 from singletopt import locc
 from singletopt.channel import (
+    KrausChannel,
     amplitude_damping,
     depolarizing,
     identity,
+    is_unital,
     named_channel,
     random_channel,
 )
@@ -24,7 +26,7 @@ from singletopt.locc import (
 from singletopt.oneshot import optimal_input_state
 from singletopt.channel import apply_to_half
 
-from conftest import random_channels, random_density, random_product_state
+from conftest import random_channels, random_density, random_product_state, random_unitary
 
 BELL = np.outer(PHI_PLUS, PHI_PLUS.conj())
 
@@ -139,6 +141,61 @@ def test_fstar_bracket_ppt_states_exact():
         assert fstar_bracket(rho) == (0.5, 0.5)
         assert fstar_certificate(rho).newton_steps == 0
 
+
+
+def _mixed_unitary_choi_states(count=300):
+    """Choi states of seeded mixed-unitary channels sum_k p_k U_k . U_k^dag."""
+    rng = np.random.default_rng(1212)
+    for k in range(count):
+        weights = rng.dirichlet(np.ones(1 + k % 4))
+        ops = tuple(np.sqrt(w) * random_unitary(rng) for w in weights)
+        yield choi(KrausChannel(kraus=ops)).matrix
+
+
+def _top_eigenvalues(stack):
+    """lambda_max of each state as the normalized Rayleigh quotient of its top
+    eigenvector, summed in extended precision.  Its error is second order in
+    the vector's; eigvalsh's own reaches 8e-16 on near-pure Choi states."""
+    top = np.linalg.eigh(stack)[1][:, :, -1].astype(np.clongdouble)
+    quotient = np.einsum("ni,nij,nj->n", top.conj(), stack.astype(np.clongdouble), top)
+    return quotient.real / np.einsum("ni,ni->n", top.conj(), top).real
+
+
+def test_fstar_closes_at_step_zero_on_unital_choi_states():
+    # On a unital Choi state the bottom eigenvector of rho^Gamma is maximally
+    # entangled, so the step-0 bracket closes on F* = lambda_max.
+    states = [choi(amplitude_damping(0.0)).matrix]
+    for name in ("depolarizing", "phase_damping", "bit_flip"):
+        states += [
+            choi(named_channel(name, {"p": float(p)})).matrix for p in np.linspace(0.0, 1.0, 21)
+        ]
+    states += list(_mixed_unitary_choi_states())
+    stack = np.array(states)
+    entangling = np.linalg.eigvalsh(partial_transpose(stack, "first"))[:, 0] < 0.0
+    assert entangling[:64].sum() == 1 + 14 + 20 + 20 and entangling[64:].sum() > 280
+    stack = stack[entangling]
+    cert = fstar_certificate(stack)
+    assert (cert.newton_steps == 0).all()
+    assert (cert.upper - cert.lower <= 1e-10).all()
+    assert np.abs(cert.lower - _top_eigenvalues(stack)).max() <= 1e-15
+    # The dual point is strictly feasible: Y > 0 and rho^Gamma + Y (x) I > 0.
+    assert np.linalg.eigvalsh(cert.dual)[:, 0].min() > 0.0
+    for rho, y in zip(stack, cert.dual):
+        assert np.linalg.eigvalsh(partial_transpose(rho, "first") + np.kron(y, I2))[0] > 0.0
+
+
+def test_fstar_takes_newton_steps_off_maximally_entangled_bottom_vectors():
+    # amplitude_damping inside (0, 1) and nonunital random channels of rank
+    # 2-4: the step-0 bracket stays open and the barrier solve runs.
+    channels = [amplitude_damping(float(p)) for p in np.linspace(0.0, 1.0, 21)[1:-1]]
+    channels += [random_channel(9000 + k, 2 + k % 3) for k in range(60)]
+    assert not any(is_unital(c)[0] for c in channels)
+    stack = np.array([choi(c).matrix for c in channels])
+    entangling = np.linalg.eigvalsh(partial_transpose(stack, "first"))[:, 0] < 0.0
+    assert entangling[:19].all() and entangling[19:].sum() > 50
+    cert = fstar_certificate(stack[entangling])
+    assert (cert.newton_steps > 0).all()
+    assert (cert.upper - cert.lower <= 1e-10).all()
 
 def test_oracle_bell_state_identity_filter():
     proto = fstar_filter_oracle(BELL, seed=0)
@@ -311,8 +368,15 @@ def test_fstar_certificate_stack_matches_per_state_solves():
         assert abs(cert.upper[k] - single.upper) <= 1e-12
         assert cert.newton_steps[k] == single.newton_steps
         steps.add(single.newton_steps)
-        ppt = np.linalg.eigvalsh(partial_transpose(rho, "first")).min() >= 0.0
-        assert (single.newton_steps == 0) == ppt
+        gamma = partial_transpose(rho, "first")
+        lam_min = np.linalg.eigvalsh(gamma)[0]
+        ppt = lam_min >= 0.0
+        # Step 0 closes where the bottom eigenvector has equal Schmidt
+        # singular values, and on states PPT up to rounding, whose step-0
+        # bracket is at most 1e-12 + |lambda_min| wide.
+        schmidt = np.linalg.svd(np.linalg.eigh(gamma)[1][:, 0].reshape(2, 2), compute_uv=False)
+        maximally_entangled = schmidt[0] - schmidt[1] <= 1e-12
+        assert (single.newton_steps == 0) == (lam_min >= -1e-12 or maximally_entangled)
         if ppt:
             assert (cert.lower[k], cert.upper[k]) == (0.5, 0.5)
     assert len(steps) > 2  # each state stops on its own rule
