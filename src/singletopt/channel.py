@@ -92,34 +92,63 @@ class ValidationReport:
     ok: bool
 
 
+# |Phi+><Phi+|: a Choi matrix sends its second half through the channel.
+_BELL = np.outer(PHI_PLUS, PHI_PLUS.conj())
+
+
 def validate(channel: KrausChannel, tol: float = 1e-9) -> ValidationReport:
     """Check trace preservation and complete positivity.
 
     ``tp_residual`` is the Frobenius distance of sum A_i^dag A_i from the
     identity; ``cp_min_eigenvalue`` is the smallest eigenvalue of the Choi
     matrix, NaN if that overflows.  ``ok`` requires both within ``tol``.  The
-    two measurements are taken once per channel object and kept on it, with
-    the Choi matrix, which :func:`singletopt.choi.choi` builds from; ``ok``
-    is decided per call.  At the default ``tol`` this is the package's one
-    CPTP acceptance rule: :mod:`singletopt.choi` builds states only for
-    channels it accepts.
+    two measurements are taken once per channel object, by
+    :func:`_measure`, and kept on it with the Choi matrix, which
+    :func:`singletopt.choi.choi` builds from; ``ok`` is decided per call.  At
+    the default ``tol`` this is the package's one CPTP acceptance rule:
+    :mod:`singletopt.choi` builds states only for channels it accepts.
     """
-    measured = channel._states.get("validation")
-    if measured is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = sum(op.conj().T @ op for op in channel.kraus)
-            tp_residual = float(np.linalg.norm(total - I2))
-            matrix = choi_matrix(channel)
-        finite = np.isfinite(matrix).all()
-        measured = (
-            tp_residual,
-            float(np.linalg.eigvalsh(matrix).min()) if finite else float("nan"),
-        )
-        channel._states["validation"] = measured
-        channel._states["choi_matrix"] = matrix
-    tp_residual, cp_min = measured
+    if "validation" not in channel._states:
+        _measure([channel])
+    tp_residual, cp_min = channel._states["validation"]
     ok = tp_residual <= tol and cp_min >= -tol
     return ValidationReport(tp_residual=tp_residual, cp_min_eigenvalue=cp_min, ok=ok)
+
+
+def _stacked_kraus(channels) -> np.ndarray:
+    """The channels' Kraus lists as one (n, k, 2, 2) stack, zero-padded to
+    the longest list."""
+    ops = np.zeros((len(channels), max(len(c.kraus) for c in channels), 2, 2), dtype=complex)
+    for row, channel in zip(ops, channels):
+        row[: len(channel.kraus)] = channel.kraus
+    return ops
+
+
+def _measure(channels) -> None:
+    """Take :func:`validate`'s measurements of the (distinct) channels that
+    lack them.
+
+    One stacked pass over their zero-padded Kraus lists gives every
+    sum A^dag A, Choi matrix and Choi lambda_min; the zero operators add
+    exact zeros, so each value is bit for bit the channel's own.  The
+    Frobenius norm is taken matrix by matrix, since ``np.linalg.norm`` of
+    one matrix sums in an order a stacked reduction does not reproduce.
+    """
+    todo = [c for c in channels if "validation" not in c._states]
+    if not todo:
+        return
+    ops = _stacked_kraus(todo)
+    with np.errstate(over="ignore", invalid="ignore"):
+        deviations = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=1) - I2
+        tp_residuals = [float(np.linalg.norm(d)) for d in deviations]
+        matrices = _act_on_second(ops, _BELL)
+    finite = np.isfinite(matrices).all(axis=(1, 2))
+    cp_min = np.full(len(todo), np.nan)
+    if finite.any():
+        cp_min[finite] = np.linalg.eigvalsh(matrices[finite])[:, 0]
+    for channel, tp_residual, lowest, matrix in zip(todo, tp_residuals, cp_min, matrices):
+        channel._states["validation"] = (tp_residual, float(lowest))
+        channel._states["choi_matrix"] = matrix
 
 
 def dual(channel: KrausChannel) -> KrausChannel:
@@ -172,9 +201,13 @@ def apply_to_half(channel: KrausChannel, state: np.ndarray) -> np.ndarray:
 
 
 def _act_on_second(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """sum_k (I (x) A_k) rho (I (x) A_k)^dag for stacked (k, 2, 2) operators."""
-    out = np.einsum("kyb,ibjd,kzd->iyjz", ops, rho.reshape(2, 2, 2, 2), ops.conj())
-    return out.reshape(4, 4)
+    """sum_k (I (x) A_k) rho (I (x) A_k)^dag for stacked (k, 2, 2) operators.
+
+    Leading axes of ``ops`` before k are batch axes: a (n, k, 2, 2) stack
+    gives the n results as one (n, 4, 4) stack.
+    """
+    out = np.einsum("...kyb,ibjd,...kzd->...iyjz", ops, rho.reshape(2, 2, 2, 2), ops.conj())
+    return out.reshape(ops.shape[:-3] + (4, 4))
 
 
 def choi_matrix(channel: KrausChannel) -> np.ndarray:
@@ -380,13 +413,12 @@ def _compressed(ops: np.ndarray) -> KrausChannel:
     imaginary part below 1, and the result is scaled back: the same set in
     exact arithmetic, left for :func:`validate` to reject.
     """
-    bell = np.outer(PHI_PLUS, PHI_PLUS.conj())
     with np.errstate(over="ignore", invalid="ignore"):
-        matrix = _act_on_second(ops, bell)
+        matrix = _act_on_second(ops, _BELL)
     if np.isfinite(matrix).all():
         return _kraus_set(matrix)
     exponent = np.frexp(np.abs(ops.view(float)).max())[1]
-    small = _kraus_set(_act_on_second(np.ldexp(ops.view(float), -exponent).view(complex), bell))
+    small = _kraus_set(_act_on_second(np.ldexp(ops.view(float), -exponent).view(complex), _BELL))
     with np.errstate(over="ignore"):
         kraus = tuple(np.ldexp(op.view(float), exponent).view(complex) for op in small.kraus)
     return KrausChannel(kraus=kraus, label="from_choi")

@@ -12,7 +12,10 @@ not here.
 Both states are built only for channels that pass
 :func:`singletopt.channel.validate`, the package's one CPTP acceptance rule
 (sum A^dag A within 1e-9 of I, Choi eigenvalues at least -1e-9); a
-channel that fails it raises ``ValueError``.
+channel that fails it raises ``ValueError``.  :func:`build_states` is the
+one build path: many channels' states come from one stacked measurement
+and one batched eigendecomposition, and :func:`choi` and :func:`dual_choi`
+are its one-channel case.
 """
 
 from __future__ import annotations
@@ -21,13 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import KrausChannel, apply_to_half, dual, validate
-from .linalg import PHI_PLUS, SWAP, EigenDecomposition, eigenvalue_clusters, hermitian_eig
+from .channel import _BELL, KrausChannel, _act_on_second, _measure, _stacked_kraus, validate
+from .linalg import SWAP, EigenDecomposition, eigenvalue_clusters, hermitian_eig
 
 __all__ = [
     "ChoiState",
+    "build_states",
     "choi",
+    "choi_states",
     "dual_choi",
+    "dual_choi_states",
     "eigenvector_correspondence_check",
     "DEGENERACY_GAP",
     "ENTANGLEMENT_BREAKING_THRESHOLD",
@@ -54,11 +60,6 @@ class ChoiState:
     source: str = ""
 
 
-def _build(matrix: np.ndarray, source: str) -> ChoiState:
-    matrix.setflags(write=False)
-    return ChoiState(matrix=matrix, eig=hermitian_eig(matrix, tol=1e-9), source=source)
-
-
 def _require_cptp(channel: KrausChannel) -> None:
     """The one CPTP gate: raise unless :func:`validate` accepts ``channel``."""
     check = validate(channel)
@@ -70,37 +71,90 @@ def _require_cptp(channel: KrausChannel) -> None:
         )
 
 
+def _choi_matrices(channels) -> np.ndarray:
+    """The Choi matrices :func:`validate` measured, stacked."""
+    return np.array([c._states["choi_matrix"] for c in channels])
+
+
+def _dual_matrices(channels) -> np.ndarray:
+    """Choi matrices of the maps with the daggered Kraus lists, stacked."""
+    ops = _stacked_kraus(channels).conj().swapaxes(-1, -2)
+    return _act_on_second(ops, _BELL)
+
+
+# Each kind of state: how a list of channels' matrices is stacked, and the
+# state's source label.
+_KINDS = {"choi": (_choi_matrices, "{}"), "dual_choi": (_dual_matrices, "dual({})")}
+
+
+def build_states(channels, kinds=("choi", "dual_choi")) -> None:
+    """Build every missing state of ``kinds`` for ``channels`` in one pass.
+
+    The channels that need a state are measured together by
+    :func:`~singletopt.channel.validate`'s stacked pass and gated one by
+    one by its ``ok``.  The Choi matrices it measured and the dual-Choi
+    matrices of the accepted channels are then eigendecomposed in one
+    batched :func:`~singletopt.linalg.hermitian_eig` call, and each state
+    is kept on its channel object, read-only.  After building what it can,
+    raises the gate's ``ValueError`` for the first rejected channel, which
+    stores no state.
+    """
+    unique = list({id(c): c for c in channels}.values())
+    todo = {kind: [c for c in unique if kind not in c._states] for kind in kinds}
+    if not any(todo.values()):
+        return
+    _measure(unique)
+    todo = {kind: [c for c in group if validate(c).ok] for kind, group in todo.items()}
+    owners = [(kind, c) for kind, group in todo.items() for c in group]
+    if owners:
+        matrices = np.concatenate([_KINDS[kind][0](group) for kind, group in todo.items() if group])
+        matrices.setflags(write=False)
+        eig = hermitian_eig(matrices, tol=1e-9)
+        for k, (kind, c) in enumerate(owners):
+            spectrum = EigenDecomposition(eig.eigenvalues[k], eig.eigenvectors[k])
+            source = _KINDS[kind][1].format(c.describe())
+            c._states[kind] = ChoiState(matrix=matrices[k], eig=spectrum, source=source)
+    for channel in channels:
+        _require_cptp(channel)
+
+
+def choi_states(channels) -> list:
+    """The Choi state of each channel, the missing ones built together by
+    :func:`build_states`; raises for the first channel ``validate`` rejects."""
+    build_states(channels, ("choi",))
+    return [c._states["choi"] for c in channels]
+
+
+def dual_choi_states(channels) -> list:
+    """The dual-Choi state of each channel; see :func:`choi_states`."""
+    build_states(channels, ("dual_choi",))
+    return [c._states["dual_choi"] for c in channels]
+
+
 def choi(channel: KrausChannel) -> ChoiState:
     """Choi state of a channel: send half of |Phi+> through it.
 
-    Built on the first call for a channel object from the Choi matrix that
+    The one-channel case of :func:`choi_states`: built on the first call for
+    a channel object from the Choi matrix that
     :func:`~singletopt.channel.validate` measured; later calls return the
     same read-only state.  A channel that fails ``validate`` raises
     ``ValueError`` on every call, and no state is built for it.
     """
     state = channel._states.get("choi")
-    if state is None:
-        _require_cptp(channel)
-        state = _build(channel._states["choi_matrix"], channel.describe())
-        channel._states["choi"] = state
-    return state
+    return state if state is not None else choi_states([channel])[0]
 
 
 def dual_choi(channel: KrausChannel) -> ChoiState:
     """Choi-type state of the dual map, built from the daggered Kraus list.
 
-    Gated, memoized and read-only as :func:`choi`.  Its maximally mixed
-    marginal moves to the other side unless the channel is unital.  That it
-    equals the swap-conjugate of :func:`choi` entrywise is the
-    ``dual_choi_entrywise`` row of ``oneshot.IDENTITIES``.
+    The one-channel case of :func:`dual_choi_states`, gated, memoized and
+    read-only as :func:`choi`.  Its maximally mixed marginal moves to the
+    other side unless the channel is unital.  That it equals the
+    swap-conjugate of :func:`choi` entrywise is the ``dual_choi_entrywise``
+    row of ``oneshot.IDENTITIES``.
     """
     state = channel._states.get("dual_choi")
-    if state is None:
-        _require_cptp(channel)
-        matrix = apply_to_half(dual(channel), PHI_PLUS)
-        state = _build(matrix, f"dual({channel.describe()})")
-        channel._states["dual_choi"] = state
-    return state
+    return state if state is not None else dual_choi_states([channel])[0]
 
 
 def _phase_aligned_distance(candidate: np.ndarray, target: np.ndarray) -> float:

@@ -31,7 +31,7 @@ from .channel import (
     random_channel,
     validate,
 )
-from .choi import choi
+from .choi import build_states, choi_states
 from .entmetrics import negativity, teleportation_fidelity
 from .locc import channel_fstars, postprocessing_gap
 from .oneshot import (
@@ -155,7 +155,9 @@ SWEEP_COLUMNS = {
     ),
     "f_tel": _each(lambda c: teleportation_fidelity(optimal_singlet_fraction(c).value)),
     "F1": _each(preprocessed_fidelity),
-    "N_choi": _each(lambda c: negativity(choi(c).matrix)),
+    "N_choi": lambda channels, seeds: [
+        float(x) for x in negativity(np.array([s.matrix for s in choi_states(channels)]))
+    ],
     "N_channel": lambda channels, seeds: [
         search.value for search in channel_negativities(channels, seeds)
     ],
@@ -180,6 +182,9 @@ def _check_writable(path: str) -> None:
 
 def _cmd_sweep(args) -> int:
     columns = [c for c in args.columns.split(",") if c]
+    if not columns:
+        print("error: no columns given", file=sys.stderr)
+        return EXIT_USAGE
     unknown = [c for c in columns if c not in SWEEP_COLUMNS]
     if unknown:
         print(
@@ -191,6 +196,10 @@ def _cmd_sweep(args) -> int:
     if args.steps < 2:
         print("error: --steps must be at least 2", file=sys.stderr)
         return EXIT_USAGE
+    for flag, value in (("--from", args.start), ("--to", args.stop)):
+        if not np.isfinite(value):
+            print(f"error: {flag} must be finite, got {value!r}", file=sys.stderr)
+            return EXIT_USAGE
     if args.start > args.stop:
         print("error: --from must not exceed --to", file=sys.stderr)
         return EXIT_USAGE
@@ -206,6 +215,8 @@ def _cmd_sweep(args) -> int:
         params = [float(v) for v in np.linspace(args.start, args.stop, args.steps)]
         channels = [named_channel(args.name, {args.param: value}) for value in params]
         seeds = [args.seed + index for index in range(len(channels))]
+        # Every row's Choi and dual-Choi states, in one batched pass.
+        build_states(channels)
         table = [SWEEP_COLUMNS[c](channels, seeds) for c in columns]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -238,7 +249,9 @@ def _cmd_audit(args) -> int:
     for index in range(args.count):
         chan_seed = (args.seed * 1_000_003 + index) % (2**63)
         channels.append((random_channel(chan_seed, index % 4 + 1), chan_seed))
-    # The F* rows of every channel read one batched solve.
+    # Every channel's states come from one batched pass, and its F* rows
+    # read one batched solve.
+    build_states([channel for channel, _ in channels])
     channel_fstars([channel for channel, _ in channels])
     worst = {}  # identity -> (residual, channel index)
     counts = {row.name: 0 for row in IDENTITIES}

@@ -117,11 +117,16 @@ def teleportation_fidelity(fraction: float, d: int = 2) -> float:
     return (d * float(fraction) + 1.0) / (d + 1.0)
 
 
-def negativity(state: np.ndarray) -> float:
-    """max(0, -2 lambda_min(rho^Gamma)) with Gamma the partial transpose."""
-    rho = as_density_matrix(state)
-    lam_min = float(np.linalg.eigvalsh(partial_transpose(rho, "first")).min())
-    return max(0.0, -2.0 * lam_min)
+def negativity(state: np.ndarray) -> float | np.ndarray:
+    """max(0, -2 lambda_min(rho^Gamma)) with Gamma the partial transpose.
+
+    A (..., 4, 4) stack gives an array with its leading axes, each entry
+    bit for bit the value of its state alone.
+    """
+    rho = _as_density_stack(state)
+    doubled = -2.0 * np.linalg.eigvalsh(partial_transpose(rho, "first"))[..., 0]
+    value = np.where(doubled > 0.0, doubled, 0.0)
+    return float(value) if value.ndim == 0 else value
 
 
 @dataclass(frozen=True)

@@ -100,28 +100,23 @@ def is_unitary(m: np.ndarray, tol: float = 1e-9) -> bool:
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate the global phase so the largest-magnitude entry is real >= 0."""
-    k = int(np.argmax(np.abs(v)))
-    pivot = v[k]
-    if np.abs(pivot) == 0.0:
-        return v
-    return v * (pivot.conjugate() / np.abs(pivot))
-
-
-def _vector_key(v: np.ndarray) -> tuple:
-    """Deterministic comparison key for tie-breaking degenerate eigenvectors."""
-    w = _fix_phase(v)
-    rounded = np.round(np.concatenate([w.real, w.imag]), 10)
-    return tuple(rounded.tolist())
+    """Rotate the global phase of each vector along the last axis so its
+    first largest-magnitude entry is real >= 0; zero vectors stay zero."""
+    flat = v.reshape(-1, v.shape[-1])
+    pivot = flat[np.arange(len(flat)), np.abs(flat).argmax(axis=1)]
+    pivot = pivot.reshape(v.shape[:-1] + (1,))
+    size = np.abs(pivot)
+    return v * (pivot.conj() / np.where(size == 0.0, 1.0, size))
 
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Spectral decomposition of a Hermitian matrix.
+    """Spectral decomposition of a Hermitian matrix, or of a stack of them.
 
-    ``eigenvalues`` is real and sorted descending; column ``k`` of
-    ``eigenvectors`` is the unit eigenvector paired with ``eigenvalues[k]``,
-    phase-fixed so its largest-magnitude component is real and nonnegative.
+    ``eigenvalues`` is real and sorted descending along its last axis;
+    column ``k`` of ``eigenvectors`` is the unit eigenvector paired with
+    ``eigenvalues[..., k]``, phase-fixed so its largest-magnitude component
+    is real and nonnegative.  Leading axes, if any, are the stack's.
     """
 
     eigenvalues: np.ndarray
@@ -130,7 +125,7 @@ class EigenDecomposition:
     def reconstruct(self) -> np.ndarray:
         """Return sum_k lambda_k |v_k><v_k|."""
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+        return (v * self.eigenvalues[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def eigenvalue_clusters(eigenvalues: np.ndarray, gap: float):
@@ -154,32 +149,43 @@ def hermitian_eig(m: np.ndarray, tol: float = 1e-9) -> EigenDecomposition:
     Eigenvalues are sorted descending.  Inside clusters of (numerically)
     equal eigenvalues the eigenvectors are ordered by a lexicographic key on
     their rounded, phase-fixed components, so repeated calls and degenerate
-    spectra still produce a reproducible decomposition.
+    spectra still produce a reproducible decomposition.  Leading axes of
+    ``m`` are batch axes, as for :func:`partial_transpose`: a (..., n, n)
+    stack is decomposed in one ``eigh`` call, matrix by matrix, and only
+    the matrices with a tied cluster run the tie-break.
 
-    Raises ``ValueError`` if ``m`` is farther than ``tol`` from Hermitian
-    (Frobenius norm).
+    Raises ``ValueError`` if any matrix is farther than ``tol`` from
+    Hermitian (Frobenius norm).
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not is_hermitian(m, tol):
+    n = m.shape[-1]
+    flat = m.reshape(-1, n, n)
+    adjoint = flat.conj().swapaxes(1, 2)
+    skew = np.abs(flat - adjoint)
+    if not (np.sqrt((skew * skew).sum(axis=(1, 2))) <= tol).all():
         raise ValueError("matrix is not Hermitian within tolerance")
-    herm = (m + m.conj().T) / 2
-    w, v = np.linalg.eigh(herm)
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = v[:, order]
+    w, v = np.linalg.eigh((flat + adjoint) / 2)
+    rows = np.arange(len(w))[:, None]
+    order = np.argsort(-w, axis=1, kind="stable")
+    w = w[rows, order]
+    vectors = v.swapaxes(1, 2)[rows, order]  # vectors[b, k] is eigenvector k
 
-    # Canonical ordering inside clusters of tied eigenvalues.
-    for start, stop in eigenvalue_clusters(w, _TIE_TOL):
-        if stop - start > 1:
-            keys = sorted(
-                range(start, stop), key=lambda k: _vector_key(v[:, k])
-            )
-            v[:, start:stop] = v[:, keys]
+    # Canonical ordering inside clusters of tied eigenvalues: by the rounded
+    # real, then imaginary, parts of each phase-fixed vector.
+    tied = np.flatnonzero((w[:, :-1] - w[:, 1:] < _TIE_TOL).any(axis=1))
+    if tied.size:
+        fixed = _fix_phase(vectors[tied])
+        keys = np.round(np.concatenate([fixed.real, fixed.imag], axis=2), 10)
+        for index, key in zip(tied, keys):
+            for start, stop in eigenvalue_clusters(w[index], _TIE_TOL):
+                if stop - start > 1:
+                    order = sorted(range(start, stop), key=lambda k: key[k].tolist())
+                    vectors[index, start:stop] = vectors[index, order]
 
-    for k in range(len(w)):
-        v[:, k] = _fix_phase(v[:, k])
+    w = w.reshape(m.shape[:-1])
+    v = _fix_phase(vectors).swapaxes(1, 2).reshape(m.shape)
     w.setflags(write=False)
     v.setflags(write=False)
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)

@@ -58,7 +58,7 @@ from ._batched import (
     random_filter_params,
 )
 from .channel import KrausChannel
-from .choi import ENTANGLEMENT_BREAKING_THRESHOLD, choi
+from .choi import ENTANGLEMENT_BREAKING_THRESHOLD, choi, choi_states
 from .entmetrics import _as_density_stack, as_density_matrix, singlet_fraction
 from .linalg import I2, PAULIS, partial_transpose, tensor_product
 from .optimize import compass_search
@@ -320,13 +320,13 @@ def channel_fstars(channels) -> list:
     """:func:`fstar` of each channel's Choi state, as a list of floats.
 
     Solved once per channel object and kept next to its Choi state (see
-    :func:`choi.choi`), so every caller that needs F* of the same channel
-    shares one solve; the channels without a kept value are solved together,
-    in one :func:`fstar` call on the stack of their Choi states.
+    :func:`choi.choi_states`), so every caller that needs F* of the same
+    channel shares one solve; the channels without a kept value are solved
+    together, in one :func:`fstar` call on the stack of their Choi states.
     """
     missing = list({id(c): c for c in channels if "fstar" not in c._states}.values())
     if missing:
-        values = fstar(np.array([choi(c).matrix for c in missing]))
+        values = fstar(np.array([state.matrix for state in choi_states(missing)]))
         for channel, value in zip(missing, values):
             channel._states["fstar"] = float(value)
     return [c._states["fstar"] for c in channels]

@@ -40,7 +40,9 @@ from .channel import (
 from .choi import (
     DEGENERACY_GAP,
     ENTANGLEMENT_BREAKING_THRESHOLD,
+    build_states,
     choi,
+    choi_states,
     dual_choi,
     eigenvector_correspondence_check,
 )
@@ -326,15 +328,16 @@ def channel_negativities(channels, seeds) -> list:
     if len(seeds) != len(channels):
         raise ValueError(f"{len(channels)} channels but {len(seeds)} seeds")
     mes = np.eye(2, dtype=complex) / np.sqrt(2.0)
+    states = choi_states(channels)
     results, live = [None] * len(channels), []
-    for i, channel in enumerate(channels):
-        if float(choi(channel).eig.eigenvalues[0]) <= ENTANGLEMENT_BREAKING_THRESHOLD:
+    for i, state in enumerate(states):
+        if float(state.eig.eigenvalues[0]) <= ENTANGLEMENT_BREAKING_THRESHOLD:
             results[i] = NegativitySearch(0.0, mes.flatten(), 0.5, 0, True, 0.0)
         else:
             live.append(i)
     if not live:
         return results
-    g, reached, upper = _mes_certificates([choi(channels[i]) for i in live])
+    g, reached, upper = _mes_certificates([states[i] for i in live])
     closed = upper - reached <= _CERTIFIED_GAP
     for i, value, bound in zip(np.array(live)[closed], reached[closed], upper[closed]):
         results[i] = NegativitySearch(float(value), mes.flatten(), 0.5, 0, True, float(bound))
@@ -392,6 +395,7 @@ class IdentityContext:
         self.channel = channel
         self.seed = seed
         self.validation = validate(channel)
+        build_states([channel])
         self.choi_state = choi(channel)
         self.dual_state = dual_choi(channel)
         self.optimal_input = optimal_input_state(channel)

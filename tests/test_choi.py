@@ -14,8 +14,11 @@ from singletopt.channel import (
 )
 from singletopt.choi import (
     DEGENERACY_GAP,
+    build_states,
     choi,
+    choi_states,
     dual_choi,
+    dual_choi_states,
     eigenvector_correspondence_check,
 )
 from singletopt.entmetrics import pt_spectrum_identity_residual, schmidt
@@ -145,13 +148,13 @@ def test_gap_between_tie_break_and_degeneracy():
 def builds(monkeypatch):
     """Sources of the Choi-type states built (and checked) from here on."""
     sources = []
-    original = choi_module._build
+    original = choi_module.ChoiState
 
-    def counting(matrix, source):
+    def counting(matrix, eig, source):
         sources.append(source)
-        return original(matrix, source)
+        return original(matrix=matrix, eig=eig, source=source)
 
-    monkeypatch.setattr(choi_module, "_build", counting)
+    monkeypatch.setattr(choi_module, "ChoiState", counting)
     return sources
 
 
@@ -184,6 +187,41 @@ def test_invalid_channel_raises_on_every_call(builds, build):
         with pytest.raises(ValueError, match="not CPTP"):
             build(c)
     assert len(builds) == 0
+
+
+def _same_state(a, b):
+    for x, y in ((a.matrix, b.matrix), (a.eig.eigenvalues, b.eig.eigenvalues),
+                 (a.eig.eigenvectors, b.eig.eigenvectors)):
+        assert x.tobytes() == y.tobytes()
+    assert a.source == b.source
+
+
+def test_batched_states_equal_one_channel_builds():
+    channels = random_channels(31, 12) + [identity(), depolarizing(0.3), amplitude_damping(1.0)]
+    twins = [KrausChannel(kraus=c.kraus, label=c.label, params=c.params) for c in channels]
+    build_states(channels)
+    for c, twin in zip(channels, twins):
+        assert validate(c) == validate(twin)
+        _same_state(choi(c), choi(twin))
+        _same_state(dual_choi(c), dual_choi(twin))
+    assert choi_states(channels) == [choi(c) for c in channels]
+    assert dual_choi_states(channels) == [dual_choi(c) for c in channels]
+
+
+def test_choi_states_build_accepted_channels_and_raise_for_rejected(builds):
+    good, bad, other = amplitude_damping(0.3), KrausChannel(kraus=(2 * I2,)), depolarizing(0.2)
+    with pytest.raises(ValueError, match="not CPTP: tp_residual=") as batch:
+        choi_states([good, bad, other, good])
+    assert builds == ["amplitude_damping(p=0.3)", "depolarizing(p=0.2)"]
+    assert "choi" not in bad._states and "dual_choi" not in bad._states
+    for build in (choi, dual_choi):
+        with pytest.raises(ValueError) as alone:
+            build(bad)
+        assert str(alone.value) == str(batch.value)
+    assert choi_states([good, other]) == [choi(good), choi(other)]
+    with pytest.raises(ValueError, match="not CPTP: tp_residual="):
+        dual_choi_states([bad, good])
+    assert builds == ["amplitude_damping(p=0.3)", "depolarizing(p=0.2)", "dual(amplitude_damping(p=0.3))"]
 
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-7])

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import math
 
@@ -16,6 +17,9 @@ from singletopt.channel import (
 from singletopt.choi import choi
 from singletopt.entmetrics import negativity, teleportation_fidelity
 from singletopt.locc import fstar
+
+# The package re-exports the function ``choi``, which shadows the module.
+choi_module = importlib.import_module("singletopt.choi")
 
 
 def run(argv, capsys):
@@ -151,13 +155,15 @@ def test_analyze_validates_each_channel_once(capsys, monkeypatch):
     from singletopt import channel as channel_module
 
     builds = []
-    original = channel_module.choi_matrix
+    original = channel_module._measure
 
-    def counting(c):
-        builds.append(c.describe())
-        return original(c)
+    def counting(channels):
+        builds.extend(c.describe() for c in channels if "validation" not in c._states)
+        return original(channels)
 
-    monkeypatch.setattr(channel_module, "choi_matrix", counting)
+    # ``validate`` and the state builder both take the stacked measurement.
+    monkeypatch.setattr(channel_module, "_measure", counting)
+    monkeypatch.setattr(choi_module, "_measure", counting)
     code, _, _ = run(["analyze", "--name", "amplitude_damping", "--param", "p=0.3"], capsys)
     assert code == 0
     assert builds == ["amplitude_damping(p=0.3)"]
@@ -284,6 +290,52 @@ def test_sweep_unknown_column_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "available" in err and "F_lambda" in err
+
+
+def test_sweep_empty_column_list_exits_2(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    for columns in (",", ",,", ""):
+        code, _, err = run(
+            ["sweep", "--name", "depolarizing", "--from", "0", "--to", "1",
+             "--steps", "3", "--columns", columns, "--out", str(out)],
+            capsys,
+        )
+        assert code == 2
+        assert err == "error: no columns given\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bounds, flag", [
+    (("0", "inf"), "--to"), (("-inf", "1"), "--from"), (("nan", "1"), "--from"), (("0", "nan"), "--to"),
+])
+def test_sweep_non_finite_bound_exits_2(bounds, flag, tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    code, _, err = run(
+        ["sweep", "--name", "depolarizing", f"--from={bounds[0]}", f"--to={bounds[1]}",
+         "--steps", "3", "--columns", "F_lambda", "--out", str(out)],
+        capsys,
+    )
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith(f"error: {flag} must be finite, got ")
+    assert not out.exists()
+
+
+def test_sweep_builds_every_state_in_one_eigendecomposition(tmp_path, capsys, monkeypatch):
+    shapes = []
+    original = choi_module.hermitian_eig
+
+    def counting(m, tol=1e-9):
+        shapes.append(np.shape(m))
+        return original(m, tol)
+
+    monkeypatch.setattr(choi_module, "hermitian_eig", counting)
+    code, _, _ = run(
+        ["sweep", "--name", "amplitude_damping", "--from", "0", "--to", "1", "--steps", "21",
+         "--columns", ",".join(cli.SWEEP_COLUMNS), "--out", str(tmp_path / "s.csv")],
+        capsys,
+    )
+    assert code == 0
+    assert shapes == [(42, 4, 4)]
 
 
 def test_sweep_byte_identical_across_runs(tmp_path, capsys):

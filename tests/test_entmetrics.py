@@ -67,12 +67,35 @@ def test_singlet_fraction_rejects_invalid():
         singlet_fraction(np.diag([1.5, -0.5, 0, 0]).astype(complex))
 
 
-@pytest.mark.parametrize("fn", [singlet_fraction, negativity, pt_spectrum_identity_residual])
+@pytest.mark.parametrize("fn", [singlet_fraction, pt_spectrum_identity_residual])
 def test_single_state_functions_reject_stacks(fn):
-    # Only the F* solve takes batch axes; a stack here is a shape error.
+    # A stack here is a shape error; F* and negativity take batch axes.
     stack = np.array([BELL, np.eye(4) / 4])
     with pytest.raises(ValueError, match="4x4 matrix"):
         fn(stack)
+
+
+def test_negativity_takes_batch_axes():
+    rng = np.random.default_rng(17)
+    states = [random_density(rng, rank=1 + k % 4) for k in range(12)]
+    product = random_product_state(rng)
+    states += [BELL, np.eye(4) / 4, np.outer(product, product.conj())]
+    stack = np.array(states[:12]).reshape(3, 4, 4, 4)
+    values = negativity(stack)
+    assert values.shape == (3, 4)
+    for index in np.ndindex(3, 4):
+        alone = negativity(stack[index])
+        assert isinstance(alone, float)
+        assert values[index].tobytes() == np.float64(alone).tobytes()
+    flat = negativity(np.array(states))
+    assert [float(x) for x in flat] == [negativity(rho) for rho in states]
+    assert flat[12] == pytest.approx(1.0, abs=1e-12) and flat[13] == 0.0
+    # lambda_min(rho^Gamma) = +0 exactly: the floor reads 0.0, never -0.0.
+    corner = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    for value in (negativity(corner), negativity(np.array([corner, BELL]))[0]):
+        assert repr(float(value)) == "0.0"
+    with pytest.raises(ValueError, match="trace 4"):
+        negativity(np.array([BELL, np.eye(4)]))
 
 
 def test_singlet_fraction_local_unitary_invariance():

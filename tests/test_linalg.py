@@ -125,6 +125,60 @@ def test_eig_degenerate_ordering_is_reproducible():
     np.testing.assert_array_equal(a.eigenvectors, b.eigenvectors)
 
 
+def _tied_and_random_states():
+    """Random states next to spectra with ties and with pivots off the first entry."""
+    from singletopt.channel import choi_matrix, depolarizing, identity
+
+    rng = np.random.default_rng(23)
+    u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    states = [random_density(rng, rank=1 + k % 4) for k in range(12)]
+    states += [
+        choi_matrix(identity()),  # 3-fold tie at 0
+        choi_matrix(depolarizing(0.4)),  # 3-fold tie at p/4
+        np.eye(4, dtype=complex) / 4,  # 4-fold tie
+        u @ np.diag([0.5, 0.3, 0.1, 0.1]) @ u.conj().T,
+        np.diag([0.1, 0.4, 0.2, 0.3]).astype(complex),  # eigenvectors e_k: zero first entries
+    ]
+    return np.array(states)
+
+
+def test_eig_batch_equals_per_matrix_calls_bit_for_bit():
+    states = _tied_and_random_states()
+    batched = hermitian_eig(states.reshape(1, -1, 4, 4))
+    assert batched.eigenvalues.shape == (1, len(states), 4)
+    assert batched.eigenvectors.shape == (1, len(states), 4, 4)
+    assert not batched.eigenvectors.flags.writeable
+    for k, m in enumerate(states):
+        alone = hermitian_eig(m)
+        assert batched.eigenvalues[0, k].tobytes() == alone.eigenvalues.tobytes()
+        assert batched.eigenvectors[0, k].tobytes() == alone.eigenvectors.tobytes()
+    np.testing.assert_allclose(batched.reconstruct()[0], states, atol=1e-14)
+    # The tie-break still orders the identity channel's tied eigenvectors.
+    assert hermitian_eig(states[12]).eigenvalues[0] == pytest.approx(1.0, abs=1e-15)
+
+
+def test_eig_batch_rejects_any_non_hermitian_member():
+    states = _tied_and_random_states()
+    states[3, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_eig(states)
+
+
+def test_fix_phase_batch_and_zero_pivot():
+    from singletopt.linalg import _fix_phase
+
+    rng = np.random.default_rng(4)
+    vectors = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+    vectors[2] = 0.0
+    vectors[3, :2] = 0.0
+    fixed = _fix_phase(vectors)
+    for v, w in zip(vectors, fixed):
+        assert w.tobytes() == _fix_phase(v).tobytes()
+    assert not fixed[2].any()
+    pivot = fixed[3][np.argmax(np.abs(fixed[3]))]
+    assert abs(pivot.imag) < 1e-14 and pivot.real > 0
+
+
 def test_partial_transpose_involution_and_bell_spectrum():
     rng = np.random.default_rng(5)
     m = random_density(rng)
