@@ -30,6 +30,7 @@ __all__ = [
     "validate",
     "dual",
     "is_unital",
+    "unitality_deviations",
     "apply",
     "apply_to_half",
     "choi_matrix",
@@ -67,8 +68,8 @@ class KrausChannel:
     kraus: tuple
     label: str = ""
     params: Mapping[str, float] = field(default_factory=dict)
-    # What :func:`validate` measures (its two numbers and the Choi matrix it
-    # takes them from), and the Choi and dual-Choi states that
+    # What :func:`validate`'s pass measures (its two numbers, the unitality
+    # deviation, the Choi and dual-Choi matrices), and the states that
     # :mod:`singletopt.choi` builds once from there and shares read-only.
     _states: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -103,8 +104,8 @@ def validate(channel: KrausChannel, tol: float = 1e-9) -> ValidationReport:
     identity; ``cp_min_eigenvalue`` is the smallest eigenvalue of the Choi
     matrix, NaN if that overflows.  ``ok`` requires both within ``tol``.  The
     two measurements are taken once per channel object, by
-    :func:`_measure`, and kept on it with the Choi matrix, which
-    :func:`singletopt.choi.choi` builds from; ``ok`` is decided per call.  At
+    :func:`_measure`, and kept on it with the Choi and dual-Choi matrices,
+    which :mod:`singletopt.choi` builds from; ``ok`` is decided per call.  At
     the default ``tol`` this is the package's one CPTP acceptance rule:
     :mod:`singletopt.choi` builds states only for channels it accepts.
     """
@@ -115,40 +116,38 @@ def validate(channel: KrausChannel, tol: float = 1e-9) -> ValidationReport:
     return ValidationReport(tp_residual=tp_residual, cp_min_eigenvalue=cp_min, ok=ok)
 
 
-def _stacked_kraus(channels) -> np.ndarray:
-    """The channels' Kraus lists as one (n, k, 2, 2) stack, zero-padded to
-    the longest list."""
-    ops = np.zeros((len(channels), max(len(c.kraus) for c in channels), 2, 2), dtype=complex)
-    for row, channel in zip(ops, channels):
-        row[: len(channel.kraus)] = channel.kraus
-    return ops
-
-
 def _measure(channels) -> None:
-    """Take :func:`validate`'s measurements of the (distinct) channels that
-    lack them.
+    """Take :func:`validate`'s measurements, and the unitality deviation,
+    of the (distinct) channels that lack them.
 
-    One stacked pass over their zero-padded Kraus lists gives every
-    sum A^dag A, Choi matrix and Choi lambda_min; the zero operators add
-    exact zeros, so each value is bit for bit the channel's own.  The
-    Frobenius norm is taken matrix by matrix, since ``np.linalg.norm`` of
-    one matrix sums in an order a stacked reduction does not reproduce.
+    One stacked pass over their Kraus lists, zero-padded to the longest,
+    gives every sum A^dag A, sum A A^dag, Choi and dual-Choi matrix (that of
+    the daggered list) and Choi lambda_min; the zero operators add exact
+    zeros, so each value is bit for bit the channel's own.  Frobenius norms
+    are taken matrix by matrix: ``np.linalg.norm`` of a stack sums in an
+    order one matrix alone does not reproduce.
     """
     todo = [c for c in channels if "validation" not in c._states]
     if not todo:
         return
-    ops = _stacked_kraus(todo)
+    ops = np.zeros((len(todo), max(len(c.kraus) for c in todo), 2, 2), dtype=complex)
+    for row, channel in zip(ops, todo):
+        row[: len(channel.kraus)] = channel.kraus
+    daggers = ops.conj().swapaxes(-1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
-        deviations = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=1) - I2
-        tp_residuals = [float(np.linalg.norm(d)) for d in deviations]
+        tp_residuals = [float(np.linalg.norm(d)) for d in (daggers @ ops).sum(axis=1) - I2]
+        unital = [float(np.linalg.norm(d)) for d in (ops @ daggers).sum(axis=1) - I2]
         matrices = _act_on_second(ops, _BELL)
+        duals = _act_on_second(daggers, _BELL)
     finite = np.isfinite(matrices).all(axis=(1, 2))
     cp_min = np.full(len(todo), np.nan)
     if finite.any():
         cp_min[finite] = np.linalg.eigvalsh(matrices[finite])[:, 0]
-    for channel, tp_residual, lowest, matrix in zip(todo, tp_residuals, cp_min, matrices):
-        channel._states["validation"] = (tp_residual, float(lowest))
-        channel._states["choi_matrix"] = matrix
+    for k, channel in enumerate(todo):
+        channel._states["validation"] = (tp_residuals[k], float(cp_min[k]))
+        channel._states["unitality_deviation"] = unital[k]
+        channel._states["choi_matrix"] = matrices[k]
+        channel._states["dual_choi_matrix"] = duals[k]
 
 
 def dual(channel: KrausChannel) -> KrausChannel:
@@ -165,9 +164,15 @@ def dual(channel: KrausChannel) -> KrausChannel:
     )
 
 
+def unitality_deviations(channels) -> list:
+    """||L(I) - I||_F of each channel, taken in :func:`validate`'s stacked pass."""
+    _measure(channels)
+    return [c._states["unitality_deviation"] for c in channels]
+
+
 def is_unital(channel: KrausChannel, tol: float = 1e-9) -> tuple[bool, float]:
     """Whether the channel preserves the identity, plus ||L(I) - I||_F."""
-    deviation = float(np.linalg.norm(apply(channel, I2) - I2))
+    deviation = unitality_deviations([channel])[0]
     return deviation < tol, deviation
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _BELL, KrausChannel, _act_on_second, _measure, _stacked_kraus, validate
+from .channel import KrausChannel, _measure, validate
 from .linalg import SWAP, EigenDecomposition, eigenvalue_clusters, hermitian_eig
 
 __all__ = [
@@ -71,20 +71,10 @@ def _require_cptp(channel: KrausChannel) -> None:
         )
 
 
-def _choi_matrices(channels) -> np.ndarray:
-    """The Choi matrices :func:`validate` measured, stacked."""
-    return np.array([c._states["choi_matrix"] for c in channels])
-
-
-def _dual_matrices(channels) -> np.ndarray:
-    """Choi matrices of the maps with the daggered Kraus lists, stacked."""
-    ops = _stacked_kraus(channels).conj().swapaxes(-1, -2)
-    return _act_on_second(ops, _BELL)
-
-
-# Each kind of state: how a list of channels' matrices is stacked, and the
-# state's source label.
-_KINDS = {"choi": (_choi_matrices, "{}"), "dual_choi": (_dual_matrices, "dual({})")}
+# Each kind of state's source label.  Its matrix is the one
+# :func:`~singletopt.channel.validate`'s stacked pass measured: the Choi
+# matrix, or that of the map with the daggered Kraus list.
+_SOURCES = {"choi": "{}", "dual_choi": "dual({})"}
 
 
 def build_states(channels, kinds=("choi", "dual_choi")) -> None:
@@ -92,8 +82,8 @@ def build_states(channels, kinds=("choi", "dual_choi")) -> None:
 
     The channels that need a state are measured together by
     :func:`~singletopt.channel.validate`'s stacked pass and gated one by
-    one by its ``ok``.  The Choi matrices it measured and the dual-Choi
-    matrices of the accepted channels are then eigendecomposed in one
+    one by its ``ok``.  The Choi and dual-Choi matrices it measured of the
+    accepted channels are then eigendecomposed in one
     batched :func:`~singletopt.linalg.hermitian_eig` call, and each state
     is kept on its channel object, read-only.  After building what it can,
     raises the gate's ``ValueError`` for the first rejected channel, which
@@ -107,12 +97,12 @@ def build_states(channels, kinds=("choi", "dual_choi")) -> None:
     todo = {kind: [c for c in group if validate(c).ok] for kind, group in todo.items()}
     owners = [(kind, c) for kind, group in todo.items() for c in group]
     if owners:
-        matrices = np.concatenate([_KINDS[kind][0](group) for kind, group in todo.items() if group])
+        matrices = np.array([c._states[f"{kind}_matrix"] for kind, c in owners])
         matrices.setflags(write=False)
         eig = hermitian_eig(matrices, tol=1e-9)
         for k, (kind, c) in enumerate(owners):
             spectrum = EigenDecomposition(eig.eigenvalues[k], eig.eigenvectors[k])
-            source = _KINDS[kind][1].format(c.describe())
+            source = _SOURCES[kind].format(c.describe())
             c._states[kind] = ChoiState(matrix=matrices[k], eig=spectrum, source=source)
     for channel in channels:
         _require_cptp(channel)

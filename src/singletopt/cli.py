@@ -26,21 +26,18 @@ from .channel import (
     KrausChannel,
     channel_from_dict,
     channel_to_dict,
-    is_unital,
     named_channel,
     random_channel,
+    unitality_deviations,
     validate,
 )
-from .choi import build_states, choi_states
-from .entmetrics import negativity, teleportation_fidelity
-from .locc import channel_fstars, postprocessing_gap
+from .choi import ENTANGLEMENT_BREAKING_THRESHOLD, build_states, choi_states, dual_choi_states
+from .entmetrics import negativity, schmidt, teleportation_fidelity
+from .locc import channel_fstars
 from .oneshot import (
     IDENTITIES,
     channel_negativities,
-    negativity_relation_residual,
-    optimal_input_state,
-    optimal_singlet_fraction,
-    preprocessed_fidelity,
+    negativity_relation_residuals,
     report,
     residuals,
 )
@@ -132,40 +129,44 @@ def _cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _each(fn):
-    """A closed-form column: ``fn`` of each row's channel."""
-    return lambda channels, seeds: [fn(c) for c in channels]
+def _top(states) -> np.ndarray:
+    """Top eigenvalue of each state."""
+    return np.array([state.eig.eigenvalues[0] for state in states])
 
 
-def _gap_column(channels, seeds) -> list:
+def _gap_column(channels, seeds) -> np.ndarray:
     """lambda_max - F* per row; NaN on entanglement-breaking rows, where
     neither side is meaningful."""
-    breaking = [optimal_singlet_fraction(c).entanglement_breaking for c in channels]
-    channel_fstars([c for c, b in zip(channels, breaking) if not b])
-    return [float("nan") if b else postprocessing_gap(c)[0] for c, b in zip(channels, breaking)]
+    lam = _top(choi_states(channels))
+    return np.where(lam > ENTANGLEMENT_BREAKING_THRESHOLD, lam - channel_fstars(channels), np.nan)
 
 
 # Each column maps the rows' channels and their search seeds to one value
-# per row.  The F* and N_channel columns solve all rows in one batched search.
+# per row, in one stacked call; F* and N_channel in one batched search.
 SWEEP_COLUMNS = {
-    "F_lambda": _each(lambda c: optimal_singlet_fraction(c).value),
-    "lambda_max": _each(lambda c: optimal_singlet_fraction(c).lambda_max),
-    "entanglement_breaking": _each(
-        lambda c: float(optimal_singlet_fraction(c).entanglement_breaking)
+    "F_lambda": lambda channels, seeds: np.maximum(0.5, _top(choi_states(channels))),
+    "lambda_max": lambda channels, seeds: _top(choi_states(channels)),
+    "entanglement_breaking": lambda channels, seeds: np.where(
+        _top(choi_states(channels)) <= ENTANGLEMENT_BREAKING_THRESHOLD, 1.0, 0.0
     ),
-    "f_tel": _each(lambda c: teleportation_fidelity(optimal_singlet_fraction(c).value)),
-    "F1": _each(preprocessed_fidelity),
-    "N_choi": lambda channels, seeds: [
-        float(x) for x in negativity(np.array([s.matrix for s in choi_states(channels)]))
-    ],
+    "f_tel": lambda channels, seeds: teleportation_fidelity(
+        SWEEP_COLUMNS["F_lambda"](channels, seeds)
+    ),
+    "F1": lambda channels, seeds: _top(dual_choi_states(channels)),
+    "N_choi": lambda channels, seeds: negativity(
+        np.array([state.matrix for state in choi_states(channels)])
+    ),
     "N_channel": lambda channels, seeds: [
         search.value for search in channel_negativities(channels, seeds)
     ],
     "fstar_choi": lambda channels, seeds: channel_fstars(channels),
     "gap": _gap_column,
-    "schmidt_lambda": _each(lambda c: float(optimal_input_state(c).schmidt.coefficients[0])),
-    "unitality_deviation": _each(lambda c: is_unital(c)[1]),
-    "negativity_relation_residual": _each(negativity_relation_residual),
+    # Each row's optimal input is its top dual-Choi eigenvector.
+    "schmidt_lambda": lambda channels, seeds: schmidt(
+        np.array([state.eig.eigenvectors[:, 0] for state in dual_choi_states(channels)])
+    ).coefficients[:, 0],
+    "unitality_deviation": lambda channels, seeds: unitality_deviations(channels),
+    "negativity_relation_residual": lambda channels, seeds: negativity_relation_residuals(channels),
 }
 
 
@@ -195,6 +196,9 @@ def _cmd_sweep(args) -> int:
         return EXIT_USAGE
     if args.steps < 2:
         print("error: --steps must be at least 2", file=sys.stderr)
+        return EXIT_USAGE
+    if args.seed < 0:
+        print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
         return EXIT_USAGE
     for flag, value in (("--from", args.start), ("--to", args.stop)):
         if not np.isfinite(value):

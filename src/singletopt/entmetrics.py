@@ -108,13 +108,13 @@ def singlet_fraction(rho: np.ndarray) -> tuple[float, np.ndarray]:
     return value, phi
 
 
-def teleportation_fidelity(fraction: float, d: int = 2) -> float:
-    """Average teleportation fidelity (d*F + 1) / (d + 1)."""
-    if not -1e-12 <= fraction <= 1 + 1e-12:
+def teleportation_fidelity(fraction, d: int = 2) -> float | np.ndarray:
+    """Average teleportation fidelity (d*F + 1) / (d + 1), entrywise on an array."""
+    if not all(np.ravel((fraction >= -1e-12) & (fraction <= 1 + 1e-12))):
         raise ValueError(f"singlet fraction must lie in [0, 1], got {fraction}")
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
-    return (d * float(fraction) + 1.0) / (d + 1.0)
+    return (d * fraction + 1.0) / (d + 1.0)
 
 
 def negativity(state: np.ndarray) -> float | np.ndarray:
@@ -151,23 +151,28 @@ class SchmidtData:
 
 
 def schmidt(psi: np.ndarray) -> SchmidtData:
-    """Schmidt decomposition via the SVD of the reshaped amplitude matrix."""
+    """Schmidt decomposition via the SVD of the reshaped amplitude matrix.
+
+    A (..., 4) stack gives stacked fields, each entry bit for bit its vector's alone.
+    """
     psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (4,):
-        raise ValueError(f"expected a 4-vector, got shape {psi.shape}")
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-9:
+    if psi.shape[-1:] != (4,):
+        raise ValueError(f"expected a 4-vector or a (..., 4) stack, got shape {psi.shape}")
+    bad = np.abs(np.linalg.norm(psi, axis=-1) - 1.0) > 1e-9
+    if bad.any():
+        norm = np.linalg.norm(psi.reshape(-1, 4)[bad.reshape(-1)][0])
         raise ValueError(f"pure state norm is {norm}, expected 1")
-    u, s, vh = np.linalg.svd(psi.reshape(2, 2))
-    ub = vh.T.copy()
-    ua = u.copy()
-    for k in range(2):
-        pivot = ua[np.argmax(np.abs(ua[:, k])), k]
-        phase = pivot.conjugate() / abs(pivot)
-        ua[:, k] *= phase
-        ub[:, k] *= phase.conjugate()
+    # compute_uv=False would move the singular values' last bits.
+    ua, s, vh = np.linalg.svd(psi.reshape(psi.shape[:-1] + (2, 2)))
+    ub = vh.swapaxes(-1, -2).copy()
+    # Each column's entry of largest modulus, the first on a tie, is made real.
+    top, bottom = ua[..., 0, :], ua[..., 1, :]
+    pivot = np.where(np.abs(top) >= np.abs(bottom), top, bottom)[..., None, :]
+    phase = pivot.conjugate() / np.abs(pivot)
+    ua *= phase
+    ub *= phase.conjugate()
     coeffs = s**2
-    coeffs = coeffs / coeffs.sum()
+    coeffs = coeffs / coeffs.sum(axis=-1, keepdims=True)
     coeffs.setflags(write=False)
     ua.setflags(write=False)
     ub.setflags(write=False)

@@ -75,6 +75,7 @@ __all__ = [
     "preprocessed_fidelity_oracle",
     "classify",
     "negativity_relation_residual",
+    "negativity_relation_residuals",
     "channel_negativity",
     "channel_negativities",
     "residuals",
@@ -203,17 +204,27 @@ def classify(channel: KrausChannel, mes_tol: float = 1e-7) -> Classification:
     return Classification(unital, deviation, mes, verdict)
 
 
-def negativity_relation_residual(channel: KrausChannel) -> float:
-    """|lambda_max(choi) - (1 + N(choi))/2|.
+def negativity_relation_residuals(channels) -> np.ndarray:
+    """|lambda_max(choi) - (1 + N(choi))/2| of each channel, bit for bit its own.
 
     Zero (to numerical precision) for every channel that is not
     entanglement breaking; in the breaking regime N vanishes while
     lambda_max drops below 1/2, so the relation intentionally fails there
     and the residual is reported without being asserted.
     """
+    states = choi_states(channels)
+    lam = np.array([state.eig.eigenvalues[0] for state in states])
+    return _relation_residual(lam, negativity(np.array([state.matrix for state in states])))
+
+
+def negativity_relation_residual(channel: KrausChannel) -> float:
+    """One channel's :func:`negativity_relation_residuals`."""
     state = choi(channel)
-    lam = float(state.eig.eigenvalues[0])
-    return abs(lam - 0.5 * (1.0 + negativity(state.matrix)))
+    return float(_relation_residual(state.eig.eigenvalues[0], negativity(state.matrix)))
+
+
+def _relation_residual(lam, n):
+    return abs(lam - 0.5 * (1.0 + n))
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,16 @@ import pytest
 
 from singletopt import cli, oneshot
 from singletopt.channel import (
+    apply,
     channel_from_dict,
     channel_to_dict,
     depolarizing,
     is_unital,
     named_channel,
+    random_channel,
 )
-from singletopt.choi import choi
+from singletopt.choi import build_states, choi
+from singletopt.linalg import I2
 from singletopt.entmetrics import negativity, teleportation_fidelity
 from singletopt.locc import fstar
 
@@ -318,6 +321,69 @@ def test_sweep_non_finite_bound_exits_2(bounds, flag, tmp_path, capsys):
     assert code == 2
     assert err.count("\n") == 1 and err.startswith(f"error: {flag} must be finite, got ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("family, column", [
+    ("amplitude_damping", "N_channel"), ("depolarizing", "N_channel"),
+    ("amplitude_damping", "F_lambda"), ("depolarizing", "F_lambda"),
+])
+def test_sweep_negative_seed_exits_2(family, column, tmp_path, capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "named_channel", lambda *args: built.append(args))
+    out = tmp_path / "s.csv"
+    code, _, err = run(
+        ["sweep", "--name", family, "--from", "0", "--to", "1", "--steps", "3",
+         "--columns", column, "--seed", "-5", "--out", str(out)],
+        capsys,
+    )
+    assert code == 2
+    assert err == "error: --seed must be non-negative, got -5\n"
+    assert built == [] and not out.exists()  # rejected before any row was computed
+
+
+def _stacked_sweep_rows(case):
+    """Makers of fresh channel objects for one case: a family at 21 steps
+    over [0, 1] or 57 steps over [0.013, 0.987], or 40 random channels."""
+    if case == "random":
+        return [lambda k=k: random_channel(9000 + k, 1 + k % 4) for k in range(40)]
+    family, steps = case.rsplit("-", 1)
+    lo, hi = (0.0, 1.0) if steps == "21" else (0.013, 0.987)
+    return [
+        lambda p=float(p): named_channel(family, {"p": p})
+        for p in np.linspace(lo, hi, int(steps))
+    ]
+
+
+@pytest.mark.parametrize("case", [
+    f"{family}-{steps}"
+    for family in ("amplitude_damping", "depolarizing", "phase_damping", "bit_flip")
+    for steps in (21, 57)
+] + ["random"])
+def test_stacked_sweep_columns_equal_single_channel_functions(case):
+    """Each stacked column equals, bit for bit, its one-channel function on
+    a channel object built alone."""
+    makers = _stacked_sweep_rows(case)
+    rows = [make() for make in makers]
+    seeds = list(range(len(rows)))
+    build_states(rows)
+    stacked = {
+        column: [float(x) for x in cli.SWEEP_COLUMNS[column](rows, seeds)]
+        for column in ("schmidt_lambda", "unitality_deviation", "negativity_relation_residual")
+    }
+    for index, make in enumerate(makers):
+        c = make()
+        single = {
+            "schmidt_lambda": float(oneshot.optimal_input_state(c).schmidt.coefficients[0]),
+            "unitality_deviation": is_unital(c)[1],
+            "negativity_relation_residual": oneshot.negativity_relation_residual(c),
+        }
+        for column, value in single.items():
+            assert stacked[column][index] == value, (case, index, column)
+        # The forms the columns replaced: a Kraus loop and a 4x4 negativity.
+        assert stacked["unitality_deviation"][index] == float(np.linalg.norm(apply(c, I2) - I2))
+        lam = float(choi(c).eig.eigenvalues[0])
+        residual = abs(lam - 0.5 * (1.0 + negativity(choi(c).matrix)))
+        assert stacked["negativity_relation_residual"][index] == residual
 
 
 def test_sweep_builds_every_state_in_one_eigendecomposition(tmp_path, capsys, monkeypatch):

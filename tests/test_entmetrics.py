@@ -174,6 +174,15 @@ def test_teleportation_fidelity():
         teleportation_fidelity(0.5, d=1)
 
 
+def test_teleportation_fidelity_of_an_array():
+    fractions = np.linspace(0.5, 1.0, 11)
+    values = teleportation_fidelity(fractions)
+    assert values.shape == (11,)
+    assert [float(x) for x in values] == [teleportation_fidelity(float(f)) for f in fractions]
+    with pytest.raises(ValueError, match="must lie in"):
+        teleportation_fidelity(np.array([0.5, 1.2, 0.7]))
+
+
 def test_negativity_bell_and_product():
     assert negativity(BELL) == pytest.approx(1.0, abs=1e-12)
     rng = np.random.default_rng(6)
@@ -243,6 +252,31 @@ def test_schmidt_reconstruction():
 def test_schmidt_rejects_unnormalized():
     with pytest.raises(ValueError):
         schmidt(np.array([1, 0, 0, 1], dtype=complex))
+
+
+def test_schmidt_stack_matches_each_vector_alone():
+    rng = np.random.default_rng(12)
+    v = rng.standard_normal((30, 4)) + 1j * rng.standard_normal((30, 4))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    v[0] = PHI_PLUS  # degenerate singular values
+    v[1] = [1, 0, 0, 0]  # product state
+    stack = schmidt(v)
+    assert stack.coefficients.shape == (30, 2)
+    for k, vector in enumerate(v):
+        alone = schmidt(vector)
+        assert np.array_equal(stack.coefficients[k], alone.coefficients)
+        for got, want in zip(stack.local_bases, alone.local_bases):
+            assert np.array_equal(got[k], want)
+
+
+def test_schmidt_stack_raises_the_bad_vectors_own_error():
+    bad = np.array([1.1, 0, 0, 0], dtype=complex)
+    with pytest.raises(ValueError) as alone:
+        schmidt(bad)
+    stack = np.array([PHI_PLUS, bad, [0, 1, 0, 0]], dtype=complex)
+    with pytest.raises(ValueError) as stacked:
+        schmidt(stack)
+    assert str(stacked.value) == str(alone.value) == "pure state norm is 1.1, expected 1"
 
 
 def test_pt_identity_simple_cases():
