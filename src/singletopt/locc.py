@@ -40,8 +40,9 @@ upper end bounds the full program, so a closed bracket also certifies
 rank-one optimality for that state.  The solve takes leading batch axes:
 one Newton loop advances a whole stack of states, each retiring on its own
 bracket, and :func:`channel_fstars` solves many channels' Choi states in
-one such call.  The filter protocol oracle maximizes the primal protocol
-value directly, by an independent route.
+one such call.  :meth:`FstarCertificate.protocol` is the primal's explicit
+filter.  The filter protocol oracle, a test reference the audit does not
+run, maximizes the primal protocol value directly, by an independent route.
 """
 
 from __future__ import annotations
@@ -158,6 +159,19 @@ class FstarCertificate:
     primal: np.ndarray
     dual: np.ndarray
     newton_steps: int | np.ndarray
+
+    def protocol(self, rho: np.ndarray) -> FilterProtocol:
+        """The filter protocol on ``rho`` that this single state's ``primal`` is.
+
+        With X = ``primal.reshape(2, 2)`` and J = [[0, 1], [-1, 0]], the filter
+        A = (sqrt(2) X J^-1)^T has ||A||_op = sqrt(2) sigma_max(X) <= 1, and
+        its value is at least <Phi^+|(A (x) I) rho (A (x) I)^dag|Phi^+> +
+        (1 - p)/2 = 1/2 - <x|rho^Gamma|x> = ``lower``.  It is scored as
+        :func:`fstar_filter_oracle` scores its filter, apart from the solve.
+        """
+        x = np.asarray(self.primal).reshape(2, 2)
+        j_inv = np.array([[0.0, -1.0], [1.0, 0.0]])
+        return _filter_protocol(np.sqrt(2.0) * (x @ j_inv).T, as_density_matrix(rho))
 
 
 def fstar_certificate(rho: np.ndarray) -> FstarCertificate:
@@ -342,7 +356,8 @@ class FilterProtocol:
     """A concrete one-sided filter strategy and the value it achieves.
 
     ``success_state`` is the normalized state after the filter fires with
-    probability ``success_probability``.  ``fstar_value`` is the value of
+    probability ``success_probability`` (the zero matrix, worth 1/2, for a
+    filter that never fires).  ``fstar_value`` is the value of
     the better of this filter and the trivial always-prepare-separable
     strategy: max(1/2, p F(success_state) + (1 - p)/2).
     """
@@ -391,10 +406,16 @@ def fstar_filter_oracle(
     starts = np.vstack([[(1.0, 0, 0)], top, random_starts])
     x, _ = compass_search(objective, starts, FILTER_SPEC, step0=0.4, step_tol=1e-7)
 
-    filt = filter_batch([(1.0, x[0])], [x[1]], [x[2]])[0].conj()
+    return _filter_protocol(filter_batch([(1.0, x[0])], [x[1]], [x[2]])[0].conj(), rho)
+
+
+def _filter_protocol(filt: np.ndarray, rho: np.ndarray) -> FilterProtocol:
+    """Score ``filt`` (x) I on ``rho`` as a :class:`FilterProtocol`."""
     big = tensor_product(filt, I2)
     unnormalized = big @ rho @ big.conj().T
     p = float(np.trace(unnormalized).real)
+    if p <= 0.0:
+        return FilterProtocol(filt, 0.0, unnormalized, 0.5)
     success = unnormalized / p
     value, _ = singlet_fraction(success)
     return FilterProtocol(

@@ -55,8 +55,8 @@ from .entmetrics import (
     singlet_fraction_oracle,
     teleportation_fidelity,
 )
-from .linalg import partial_transpose, swap_conjugate
-from .locc import channel_fstar, fstar_filter_oracle, postprocessing_gap
+from .linalg import I2, partial_transpose, swap_conjugate
+from .locc import GAP_TOLERANCE, FstarCertificate, fstar_certificate
 from .optimize import compass_search
 
 __all__ = [
@@ -402,9 +402,8 @@ def channel_negativity(channel: KrausChannel, seed: int = 0) -> NegativitySearch
 class IdentityContext:
     """What the identity residuals of one channel read, fetched once."""
 
-    def __init__(self, channel: KrausChannel, seed: int = 0):
+    def __init__(self, channel: KrausChannel):
         self.channel = channel
-        self.seed = seed
         self.validation = validate(channel)
         build_states([channel])
         self.choi_state = choi(channel)
@@ -418,6 +417,11 @@ class IdentityContext:
     def extracted(self) -> KrausChannel:
         """Kraus operators read back from the Choi state, for the audit rows."""
         return kraus_from_choi(self.choi_state)
+
+    @cached_property
+    def certificate(self) -> FstarCertificate:
+        """F*'s certificate on the Choi state: the one solve every F* row reads."""
+        return fstar_certificate(self.choi_state.matrix)
 
 
 @dataclass(frozen=True)
@@ -450,6 +454,20 @@ def _kraus_trace_orthogonality(ctx: IdentityContext) -> float:
     return float(np.abs(gram - np.diag([2.0 * p for p in weights])).max())
 
 
+def _fstar_protocol(ctx: IdentityContext) -> float:
+    protocol = ctx.certificate.protocol(ctx.choi_state.matrix)
+    return max(0.0, float(np.linalg.norm(protocol.filter, 2)) - 1.0,
+               abs(protocol.fstar_value - ctx.certificate.lower))
+
+
+def _fstar_dual_feasible(ctx: IdentityContext) -> float:
+    cert = ctx.certificate
+    m = partial_transpose(ctx.choi_state.matrix, "first") + np.kron(cert.dual, I2)
+    return max(0.0, -float(np.linalg.eigvalsh(cert.dual)[0]), -float(np.linalg.eigvalsh(m)[0]),
+               abs(cert.upper - (0.5 + float(np.trace(cert.dual).real) / 2.0)),
+               cert.upper - cert.lower - GAP_TOLERANCE)
+
+
 # Rows reach library functions through module globals, so a patched function
 # is what every caller of the table sees.
 IDENTITIES = (
@@ -475,18 +493,21 @@ IDENTITIES = (
         choi_matrix(ctx.extracted) - ctx.choi_state.matrix).max())),
     # F*, and so the gap, is undefined on entanglement-breaking channels.
     Identity("gap_nonnegative", 1e-9, False, lambda ctx: None
-             if ctx.entanglement_breaking else max(0.0, -postprocessing_gap(ctx.channel)[0])),
+             if ctx.entanglement_breaking else max(0.0, ctx.certificate.lower - ctx.lambda_max)),
     Identity("gap_unital", 1e-6, False, lambda ctx: None
              if ctx.entanglement_breaking or not ctx.unital
-             else abs(postprocessing_gap(ctx.channel)[0])),
+             else abs(ctx.lambda_max - ctx.certificate.lower)),
     Identity("gap_nonunital_strict", 0.5, False, lambda ctx: None
              if ctx.entanglement_breaking or ctx.unital or ctx.unitality_deviation <= 1e-2
-             else float(not postprocessing_gap(ctx.channel)[1])),
+             else float(not ctx.lambda_max - ctx.certificate.lower > 1e-6)),
     Identity("singlet_fraction_oracle", 1e-4, False, lambda ctx: abs(
         singlet_fraction(ctx.choi_state.matrix)[0]
         - singlet_fraction_oracle(ctx.choi_state.matrix, resolution_deg=4.0))),
-    Identity("fstar_oracle", 1e-4, False, lambda ctx: abs(channel_fstar(ctx.channel) - (
-        fstar_filter_oracle(ctx.choi_state.matrix, restarts=16, seed=ctx.seed).fstar_value))),
+    # F*'s bracket, proven from both ends: the primal's filter is a contraction
+    # that reaches ``lower``, and Y >= 0 with rho^Gamma + Y (x) I >= 0 makes
+    # ``upper`` = 1/2 + Tr Y / 2 an upper bound (weak duality), within 1e-10.
+    Identity("fstar_protocol", 1e-12, False, _fstar_protocol),
+    Identity("fstar_dual_feasible", 1e-12, False, _fstar_dual_feasible),
 )
 
 
@@ -495,13 +516,12 @@ def _evaluate(ctx: IdentityContext, reported_only: bool) -> dict:
     return {name: value for name, value in values.items() if value is not None}
 
 
-def residuals(channel: KrausChannel, seed: int = 0) -> dict:
+def residuals(channel: KrausChannel) -> dict:
     """Residual of every identity in ``IDENTITIES`` that applies to ``channel``.
 
-    Rows that do not apply are left out; ``seed`` drives the filter-protocol
-    oracle.
+    Rows that do not apply are left out.
     """
-    return _evaluate(IdentityContext(channel, seed), reported_only=False)
+    return _evaluate(IdentityContext(channel), reported_only=False)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Derivative-free coordinate search with random restarts.
 
-One small engine serves both oracle searches: all restarts are advanced
+One small engine serves all three oracle searches: all restarts are advanced
 together as one batch, each iteration probes every coordinate
 direction for every restart in a single vectorized objective call, the best
 improving probe per restart is accepted, and a restart's step is halved

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib
 import json
 import math
@@ -6,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from singletopt import cli, oneshot
+from singletopt import cli, locc, oneshot
 from singletopt.channel import (
     apply,
     channel_from_dict,
@@ -501,6 +502,51 @@ def test_audit_detects_injected_fault(capsys, tmp_path, monkeypatch):
     assert repro.exists()
     data = json.loads(repro.read_text())
     channel_from_dict(data["channel"])  # must parse back
+
+
+def test_audit_unwritable_repro_exits_1_without_traceback(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    real = oneshot.pt_spectrum_identity_residual
+    monkeypatch.setattr(
+        oneshot, "pt_spectrum_identity_residual", lambda m: real(m) + 1e-3
+    )
+    (tmp_path / "audit-failure-pt_spectrum_identity.json").mkdir()
+    code, out, err = run(["audit", "--seed", "42", "--count", "4"], capsys)
+    assert code == 1
+    assert "error: cannot write audit-failure-pt_spectrum_identity.json: " in err
+    assert "Traceback" not in err
+
+
+def test_audit_fails_on_a_lower_end_the_protocol_does_not_reach(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    real = oneshot.fstar_certificate
+
+    def raised(rho):
+        cert = real(rho)
+        return dataclasses.replace(cert, lower=cert.lower + 1e-9)
+
+    monkeypatch.setattr(oneshot, "fstar_certificate", raised)
+    code, out, _ = run(["audit", "--seed", "42", "--count", "4"], capsys)
+    assert code == 1
+    line = next(line for line in out.splitlines() if line.startswith("  fstar_protocol "))
+    assert line.endswith("FAIL")
+    assert (tmp_path / "audit-failure-fstar_protocol.json").exists()
+
+
+def test_audit_solves_fstar_once_per_channel(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    solved = []
+    real = locc.fstar_certificate
+
+    def counted(rho):
+        solved.extend(np.asarray(rho).reshape(-1, 16).tolist())
+        return real(rho)
+
+    monkeypatch.setattr(locc, "fstar_certificate", counted)
+    monkeypatch.setattr(oneshot, "fstar_certificate", counted)
+    code, out, _ = run(["audit", "--seed", "42", "--count", "4"], capsys)
+    assert code == 0
+    assert len(solved) <= 4
 
 
 def test_channel_json_wire_format():

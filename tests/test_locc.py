@@ -126,6 +126,27 @@ def test_fstar_certificate_closes_and_is_feasible():
         assert cert.lower == pytest.approx(attained, abs=1e-14)
 
 
+def test_certificate_protocol_reaches_lower():
+    # The filter A read off the primal is a contraction and, scored apart
+    # from the solve, attains the lower end; on a Choi state the filtered
+    # qubit's marginal is I/2 and sigma_max(A) = 1, so a firing filter has
+    # p = Tr(A^dag A)/2 >= 1/2.
+    for k, rho in enumerate(_certified_states()):
+        cert = fstar_certificate(rho)
+        proto = cert.protocol(rho)
+        assert np.linalg.norm(proto.filter, 2) <= 1 + 1e-12
+        assert abs(proto.fstar_value - cert.lower) <= 1e-12
+        if k >= 200 and np.any(cert.primal):
+            assert proto.success_probability >= 0.5 - 1e-12
+
+
+def test_certificate_protocol_of_a_ppt_state_never_fires():
+    rho = choi(depolarizing(1.0)).matrix
+    proto = fstar_certificate(rho).protocol(rho)
+    assert not np.any(proto.filter) and proto.success_probability == 0.0
+    assert proto.fstar_value == 0.5
+
+
 def test_fstar_bracket_ppt_states_exact():
     rng = np.random.default_rng(11)
     states = [np.eye(4) / 4, choi(depolarizing(1.0)).matrix]

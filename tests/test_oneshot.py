@@ -16,8 +16,10 @@ from singletopt.channel import (
 )
 from singletopt.choi import choi
 from singletopt.entmetrics import negativity, singlet_fraction
+from singletopt.locc import fstar_certificate, fstar_filter_oracle
 from singletopt.oneshot import (
     IDENTITIES,
+    IdentityContext,
     channel_negativities,
     channel_negativity,
     classify,
@@ -426,3 +428,39 @@ def test_report_skips_identities_that_do_not_apply():
 def test_identity_names_are_unique():
     names = [row.name for row in IDENTITIES]
     assert len(names) == len(set(names))
+
+
+FSTAR_ROWS = {row.name: row for row in IDENTITIES if row.name.startswith("fstar_")}
+
+
+def _fstar_rows(channel) -> dict:
+    ctx = IdentityContext(channel)
+    return {name: row.residual(ctx) for name, row in FSTAR_ROWS.items()}
+
+
+def test_fstar_rows_check_the_certificate_at_1e_12():
+    assert {name: row.tolerance for name, row in FSTAR_ROWS.items()} == {
+        "fstar_protocol": 1e-12, "fstar_dual_feasible": 1e-12}
+    assert not any(row.reported for row in FSTAR_ROWS.values())
+
+
+def test_fstar_protocol_passes_a_norm_one_ulp_over():
+    # The filter's operator norm exceeds 1 by rounding alone here.
+    c = random_channel(200061600186, 4)
+    rho = choi(c).matrix
+    filt = fstar_certificate(rho).protocol(rho).filter
+    assert 0.0 < np.linalg.norm(filt, 2) - 1.0 <= 1e-14
+    assert all(value <= 1e-12 for value in _fstar_rows(c).values())
+
+
+@pytest.mark.parametrize("channel", [depolarizing(1.0), amplitude_damping(1.0), depolarizing(2 / 3)])
+def test_fstar_rows_vanish_at_the_separability_boundary(channel):
+    assert _fstar_rows(channel) == {"fstar_protocol": 0.0, "fstar_dual_feasible": 0.0}
+
+
+def test_fstar_rows_hold_where_the_filter_search_falls_short():
+    c = random_channel(3000011, 3)
+    assert all(value <= 1e-12 for value in _fstar_rows(c).values())
+    rho = choi(c).matrix
+    found = fstar_filter_oracle(rho, restarts=16, seed=3000011).fstar_value
+    assert fstar_certificate(rho).lower - found > 1e-7
