@@ -206,39 +206,49 @@ def pt_spectrum_identity_residual(sigma: np.ndarray) -> float:
 # W = Rz(a) Ry(b) Rz(g) and the half-angle sums ph = (a+g)/2, pm = (a-g)/2,
 # the overlap with a density matrix rho is the exact trigonometric form
 #
-#   F = c^2 (rho00 + rho33)/2 + s^2 (rho11 + rho22)/2
-#       + c^2 Re(rho03 e^{2i ph}) - s^2 Re(rho12 e^{2i pm})
-#       + c s [Re((rho02 - rho13) e^{i(ph+pm)})
-#              + Re((rho23 - rho01) e^{i(ph-pm)})]
+#   F = c^2 A + s^2 B + c s C,  c = cos(b/2), s = sin(b/2),
+#   A = (rho00 + rho33)/2 + Re(rho03 e^{2i ph})
+#   B = (rho11 + rho22)/2 - Re(rho12 e^{2i pm})
+#   C = Re((rho02 - rho13) e^{i(ph+pm)}) + Re((rho23 - rho01) e^{i(ph-pm)})
 #
-# with c = cos(b/2), s = sin(b/2).  Each term separates over the three
-# angles, so the full grid evaluates as a handful of broadcast products.
+# that is F = (A+B)/2 + ((A-B)/2) cos b + (C/2) sin b.  Over b this peaks at
+# (A+B)/2 + hypot(A-B, C)/2, reached at b* = atan2(C, A-B), so the oracle
+# solves b exactly and searches only the two phases.  b* ranges over the
+# whole circle; any real b still gives an SU(2) element, and keeping b* in
+# [0, pi] instead would put a kink at C = 0 on which the polish stalls.
+# b* only chooses the state: the value is always the overlap above at the
+# chosen angles, so it is a lower bound whatever b* is.
+
+
+def _overlap_terms(rho: np.ndarray, ph, pm):
+    """(A, B, C) of the trigonometric form above, broadcast over ph and pm."""
+    e_ph = np.exp(1j * np.asarray(ph))
+    e_pm = np.exp(1j * np.asarray(pm))
+    a = 0.5 * (rho[0, 0] + rho[3, 3]).real + (rho[0, 3] * e_ph**2).real
+    b = 0.5 * (rho[1, 1] + rho[2, 2]).real - (rho[1, 2] * e_pm**2).real
+    cross = ((rho[0, 2] - rho[1, 3]) * e_ph * e_pm).real
+    cross = cross + ((rho[2, 3] - rho[0, 1]) * e_ph * e_pm.conj()).real
+    return a, b, cross
+
+
+def _overlap_at(terms, beta):
+    a, b, cross = terms
+    c = np.cos(np.asarray(beta) / 2)
+    s = np.sin(np.asarray(beta) / 2)
+    return c**2 * a + s**2 * b + c * s * cross
 
 
 def _mes_overlap(rho: np.ndarray, beta, ph, pm):
     """Exact overlap of rho with the maximally entangled state at the given
     angles.  Accepts scalars or broadcastable arrays."""
-    c = np.cos(np.asarray(beta) / 2)
-    s = np.sin(np.asarray(beta) / 2)
-    e_ph = np.exp(1j * np.asarray(ph))
-    e_pm = np.exp(1j * np.asarray(pm))
-    term = 0.5 * (c**2 * (rho[0, 0] + rho[3, 3]).real + s**2 * (rho[1, 1] + rho[2, 2]).real)
-    term = term + c**2 * (rho[0, 3] * e_ph**2).real
-    term = term - s**2 * (rho[1, 2] * e_pm**2).real
-    cross = ((rho[0, 2] - rho[1, 3]) * e_ph * e_pm).real
-    cross = cross + ((rho[2, 3] - rho[0, 1]) * e_ph * e_pm.conj()).real
-    return term + c * s * cross
+    return _overlap_at(_overlap_terms(rho, ph, pm), beta)
 
 
-def _grid_maximum(rho: np.ndarray, resolution_deg: float):
-    step = np.deg2rad(resolution_deg)
-    n_phase = max(4, int(round(2 * np.pi / step)))
-    n_beta = max(3, int(round(np.pi / step)) + 1)
-    betas = np.linspace(0.0, np.pi, n_beta)
-    phases = np.arange(n_phase) * (2 * np.pi / n_phase)
-    grid = _mes_overlap(rho, betas[:, None, None], phases[:, None], phases)
-    ib, ip, im = np.unravel_index(int(grid.argmax()), grid.shape)
-    return float(grid[ib, ip, im]), (betas[ib], phases[ip], phases[im])
+def _phase_overlap(rho: np.ndarray, ph, pm):
+    """:func:`_mes_overlap` at phases (ph, pm) and the best b, atan2(C, A-B)."""
+    terms = _overlap_terms(rho, ph, pm)
+    a, b, cross = terms
+    return _overlap_at(terms, np.arctan2(cross, a - b))
 
 
 def singlet_fraction_oracle(
@@ -246,25 +256,31 @@ def singlet_fraction_oracle(
     resolution_deg: float = 2.0,
     refine: bool = True,
 ) -> float:
-    """Brute-force singlet fraction over gridded maximally entangled states.
+    """Brute-force singlet fraction over explicit maximally entangled states.
 
-    Scans Euler angles at ``resolution_deg`` and, unless ``refine`` is
-    False, polishes the best grid point by compass search with step halving
-    down to 1e-6 rad.  Every probe is an exact overlap with a genuine
-    maximally entangled state, so the result is always a lower bound on the
-    true maximum.  Agreement with :func:`singlet_fraction` is resolution
-    limited before refinement; after it, the worst gap on 200 random
-    states of rank 1-4 was 2.6e-13 at 4 degrees and 2.0e-13 at 2 degrees.
+    Solves the Euler angle b in closed form, scans the two phases on a grid
+    at ``resolution_deg`` and, unless ``refine`` is False, polishes the best
+    grid point by compass search over the phases with step halving down to
+    1e-6 rad.  Every probe is an exact overlap with a genuine maximally
+    entangled state, so the result is always a lower bound on the true
+    maximum.  Agreement with :func:`singlet_fraction` is resolution limited
+    before refinement; after it, at 4 degrees, the worst gap on the Choi
+    states of ``random_channel(k, k % 4 + 1)``, k < 3000, was 2.8e-13, and
+    on the 160,000 channels of benchmark audit operations 0-999 for seeds
+    0-39 it was 7.2e-8.
     """
     rho = as_density_matrix(rho)
-    value, angles = _grid_maximum(rho, resolution_deg)
+    n_phase = max(4, int(round(360.0 / resolution_deg)))
+    phases = np.arange(n_phase) * (2 * np.pi / n_phase)
+    grid = _phase_overlap(rho, phases[:, None], phases)
+    ip, im = np.unravel_index(int(grid.argmax()), grid.shape)
     if not refine:
-        return value
-    _, refined = compass_search(
-        lambda x: _mes_overlap(rho, x[:, 0], x[:, 1], x[:, 2]),
-        np.array([angles], dtype=float),
-        SearchSpec.build(3),
+        return float(grid[ip, im])
+    _, value = compass_search(
+        lambda x: _phase_overlap(rho, x[:, 0], x[:, 1]),
+        np.array([[phases[ip], phases[im]]]),
+        SearchSpec.build(2),
         step0=np.deg2rad(resolution_deg),
         step_tol=1e-6,
     )
-    return max(refined, value)
+    return value

@@ -497,9 +497,11 @@ IDENTITIES = (
     Identity("gap_unital", 1e-6, False, lambda ctx: None
              if ctx.entanglement_breaking or not ctx.unital
              else abs(ctx.lambda_max - ctx.certificate.lower)),
+    # The paper's gap > 0, proven from F*'s certified upper end; the 1e-12 is
+    # the slack to which fstar_dual_feasible proves that end.
     Identity("gap_nonunital_strict", 0.5, False, lambda ctx: None
              if ctx.entanglement_breaking or ctx.unital or ctx.unitality_deviation <= 1e-2
-             else float(not ctx.lambda_max - ctx.certificate.lower > 1e-6)),
+             else float(not ctx.lambda_max - ctx.certificate.upper > 1e-12)),
     Identity("singlet_fraction_oracle", 1e-4, False, lambda ctx: abs(
         singlet_fraction(ctx.choi_state.matrix)[0]
         - singlet_fraction_oracle(ctx.choi_state.matrix, resolution_deg=4.0))),

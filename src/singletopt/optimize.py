@@ -11,6 +11,7 @@ starts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,9 +41,19 @@ class SearchSpec:
             period[k] = p
         return SearchSpec(lower=lower, upper=upper, wrap=period)
 
+    @cached_property
+    def _bounded(self) -> bool:
+        return bool(np.isfinite(self.lower).any() or np.isfinite(self.upper).any())
+
+    @cached_property
+    def _wrapped(self) -> np.ndarray:
+        return ~np.isnan(self.wrap)
+
     def project(self, x: np.ndarray) -> np.ndarray:
-        x = np.clip(x, self.lower, self.upper)
-        wrapped = ~np.isnan(self.wrap)
+        """A projected copy of ``x``; the argument is never modified."""
+        # Clipping to infinite bounds would only copy, at several times the cost.
+        x = np.clip(x, self.lower, self.upper) if self._bounded else np.array(x, dtype=float)
+        wrapped = self._wrapped
         if wrapped.any():
             x[..., wrapped] = np.mod(x[..., wrapped], self.wrap[wrapped])
         return x

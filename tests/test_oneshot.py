@@ -412,6 +412,16 @@ def test_report_residuals_are_the_reported_rows(family, p):
         assert 0.0 <= value <= rows[name].tolerance, name
 
 
+def test_residuals_pass_on_a_nonunital_channel_with_a_small_gap():
+    # lambda_max - F* is 9.6e-7 here: positive, though under 1e-6.
+    c = random_channel(2800534401581, 4)
+    every = residuals(c)
+    rows = {row.name: row for row in IDENTITIES}
+    assert "gap_nonunital_strict" in every
+    for name, value in every.items():
+        assert 0.0 <= value <= rows[name].tolerance, name
+
+
 def test_report_skips_identities_that_do_not_apply():
     # Fully depolarizing: entanglement breaking, degenerate dual-Choi top.
     rep = report(depolarizing(1.0))
