@@ -40,7 +40,8 @@ upper end bounds the full program, so a closed bracket also certifies
 rank-one optimality for that state.  The solve takes leading batch axes:
 one Newton loop advances a whole stack of states, each retiring on its own
 bracket, and :func:`channel_fstars` solves many channels' Choi states in
-one such call.  :meth:`FstarCertificate.protocol` is the primal's explicit
+one such call, as the audit does for its certificates, each bit for bit
+its state's own.  :meth:`FstarCertificate.protocol` is the primal's explicit
 filter.  The filter protocol oracle, a test reference the audit does not
 run, maximizes the primal protocol value directly, by an independent route.
 """
@@ -404,8 +405,8 @@ def fstar_filter_oracle(
 
     random_starts = random_filter_params(np.random.default_rng(seed), restarts)
     starts = np.vstack([[(1.0, 0, 0)], top, random_starts])
-    x, _ = compass_search(objective, starts, FILTER_SPEC, step0=0.4, step_tol=1e-7)
-
+    x, f = compass_search(objective, starts, FILTER_SPEC, step0=0.4, step_tol=1e-7)
+    x = x[f.argmax()]
     return _filter_protocol(filter_batch([(1.0, x[0])], [x[1]], [x[2]])[0].conj(), rho)
 
 

@@ -5,7 +5,7 @@ together as one batch, each iteration probes every coordinate
 direction for every restart in a single vectorized objective call, the best
 improving probe per restart is accepted, and a restart's step is halved
 whenever none of its probes improve.  The search is deterministic given its
-starts.
+starts, and returns every restart's result.
 """
 
 from __future__ import annotations
@@ -47,14 +47,14 @@ class SearchSpec:
 
     @cached_property
     def _wrapped(self) -> np.ndarray:
-        return ~np.isnan(self.wrap)
+        return np.flatnonzero(~np.isnan(self.wrap))
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """A projected copy of ``x``; the argument is never modified."""
         # Clipping to infinite bounds would only copy, at several times the cost.
         x = np.clip(x, self.lower, self.upper) if self._bounded else np.array(x, dtype=float)
         wrapped = self._wrapped
-        if wrapped.any():
+        if len(wrapped):
             x[..., wrapped] = np.mod(x[..., wrapped], self.wrap[wrapped])
         return x
 
@@ -75,35 +75,39 @@ def compass_search(
     which is all compass search needs to converge (Kolda, Lewis and
     Torczon, SIAM Rev. 45, 385).  The search stops once every restart's
     step is below ``step_tol``, before a batch would exceed ``max_evals``,
-    or after ``max_iters`` iterations.  Returns ``(x_best, f_best)`` for
-    the single best restart.
+    or after ``max_iters`` iterations.  Returns ``(x, f)``: the (n, d)
+    points and n values of all restarts.  Each restart follows its path
+    alone; once converged it keeps being probed until the batch stops.
     """
     x = spec.project(np.array(x0, dtype=float))
     n, d = x.shape
     f = np.asarray(objective(x), dtype=float)
     step = np.full(n, float(step0))
     evals = n
-    offsets = np.concatenate([np.eye(d), -np.eye(d)])
     m = 2 * d
+    offsets = np.concatenate([np.eye(d), -np.eye(d)])[:, None, :]
+    rows = np.arange(n)
 
     for _ in range(max_iters):
-        if (step < step_tol).all():
+        if step.max() < step_tol:
             break
         if max_evals is not None and evals + m * n > max_evals:
             break
-        candidates = x[None, :, :] + step[None, :, None] * offsets[:, None, :]
-        candidates = spec.project(candidates.reshape(-1, d))
+        candidates = spec.project((x + step[:, None] * offsets).reshape(-1, d))
         values = np.asarray(objective(candidates), dtype=float).reshape(m, n)
         evals += m * n
 
         best_idx = values.argmax(axis=0)
-        best_val = values[best_idx, np.arange(n)]
+        best_val = values[best_idx, rows]
         improved = best_val > f
-        if improved.any():
-            chosen = candidates.reshape(m, n, d)[best_idx, np.arange(n), :]
-            x[improved] = chosen[improved]
-            f[improved] = best_val[improved]
-        step[~improved] /= 2
+        count = np.count_nonzero(improved)
+        if count == n:
+            x, f = candidates.reshape(m, n, d)[best_idx, rows], best_val
+        elif count:
+            won = rows[improved]
+            x[won], f[won] = candidates.reshape(m, n, d)[best_idx[won], won], best_val[won]
+            step[~improved] *= 0.5
+        else:
+            step *= 0.5
 
-    k = int(f.argmax())
-    return x[k], float(f[k])
+    return x, f

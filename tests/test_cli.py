@@ -560,6 +560,28 @@ def test_audit_solves_fstar_once_per_channel(capsys, tmp_path, monkeypatch):
     assert len(solved) <= 4
 
 
+def test_audit_solves_fstar_and_runs_the_oracle_once_over_all_channels(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    solved, searched = [], []
+    real_solve, real_search = oneshot.fstar_certificate, oneshot.singlet_fraction_oracle
+
+    def solve(rho):
+        solved.append(np.shape(rho))
+        return real_solve(rho)
+
+    def search(rho, *args, **kwargs):
+        searched.append(np.shape(rho))
+        return real_search(rho, *args, **kwargs)
+
+    monkeypatch.setattr(oneshot, "fstar_certificate", solve)
+    monkeypatch.setattr(oneshot, "singlet_fraction_oracle", search)
+    code, out, _ = run(["audit", "--seed", "42", "--count", "4"], capsys)
+    assert code == 0
+    assert "audit PASSED" in out.splitlines()
+    assert solved == [(4, 4, 4)]
+    assert searched == [(4, 4, 4)]
+
+
 def test_channel_json_wire_format():
     # {"kraus": [...]} with [re, im] pairs, exactly as documented.
     c = depolarizing(0.5)

@@ -187,6 +187,44 @@ def test_oracle_agrees_with_closed_form():
         assert abs(closed - refined) < 1e-8
 
 
+def test_oracle_on_a_stack_is_at_least_each_state_alone():
+    # The stacked search keeps probing converged states until the whole
+    # stack stops, so an entry can only rise, and stays a lower bound.
+    states = np.array([choi(random_channel(k, k % 4 + 1)).matrix for k in range(500)])
+    alone = np.array([singlet_fraction_oracle(rho, resolution_deg=4.0) for rho in states])
+    closed = np.array([singlet_fraction(rho)[0] for rho in states])
+    # Stacks of four, as one ``audit --count 4`` searches.
+    fours = np.concatenate([singlet_fraction_oracle(states[k:k + 4], resolution_deg=4.0)
+                            for k in range(0, 500, 4)])
+    assert np.all(alone <= fours) and np.all(fours <= closed + 1e-15)
+    assert np.all(closed - fours < 1e-12)
+    # One stack of all 500 probes longer.  On the unitary channel k = 336 it
+    # reaches 1.0, while the closed form rounds to 1 - 1.1e-15 and
+    # Tr rho = 1 - 2.2e-16 bounds every overlap: rounding on both sides.
+    every = singlet_fraction_oracle(states, resolution_deg=4.0)
+    assert np.all(alone <= every) and np.all(every <= closed + 2e-15)
+    assert np.all(closed - every < 1e-12)
+
+
+def test_oracle_keeps_leading_axes_and_returns_a_float_for_one_state():
+    rho = choi(amplitude_damping(0.3)).matrix
+    assert type(singlet_fraction_oracle(rho, 4.0)) is float
+    assert type(singlet_fraction_oracle(rho, 4.0, refine=False)) is float
+    stack = np.array([[rho, BELL], [np.eye(4) / 4, rho]])
+    assert singlet_fraction_oracle(stack, 4.0).shape == (2, 2)
+    assert singlet_fraction_oracle(stack, 4.0, refine=False).shape == (2, 2)
+
+
+def test_oracle_stack_raises_the_bad_states_own_error():
+    bad = BELL.copy()
+    bad[0, 1] = 0.3
+    with pytest.raises(ValueError) as alone:
+        singlet_fraction_oracle(bad)
+    with pytest.raises(ValueError) as stacked:
+        singlet_fraction_oracle(np.array([BELL, bad, np.eye(4) / 4]))
+    assert str(stacked.value) == str(alone.value) == "density matrix is not Hermitian"
+
+
 def test_teleportation_fidelity():
     assert teleportation_fidelity(1.0) == pytest.approx(1.0)
     assert teleportation_fidelity(0.5) == pytest.approx(2 / 3)

@@ -22,6 +22,7 @@ from singletopt.oneshot import (
     IdentityContext,
     channel_negativities,
     channel_negativity,
+    channel_residuals,
     classify,
     negativity_relation_residual,
     optimal_input_state,
@@ -474,3 +475,28 @@ def test_fstar_rows_hold_where_the_filter_search_falls_short():
     rho = choi(c).matrix
     found = fstar_filter_oracle(rho, restarts=16, seed=3000011).fstar_value
     assert fstar_certificate(rho).lower - found > 1e-7
+
+
+@pytest.mark.parametrize("channels", [
+    [random_channel(k, k % 4 + 1) for k in range(12)] + [
+        random_channel(2800534401581, 4), random_channel(1400635201893, 1),
+        depolarizing(1.0), amplitude_damping(1.0), amplitude_damping(0.3), bit_flip(0.2)],
+    # The channels of ``audit --seed 3000196 --count 4``: the third one's
+    # oracle row rises from 0.0 alone to 2.2e-16, one rounding above the
+    # closed form.
+    [random_channel(3000196 * 1_000_003 + j, j % 4 + 1) for j in range(4)],
+])
+def test_channel_residuals_equal_each_channels_own_rows(channels):
+    # One stacked F* solve gives every row reading the certificate bit for
+    # bit.  The stacked oracle only rises, so its row only falls, up to
+    # rounding where it reaches the closed form.
+    batched = channel_residuals(channels)
+    assert len(batched) == len(channels)
+    for channel, rows in zip(channels, batched):
+        alone = residuals(channel)
+        assert rows.keys() == alone.keys()
+        for name, value in alone.items():
+            if name == "singlet_fraction_oracle":
+                assert rows[name] <= value + 1e-15
+            else:
+                assert rows[name] == value, name
