@@ -32,6 +32,7 @@ __all__ = [
     "build_states",
     "choi",
     "choi_states",
+    "choi_values",
     "dual_choi",
     "dual_choi_states",
     "eigenvector_correspondence_check",
@@ -113,6 +114,18 @@ def choi_states(channels) -> list:
     :func:`build_states`; raises for the first channel ``validate`` rejects."""
     build_states(channels, ("choi",))
     return [c._states["choi"] for c in channels]
+
+
+def choi_values(channels, key: str, solve) -> list:
+    """``solve`` of each channel's Choi state, as a list of floats: kept next
+    to the state under ``key``, so each channel object is solved once, the
+    missing ones together in one ``solve`` call on their stacked matrices."""
+    missing = list({id(c): c for c in channels if key not in c._states}.values())
+    if missing:
+        values = solve(np.array([state.matrix for state in choi_states(missing)]))
+        for channel, value in zip(missing, values):
+            channel._states[key] = float(value)
+    return [c._states[key] for c in channels]
 
 
 def dual_choi_states(channels) -> list:

@@ -32,12 +32,13 @@ from .channel import (
     validate,
 )
 from .choi import ENTANGLEMENT_BREAKING_THRESHOLD, build_states, choi_states, dual_choi_states
-from .entmetrics import negativity, schmidt, teleportation_fidelity
+from .entmetrics import schmidt, teleportation_fidelity
 from .locc import channel_fstars
 from .oneshot import (
     IDENTITIES,
     channel_negativities,
     channel_residuals,
+    choi_negativities,
     negativity_relation_residuals,
     report,
 )
@@ -142,7 +143,7 @@ def _gap_column(channels, seeds) -> np.ndarray:
 
 
 # Each column maps the rows' channels and their search seeds to one value
-# per row, in one stacked call; F* and N_channel in one batched search.
+# per row, in one stacked call; F* and N_choi are solved once per channel.
 SWEEP_COLUMNS = {
     "F_lambda": lambda channels, seeds: np.maximum(0.5, _top(choi_states(channels))),
     "lambda_max": lambda channels, seeds: _top(choi_states(channels)),
@@ -153,9 +154,7 @@ SWEEP_COLUMNS = {
         SWEEP_COLUMNS["F_lambda"](channels, seeds)
     ),
     "F1": lambda channels, seeds: _top(dual_choi_states(channels)),
-    "N_choi": lambda channels, seeds: negativity(
-        np.array([state.matrix for state in choi_states(channels)])
-    ),
+    "N_choi": lambda channels, seeds: choi_negativities(channels),
     "N_channel": lambda channels, seeds: [
         search.value for search in channel_negativities(channels, seeds)
     ],

@@ -60,7 +60,7 @@ from ._batched import (
     random_filter_params,
 )
 from .channel import KrausChannel
-from .choi import ENTANGLEMENT_BREAKING_THRESHOLD, choi, choi_states
+from .choi import ENTANGLEMENT_BREAKING_THRESHOLD, choi, choi_values
 from .entmetrics import _as_density_stack, as_density_matrix, singlet_fraction
 from .linalg import I2, PAULIS, partial_transpose, tensor_product
 from .optimize import compass_search
@@ -332,19 +332,10 @@ def fstar(rho: np.ndarray) -> float | np.ndarray:
 
 
 def channel_fstars(channels) -> list:
-    """:func:`fstar` of each channel's Choi state, as a list of floats.
-
-    Solved once per channel object and kept next to its Choi state (see
-    :func:`choi.choi_states`), so every caller that needs F* of the same
-    channel shares one solve; the channels without a kept value are solved
-    together, in one :func:`fstar` call on the stack of their Choi states.
-    """
-    missing = list({id(c): c for c in channels if "fstar" not in c._states}.values())
-    if missing:
-        values = fstar(np.array([state.matrix for state in choi_states(missing)]))
-        for channel, value in zip(missing, values):
-            channel._states["fstar"] = float(value)
-    return [c._states["fstar"] for c in channels]
+    """:func:`fstar` of each channel's Choi state, as a list of floats, each
+    channel solved once and the missing ones together (see
+    :func:`choi.choi_values`)."""
+    return choi_values(channels, "fstar", fstar)
 
 
 def channel_fstar(channel: KrausChannel) -> float:

@@ -5,9 +5,9 @@ Choi state; the pure input achieving it is the top eigenvector of the dual
 Choi state, maximally entangled exactly when the channel is unital.  This
 module computes those, the related teleportation fidelity, the negativity
 identity lambda_max = (1 + N)/2, the output negativity maximized over all
-pure inputs under a closed-form upper bound that certifies the maximally
-entangled input on unital channels (elsewhere by alternating eigen-steps,
-for many channels at once in one batched search), and an aggregated report.
+pure inputs with closed-form certificates that close on every entangling
+channel tried (alternating eigen-steps, batched over channels, search only
+the rows they leave open), and an aggregated report.
 
 ``IDENTITIES`` lists every identity the package rests on, each as a
 residual with its tolerance; :func:`report` shows the closed-form ones and
@@ -43,6 +43,7 @@ from .choi import (
     build_states,
     choi,
     choi_states,
+    choi_values,
     dual_choi,
     eigenvector_correspondence_check,
 )
@@ -55,7 +56,7 @@ from .entmetrics import (
     singlet_fraction_oracle,
     teleportation_fidelity,
 )
-from .linalg import I2, partial_transpose, swap_conjugate
+from .linalg import I2, MAGIC_BASIS, partial_transpose, swap_conjugate, to_magic_basis
 from .locc import GAP_TOLERANCE, FstarCertificate, fstar_certificate
 from .optimize import compass_search
 
@@ -74,6 +75,7 @@ __all__ = [
     "preprocessed_fidelity",
     "preprocessed_fidelity_oracle",
     "classify",
+    "choi_negativities",
     "negativity_relation_residual",
     "negativity_relation_residuals",
     "channel_negativity",
@@ -205,6 +207,12 @@ def classify(channel: KrausChannel, mes_tol: float = 1e-7) -> Classification:
     return Classification(unital, deviation, mes, verdict)
 
 
+def choi_negativities(channels) -> np.ndarray:
+    """:func:`negativity` of each channel's Choi state, each channel solved
+    once and the missing ones together (see :func:`choi.choi_values`)."""
+    return np.array(choi_values(channels, "negativity", negativity))
+
+
 def negativity_relation_residuals(channels) -> np.ndarray:
     """|lambda_max(choi) - (1 + N(choi))/2| of each channel, bit for bit its own.
 
@@ -213,15 +221,14 @@ def negativity_relation_residuals(channels) -> np.ndarray:
     lambda_max drops below 1/2, so the relation intentionally fails there
     and the residual is reported without being asserted.
     """
-    states = choi_states(channels)
-    lam = np.array([state.eig.eigenvalues[0] for state in states])
-    return _relation_residual(lam, negativity(np.array([state.matrix for state in states])))
+    lam = np.array([state.eig.eigenvalues[0] for state in choi_states(channels)])
+    return _relation_residual(lam, choi_negativities(channels))
 
 
 def negativity_relation_residual(channel: KrausChannel) -> float:
     """One channel's :func:`negativity_relation_residuals`."""
     state = choi(channel)
-    return float(_relation_residual(state.eig.eigenvalues[0], negativity(state.matrix)))
+    return float(_relation_residual(state.eig.eigenvalues[0], choi_negativities([channel])[0]))
 
 
 def _relation_residual(lam, n):
@@ -232,13 +239,13 @@ def _relation_residual(lam, n):
 class NegativitySearch:
     """Best output negativity found over pure inputs, with an upper bound.
 
-    ``iterations`` counts the winning start's steps, 0 where the bound
-    certifies the maximally entangled input and no search runs;
-    ``converged`` is False only if some start hit the step cap of
-    :func:`channel_negativities`.  ``upper`` bounds the output negativity
-    of every pure input: 4 ||W||_inf for a W with (J + W)^Gamma >= 0, equal
-    to ``value`` to 1e-12 where it certifies, 0.0 on entanglement-breaking
-    channels.
+    ``iterations`` counts the winning start's steps, 0 where a closed-form
+    certificate closes and no search runs; ``converged`` is False only if
+    some start hit the step cap of :func:`channel_negativities`.  ``dual``
+    is a 4x4 W with (J + W)^Gamma >= 0, J the Choi state, and ``upper`` =
+    4 ||W||_inf bounds the output negativity of every pure input: equal to
+    ``value`` to 1e-12 where a certificate closes, 0.0 (and W = 0) on
+    entanglement-breaking channels.
     """
 
     value: float
@@ -247,6 +254,7 @@ class NegativitySearch:
     iterations: int
     converged: bool
     upper: float
+    dual: np.ndarray
 
 
 # Random starts of the negativity search, next to the maximally entangled one.
@@ -285,14 +293,14 @@ def _lift(w: np.ndarray) -> np.ndarray:
     return l.reshape(-1, 4, 4)
 
 
-# Widest gap between the certified bound and the maximally entangled input's
-# negativity at which that input is returned unsearched.
+# Widest gap between a certificate's bound and its input's negativity at
+# which that input is returned unsearched.
 _CERTIFIED_GAP = 1e-12
 
 
 def _mes_certificates(states) -> tuple:
-    """G = J^Gamma, the maximally entangled input's output negativity and an
-    upper bound on every pure input's, for each Choi state J.
+    """G = J^Gamma, the maximally entangled input's output negativity, an
+    upper bound on every pure input's and its dual point, for each Choi state J.
 
     With (lambda, e) the top eigenpair of J, t = (2 lambda - 1)/4 and
     W = t (I - 2 ee^dag), eps = max(0, -lambda_min((J + W)^Gamma)) makes
@@ -311,7 +319,35 @@ def _mes_certificates(states) -> tuple:
     g = partial_transpose(np.array([state.matrix for state in states]))
     bottom = np.linalg.eigvalsh(np.concatenate([g, g + partial_transpose(w)]))[:, 0]
     reached, shifted = np.split(bottom, 2)
-    return g, -2.0 * reached, 4.0 * (t + np.maximum(0.0, -shifted))
+    eps = np.maximum(0.0, -shifted)
+    return g, -2.0 * reached, 4.0 * (t + eps), w + eps[:, None, None] * np.eye(4)
+
+
+def _kernel_certificates(g: np.ndarray) -> tuple:
+    """An input, its exact output negativity and Schmidt weight, an upper
+    bound on every pure input's and its dual point, for each G = J^Gamma.
+
+    phi, the maximally entangled vector minimizing q = <phi|G^-1|phi>, is the
+    bottom eigenvector of the real part of G^-1 in the magic basis.  For
+    q < 0 and t = -1/(2q), W = 2t (phi phi^dag)^Gamma has eigenvalues +-t and
+    makes (J + W)^Gamma = G + 2t phi phi^dag singular; with the shift eps of
+    :func:`_mes_certificates` the bound is 4 (t + eps).  In exact arithmetic
+    that is -2/q, reached by the input with A^T proportional to
+    P Sigma^(1/2), P Sigma Q the kernel vector G^-1 phi as a 2x2 matrix.
+    """
+    inverse = np.linalg.pinv(g, hermitian=True)
+    q, x = np.linalg.eigh(to_magic_basis(inverse).real)
+    q, phi = q[:, 0], x[:, :, 0] @ MAGIC_BASIS.T
+    t = np.divide(-0.5, q, out=np.zeros_like(q), where=q < 0.0)
+    update = 2.0 * t[:, None, None] * phi[:, :, None] * phi[:, None, :].conj()
+    eps = np.maximum(0.0, -np.linalg.eigvalsh(g + update)[:, 0])
+    p, s, _ = np.linalg.svd((inverse @ phi[:, :, None]).reshape(-1, 2, 2))
+    weights = s / s.sum(axis=1, keepdims=True)
+    a = (p * np.sqrt(weights)[:, None, :]).swapaxes(1, 2)
+    # One w-step scores the input exactly.
+    lam = _bottom_eigenpairs(a, _transpose_kron_identity, g, np.arange(len(a)))[0]
+    dual = partial_transpose(update) + eps[:, None, None] * np.eye(4)
+    return a, -4.0 * lam, weights[:, 0], 4.0 * (t + eps), dual
 
 
 def channel_negativities(channels, seeds) -> list:
@@ -326,13 +362,16 @@ def channel_negativities(channels, seeds) -> list:
     gets the upper bound of :func:`_mes_certificates`; where it is within
     1e-12 of the maximally entangled input's negativity (on every unital
     channel), that input is returned with ``iterations = 0`` and no search.
-    The rest are searched: two exact eigen-steps alternate.  With A fixed, w
-    is the bottom eigenvector of the form above; with w fixed,
-    (A^T (x) I) w = L(w) vec(A) and vec(A) becomes the bottom eigenvector of
-    L(w)^dag G L(w).  No step lowers the negativity.  Each searched channel
-    starts from the maximally entangled input and 16 random ones drawn from
-    its seed, so its result never falls below its Choi negativity; a start
-    retires once a step gains at most 1e-15, or after
+    The rest get the closed form of :func:`_kernel_certificates`, which
+    closed on every entangling channel tried, and return its input likewise
+    where it is within 1e-12 of its bound.  Only the rows neither closes are
+    searched, under the closed form's bound: two exact eigen-steps
+    alternate.  With A fixed, w is the bottom eigenvector of the form above;
+    with w fixed, (A^T (x) I) w = L(w) vec(A) and vec(A) becomes the bottom
+    eigenvector of L(w)^dag G L(w).  No step lowers the negativity.  Each
+    searched channel starts from the maximally entangled input and 16 random
+    ones drawn from its seed, so its result never falls below its Choi
+    negativity; a start retires once a step gains at most 1e-15, or after
     ``_NEGATIVITY_MAX_ITERS`` steps.  The starts of all channels step
     together, each with its own channel's G, and each channel returns the
     best of its own starts.
@@ -341,21 +380,23 @@ def channel_negativities(channels, seeds) -> list:
         raise ValueError(f"{len(channels)} channels but {len(seeds)} seeds")
     mes = np.eye(2, dtype=complex) / np.sqrt(2.0)
     states = choi_states(channels)
-    results, live = [None] * len(channels), []
-    for i, state in enumerate(states):
-        if float(state.eig.eigenvalues[0]) <= ENTANGLEMENT_BREAKING_THRESHOLD:
-            results[i] = NegativitySearch(0.0, mes.flatten(), 0.5, 0, True, 0.0)
-        else:
-            live.append(i)
-    if not live:
+    lam = np.array([state.eig.eigenvalues[0] for state in states])
+    results = [NegativitySearch(0.0, mes.flatten(), 0.5, 0, True, 0.0, np.zeros((4, 4)))
+               if top <= ENTANGLEMENT_BREAKING_THRESHOLD else None for top in lam]
+    live = np.flatnonzero(lam > ENTANGLEMENT_BREAKING_THRESHOLD)
+    if not len(live):
         return results
-    g, reached, upper = _mes_certificates([states[i] for i in live])
-    closed = upper - reached <= _CERTIFIED_GAP
-    for i, value, bound in zip(np.array(live)[closed], reached[closed], upper[closed]):
-        results[i] = NegativitySearch(float(value), mes.flatten(), 0.5, 0, True, float(bound))
-    live = [i for i, done in zip(live, closed) if not done]
-    g, upper = g[~closed], upper[~closed]
-    if not live:
+    g, value, upper, dual = _mes_certificates([states[i] for i in live])
+    a, weights = np.repeat(mes[None], len(live), axis=0), np.full(len(live), 0.5)
+    rows = np.flatnonzero(upper - value > _CERTIFIED_GAP)
+    if len(rows):
+        a[rows], value[rows], weights[rows], upper[rows], dual[rows] = _kernel_certificates(g[rows])
+    closed = upper - value <= _CERTIFIED_GAP
+    for j in np.flatnonzero(closed):
+        results[live[j]] = NegativitySearch(float(value[j]), a[j].reshape(4), float(weights[j]),
+                                            0, True, float(upper[j]), dual[j])
+    live, g, upper, dual = live[~closed], g[~closed], upper[~closed], dual[~closed]
+    if not len(live):
         return results
     starts = []
     for i in live:
@@ -384,14 +425,9 @@ def channel_negativities(channels, seeds) -> list:
     weights = np.linalg.svd(a[best], compute_uv=False)[:, 0] ** 2
     converged = (steps < _NEGATIVITY_MAX_ITERS).reshape(-1, per_channel).all(axis=1)
     for j, i in enumerate(live):
-        results[i] = NegativitySearch(
-            value=-4.0 * float(value[best[j]]),
-            input_state=a[best[j]].reshape(4),
-            schmidt_weight=float(weights[j]),
-            iterations=int(steps[best[j]]),
-            converged=bool(converged[j]),
-            upper=float(upper[j]),
-        )
+        results[i] = NegativitySearch(-4.0 * float(value[best[j]]), a[best[j]].reshape(4),
+                                      float(weights[j]), int(steps[best[j]]), bool(converged[j]),
+                                      float(upper[j]), dual[j])
     return results
 
 
@@ -604,7 +640,7 @@ def report(channel: KrausChannel) -> ChannelReport:
         unital=ctx.unital,
         unitality_deviation=ctx.unitality_deviation,
         f_tel=teleportation_fidelity(frac.value),
-        N_choi=negativity(ctx.choi_state.matrix),
+        N_choi=float(choi_negativities([channel])[0]),
         F1=preprocessed_fidelity(channel),
         residuals=_evaluate(ctx, reported_only=True),
     )

@@ -14,6 +14,7 @@ from singletopt.channel import (
     random_channel,
     unitary,
 )
+from singletopt import oneshot
 from singletopt.choi import choi
 from singletopt.entmetrics import negativity, singlet_fraction
 from singletopt.locc import fstar_certificate, fstar_filter_oracle
@@ -250,36 +251,42 @@ def _certificate_cases():
 
 
 def test_negativity_upper_bound_holds():
+    # Every entangling row closes, by one certificate or the other, with no
+    # search, and its input reaches its value.
     cases = _certificate_cases()
     closed = 0
     for k, (c, search) in enumerate(zip(cases, channel_negativities(cases, range(len(cases))))):
         assert search.upper >= search.value - 1e-14, k
-        if search.upper - search.value > 1e-12:
+        if optimal_singlet_fraction(c).entanglement_breaking:
             continue
-        # A certified row is the maximally entangled input, unsearched.
         closed += 1
-        assert search.iterations == 0 and search.converged
-        assert search.schmidt_weight == 0.5
+        assert search.upper - search.value <= 1e-12, k
+        assert search.iterations == 0 and search.converged, k
         out = apply_to_half(c, search.input_state)
-        assert abs(negativity(out) - search.value) <= 1e-12
-    assert 20 <= closed < len(cases)
+        assert abs(negativity(out) - search.value) <= 1e-12, k
+    assert closed >= 60
+
+
+def _sweep_rows():
+    """The 84 rows of the four sweep families over p in [0, 1]."""
+    families = ("amplitude_damping", "depolarizing", "phase_damping", "bit_flip")
+    return [named_channel(f, {"p": float(p)}) for f in families for p in np.linspace(0.0, 1.0, 21)]
 
 
 def test_negativity_certificate_is_feasible():
-    # Rebuilt from the top Choi eigenpair with plain numpy: W = t (I - 2 ee^dag),
-    # t = (2 lambda - 1)/4, and eps = upper/4 - t must make (J + W + eps I)^Gamma >= 0.
-    cases = _certificate_cases()
-    for c, search in zip(cases, channel_negativities(cases, range(len(cases)))):
-        eig = choi(c).eig
-        lam, e = float(eig.eigenvalues[0]), eig.eigenvectors[:, 0]
-        if lam <= 0.5 + 1e-12:
-            continue
-        t = (2 * lam - 1) / 4
-        eps = search.upper / 4 - t
-        assert eps >= 0.0
-        m = choi(c).matrix + t * (np.eye(4) - 2 * np.outer(e, e.conj())) + eps * np.eye(4)
+    # The returned dual W, checked with plain numpy reshapes: 4 ||W||_inf is
+    # the reported bound and (J + W)^Gamma >= 0, on every row, entanglement
+    # breaking (W = 0) included.
+    cases = _certificate_cases() + _sweep_rows()
+    for k, (c, search) in enumerate(zip(cases, channel_negativities(cases, range(len(cases))))):
+        w = search.dual
+        assert w.shape == (4, 4) and np.allclose(w, w.conj().T, rtol=0.0, atol=1e-15), k
+        assert 4 * np.abs(np.linalg.eigvalsh(w)).max() <= search.upper + 1e-15, k
+        m = choi(c).matrix + w
         gamma = m.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
-        assert np.linalg.eigvalsh(gamma).min() >= -1e-14
+        assert np.linalg.eigvalsh(gamma).min() >= -1e-14, k
+        if search.upper == 0.0:
+            assert not w.any(), k
 
 
 @pytest.mark.parametrize("family", ["depolarizing", "phase_damping", "bit_flip"])
@@ -296,14 +303,32 @@ def test_negativity_certificate_closes_on_unital_sweep_rows(family):
     assert searched >= 14
 
 
-def test_negativity_certificate_stays_open_on_amplitude_damping():
-    # Nonunital: the maximally entangled input is beaten, so the search runs.
-    channels = [amplitude_damping(float(p)) for p in np.linspace(0.0, 1.0, 21)[1:-1]]
-    for c, search in zip(channels, channel_negativities(channels, range(19))):
-        assert search.upper - search.value > 1e-12
-        assert search.iterations > 0
+def test_negativity_certificate_closes_on_amplitude_damping():
+    # Nonunital: the maximally entangled input is beaten, and the closed form
+    # certifies the better input with no search.
+    params = np.linspace(0.0, 1.0, 21)[1:-1]
+    channels = [amplitude_damping(float(p)) for p in params]
+    found = channel_negativities(channels, range(19))
+    for c, search in zip(channels, found):
+        assert search.iterations == 0
+        assert search.upper - search.value <= 1e-12
         assert search.value > negativity(choi(c).matrix) + 1e-4
-        assert search.upper >= search.value - 1e-14
+    assert params[14] == 0.75 and abs(found[14].value - 2 / 7) <= 1e-14
+    assert params[15] == 0.8 and abs(found[15].value - (np.sqrt(5) - 2)) <= 1e-14
+
+
+def test_certified_value_is_at_least_the_search(monkeypatch):
+    # With no gap narrow enough, every row falls back to the alternating search.
+    channels = [random_channel(7000 + k, 1 + k % 4) for k in range(24)]
+    channels += [amplitude_damping(float(p)) for p in np.linspace(0.0, 1.0, 21)[1:-1]]
+    certified = channel_negativities(channels, range(len(channels)))
+    monkeypatch.setattr(oneshot, "_CERTIFIED_GAP", -1.0)
+    searched = channel_negativities(channels, range(len(channels)))
+    assert any(search.iterations > 0 for search in searched)
+    for k, (cert, search) in enumerate(zip(certified, searched)):
+        assert cert.iterations == 0, k
+        assert cert.value >= search.value - 2e-15, k
+        assert search.upper >= search.value - 1e-14, k
 
 
 @pytest.mark.parametrize(
@@ -336,6 +361,7 @@ def test_channel_negativities_equal_the_row_by_row_searches():
         assert np.array_equal(found.input_state, alone.input_state)
         assert found.schmidt_weight == alone.schmidt_weight
         assert found.upper == alone.upper
+        assert np.array_equal(found.dual, alone.dual)
         breaking += found.iterations == 0 and found.value == 0.0
     assert breaking >= 3
     assert channel_negativities([], []) == []
