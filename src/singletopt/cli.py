@@ -135,37 +135,37 @@ def _top(states) -> np.ndarray:
     return np.array([state.eig.eigenvalues[0] for state in states])
 
 
-def _gap_column(channels, seeds) -> np.ndarray:
+def _gap_column(channels) -> np.ndarray:
     """lambda_max - F* per row; NaN on entanglement-breaking rows, where
     neither side is meaningful."""
     lam = _top(choi_states(channels))
     return np.where(lam > ENTANGLEMENT_BREAKING_THRESHOLD, lam - channel_fstars(channels), np.nan)
 
 
-# Each column maps the rows' channels and their search seeds to one value
-# per row, in one stacked call; F* and N_choi are solved once per channel.
+# Each column maps the rows' channels to one value per row, in one stacked
+# call; F* and N_choi are solved once per channel.
 SWEEP_COLUMNS = {
-    "F_lambda": lambda channels, seeds: np.maximum(0.5, _top(choi_states(channels))),
-    "lambda_max": lambda channels, seeds: _top(choi_states(channels)),
-    "entanglement_breaking": lambda channels, seeds: np.where(
+    "F_lambda": lambda channels: np.maximum(0.5, _top(choi_states(channels))),
+    "lambda_max": lambda channels: _top(choi_states(channels)),
+    "entanglement_breaking": lambda channels: np.where(
         _top(choi_states(channels)) <= ENTANGLEMENT_BREAKING_THRESHOLD, 1.0, 0.0
     ),
-    "f_tel": lambda channels, seeds: teleportation_fidelity(
-        SWEEP_COLUMNS["F_lambda"](channels, seeds)
+    "f_tel": lambda channels: teleportation_fidelity(
+        SWEEP_COLUMNS["F_lambda"](channels)
     ),
-    "F1": lambda channels, seeds: _top(dual_choi_states(channels)),
-    "N_choi": lambda channels, seeds: choi_negativities(channels),
-    "N_channel": lambda channels, seeds: [
-        search.value for search in channel_negativities(channels, seeds)
+    "F1": lambda channels: _top(dual_choi_states(channels)),
+    "N_choi": lambda channels: choi_negativities(channels),
+    "N_channel": lambda channels: [
+        search.value for search in channel_negativities(channels)
     ],
-    "fstar_choi": lambda channels, seeds: channel_fstars(channels),
+    "fstar_choi": lambda channels: channel_fstars(channels),
     "gap": _gap_column,
     # Each row's optimal input is its top dual-Choi eigenvector.
-    "schmidt_lambda": lambda channels, seeds: schmidt(
+    "schmidt_lambda": lambda channels: schmidt(
         np.array([state.eig.eigenvectors[:, 0] for state in dual_choi_states(channels)])
     ).coefficients[:, 0],
-    "unitality_deviation": lambda channels, seeds: unitality_deviations(channels),
-    "negativity_relation_residual": lambda channels, seeds: negativity_relation_residuals(channels),
+    "unitality_deviation": lambda channels: unitality_deviations(channels),
+    "negativity_relation_residual": lambda channels: negativity_relation_residuals(channels),
 }
 
 
@@ -196,6 +196,8 @@ def _cmd_sweep(args) -> int:
     if args.steps < 2:
         print("error: --steps must be at least 2", file=sys.stderr)
         return EXIT_USAGE
+    # --seed changes no output (every column is closed form or certified); it
+    # stays accepted and validated so existing command lines keep working.
     if args.seed < 0:
         print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
         return EXIT_USAGE
@@ -217,10 +219,9 @@ def _cmd_sweep(args) -> int:
     try:
         params = [float(v) for v in np.linspace(args.start, args.stop, args.steps)]
         channels = [named_channel(args.name, {args.param: value}) for value in params]
-        seeds = [args.seed + index for index in range(len(channels))]
         # Every row's Choi and dual-Choi states, in one batched pass.
         build_states(channels)
-        table = [SWEEP_COLUMNS[c](channels, seeds) for c in columns]
+        table = [SWEEP_COLUMNS[c](channels) for c in columns]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -333,7 +334,7 @@ def _parser() -> argparse.ArgumentParser:
         "--columns", required=True, help="comma separated column names"
     )
     sweep.add_argument("--out", required=True, help="output CSV path")
-    sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument("--seed", type=int, default=0, help="accepted; changes no output")
     sweep.set_defaults(func=_cmd_sweep)
 
     audit = sub.add_parser("audit", help="randomized identity audit")

@@ -6,8 +6,7 @@ Choi state, maximally entangled exactly when the channel is unital.  This
 module computes those, the related teleportation fidelity, the negativity
 identity lambda_max = (1 + N)/2, the output negativity maximized over all
 pure inputs with closed-form certificates that close on every entangling
-channel tried (alternating eigen-steps, batched over channels, search only
-the rows they leave open), and an aggregated report.
+channel tried, and an aggregated report.
 
 ``IDENTITIES`` lists every identity the package rests on, each as a
 residual with its tolerance; :func:`report` shows the closed-form ones and
@@ -27,7 +26,6 @@ from ._batched import (
     apply_filter_table,
     filter_batch,
     magic_filter_table,
-    random_filter_params,
 )
 from .channel import (
     KrausChannel,
@@ -237,64 +235,32 @@ def _relation_residual(lam, n):
 
 @dataclass(frozen=True)
 class NegativitySearch:
-    """Best output negativity found over pure inputs, with an upper bound.
+    """Best output negativity of an explicit pure input, with an upper bound.
 
-    ``iterations`` counts the winning start's steps, 0 where a closed-form
-    certificate closes and no search runs; ``converged`` is False only if
-    some start hit the step cap of :func:`channel_negativities`.  ``dual``
-    is a 4x4 W with (J + W)^Gamma >= 0, J the Choi state, and ``upper`` =
-    4 ||W||_inf bounds the output negativity of every pure input: equal to
-    ``value`` to 1e-12 where a certificate closes, 0.0 (and W = 0) on
-    entanglement-breaking channels.
+    ``value`` is the exact output negativity of ``input_state``, whose larger
+    Schmidt coefficient is ``schmidt_weight``.  ``dual`` is a 4x4 W with
+    (J + W)^Gamma >= 0, J the Choi state, and ``upper`` = 4 ||W||_inf bounds
+    the output negativity of every pure input: equal to ``value`` to 1e-12
+    where a certificate closes, 0.0 (and W = 0) on entanglement-breaking
+    channels.  Where none closes, [``value``, ``upper``] is the bracket.
     """
 
     value: float
     input_state: np.ndarray
     schmidt_weight: float
-    iterations: int
-    converged: bool
     upper: float
     dual: np.ndarray
 
 
-# Random starts of the negativity search, next to the maximally entangled one.
-_NEGATIVITY_RESTARTS = 16
-# Cap on the steps of one start; at most 112 on the sweep families, 1,398 on random channels.
-_NEGATIVITY_MAX_ITERS = 2000
-# Starts per stacked eigensolve in the steps.  Each 4x4 matrix is solved on
-# its own, so blocks change no value; they cap the steps' temporaries, which
-# would otherwise grow with the number of channels searched together.
-_NEGATIVITY_BLOCK = 128
-
-
-def _bottom_eigenpairs(x: np.ndarray, embed: Callable, g: np.ndarray, owner: np.ndarray) -> tuple:
-    """Bottom eigenpair of M^dag G M per start, with M = ``embed`` of its row
-    of ``x`` and G the row ``owner`` of ``g``."""
-    lam, vec = np.empty(len(x)), np.empty((len(x), 4), dtype=complex)
-    for start in range(0, len(x), _NEGATIVITY_BLOCK):
-        block = slice(start, start + _NEGATIVITY_BLOCK)
-        m = embed(x[block])
-        vals, vecs = np.linalg.eigh(m.conj().swapaxes(1, 2) @ g[owner[block]] @ m)
-        lam[block], vec[block] = vals[:, 0], vecs[:, :, 0]
-    return lam, vec
-
-
 def _transpose_kron_identity(a: np.ndarray) -> np.ndarray:
-    """A^T (x) I per start: the w-step form is K G K^dag, K = conj(A) (x) I."""
+    """A^T (x) I per input: the negativity form is K G K^dag, K = conj(A) (x) I."""
     m = np.zeros((len(a), 2, 2, 2, 2), dtype=complex)
     m[:, :, 0, :, 0] = m[:, :, 1, :, 1] = a.swapaxes(1, 2)
     return m.reshape(-1, 4, 4)
 
 
-def _lift(w: np.ndarray) -> np.ndarray:
-    """L(w) per start, L(w)[(k, j), (l, k')] = delta_kk' w_lj."""
-    l = np.zeros((len(w), 2, 2, 2, 2), dtype=complex)
-    l[:, 0, :, :, 0] = l[:, 1, :, :, 1] = w.reshape(-1, 2, 2).swapaxes(1, 2)
-    return l.reshape(-1, 4, 4)
-
-
 # Widest gap between a certificate's bound and its input's negativity at
-# which that input is returned unsearched.
+# which the bracket counts as closed.
 _CERTIFIED_GAP = 1e-12
 
 
@@ -344,13 +310,14 @@ def _kernel_certificates(g: np.ndarray) -> tuple:
     p, s, _ = np.linalg.svd((inverse @ phi[:, :, None]).reshape(-1, 2, 2))
     weights = s / s.sum(axis=1, keepdims=True)
     a = (p * np.sqrt(weights)[:, None, :]).swapaxes(1, 2)
-    # One w-step scores the input exactly.
-    lam = _bottom_eigenpairs(a, _transpose_kron_identity, g, np.arange(len(a)))[0]
+    # The input's exact score: the bottom eigenvalue of its negativity form.
+    m = _transpose_kron_identity(a)
+    lam = np.linalg.eigh(m.conj().swapaxes(1, 2) @ g @ m)[0][:, 0]
     dual = partial_transpose(update) + eps[:, None, None] * np.eye(4)
     return a, -4.0 * lam, weights[:, 0], 4.0 * (t + eps), dual
 
 
-def channel_negativities(channels, seeds) -> list:
+def channel_negativities(channels) -> list:
     """Maximize output negativity over all pure inputs, for each channel.
 
     With J the Choi state and G = J^Gamma (kept qubit), the input
@@ -361,27 +328,17 @@ def channel_negativities(channels, seeds) -> list:
     the result is 0.0 at the maximally entangled input.  Every other channel
     gets the upper bound of :func:`_mes_certificates`; where it is within
     1e-12 of the maximally entangled input's negativity (on every unital
-    channel), that input is returned with ``iterations = 0`` and no search.
-    The rest get the closed form of :func:`_kernel_certificates`, which
-    closed on every entangling channel tried, and return its input likewise
-    where it is within 1e-12 of its bound.  Only the rows neither closes are
-    searched, under the closed form's bound: two exact eigen-steps
-    alternate.  With A fixed, w is the bottom eigenvector of the form above;
-    with w fixed, (A^T (x) I) w = L(w) vec(A) and vec(A) becomes the bottom
-    eigenvector of L(w)^dag G L(w).  No step lowers the negativity.  Each
-    searched channel starts from the maximally entangled input and 16 random
-    ones drawn from its seed, so its result never falls below its Choi
-    negativity; a start retires once a step gains at most 1e-15, or after
-    ``_NEGATIVITY_MAX_ITERS`` steps.  The starts of all channels step
-    together, each with its own channel's G, and each channel returns the
-    best of its own starts.
+    channel), that input is returned.  The rest get the closed form of
+    :func:`_kernel_certificates`, returned whole where it is within 1e-12 of
+    its bound; it closed on every entangling channel tried.  A row neither
+    closes keeps the larger of the two inputs' negativities, never below the
+    Choi negativity, and the smaller of the two bounds: the bracket
+    [``value``, ``upper``].  No search runs.
     """
-    if len(seeds) != len(channels):
-        raise ValueError(f"{len(channels)} channels but {len(seeds)} seeds")
     mes = np.eye(2, dtype=complex) / np.sqrt(2.0)
     states = choi_states(channels)
     lam = np.array([state.eig.eigenvalues[0] for state in states])
-    results = [NegativitySearch(0.0, mes.flatten(), 0.5, 0, True, 0.0, np.zeros((4, 4)))
+    results = [NegativitySearch(0.0, mes.flatten(), 0.5, 0.0, np.zeros((4, 4)))
                if top <= ENTANGLEMENT_BREAKING_THRESHOLD else None for top in lam]
     live = np.flatnonzero(lam > ENTANGLEMENT_BREAKING_THRESHOLD)
     if not len(live):
@@ -390,50 +347,24 @@ def channel_negativities(channels, seeds) -> list:
     a, weights = np.repeat(mes[None], len(live), axis=0), np.full(len(live), 0.5)
     rows = np.flatnonzero(upper - value > _CERTIFIED_GAP)
     if len(rows):
-        a[rows], value[rows], weights[rows], upper[rows], dual[rows] = _kernel_certificates(g[rows])
-    closed = upper - value <= _CERTIFIED_GAP
-    for j in np.flatnonzero(closed):
-        results[live[j]] = NegativitySearch(float(value[j]), a[j].reshape(4), float(weights[j]),
-                                            0, True, float(upper[j]), dual[j])
-    live, g, upper, dual = live[~closed], g[~closed], upper[~closed], dual[~closed]
-    if not len(live):
-        return results
-    starts = []
-    for i in live:
-        x = random_filter_params(np.random.default_rng(seeds[i]), _NEGATIVITY_RESTARTS)
-        scale = np.sqrt(np.stack([x[:, 0], 1.0 - x[:, 0]], axis=-1))
-        starts += [mes[None], filter_batch(scale, x[:, 1], x[:, 2])]
-    a = np.concatenate(starts)
-    per_channel = _NEGATIVITY_RESTARTS + 1
-    owner = np.repeat(np.arange(len(live)), per_channel)
-    value = np.full(len(a), np.inf)
-    steps = np.zeros(len(a), dtype=int)
-    active = np.arange(len(a))
-    while True:
-        # w-step, which also scores the current A exactly.
-        lam, w = _bottom_eigenpairs(a[active], _transpose_kron_identity, g, owner[active])
-        moved = value[active] - lam > 1e-15
-        value[active] = lam
-        keep = moved & (steps[active] < _NEGATIVITY_MAX_ITERS)
-        if not keep.any():
-            break
-        # A-step on the starts still moving.
-        active = active[keep]
-        a[active] = _bottom_eigenpairs(w[keep], _lift, g, owner[active])[1].reshape(-1, 2, 2)
-        steps[active] += 1
-    best = value.reshape(-1, per_channel).argmin(axis=1) + per_channel * np.arange(len(live))
-    weights = np.linalg.svd(a[best], compute_uv=False)[:, 0] ** 2
-    converged = (steps < _NEGATIVITY_MAX_ITERS).reshape(-1, per_channel).all(axis=1)
+        k_a, k_value, k_weights, k_upper, k_dual = _kernel_certificates(g[rows])
+        closed = k_upper - k_value <= _CERTIFIED_GAP
+        # A closed row takes the kernel certificate whole; an open one keeps
+        # the better input and the better bound of the two.
+        take = closed | (k_value > value[rows])
+        a[rows[take]], value[rows[take]] = k_a[take], k_value[take]
+        weights[rows[take]] = k_weights[take]
+        take = closed | (k_upper < upper[rows])
+        upper[rows[take]], dual[rows[take]] = k_upper[take], k_dual[take]
     for j, i in enumerate(live):
-        results[i] = NegativitySearch(-4.0 * float(value[best[j]]), a[best[j]].reshape(4),
-                                      float(weights[j]), int(steps[best[j]]), bool(converged[j]),
+        results[i] = NegativitySearch(float(value[j]), a[j].reshape(4), float(weights[j]),
                                       float(upper[j]), dual[j])
     return results
 
 
-def channel_negativity(channel: KrausChannel, seed: int = 0) -> NegativitySearch:
+def channel_negativity(channel: KrausChannel) -> NegativitySearch:
     """Best output negativity over pure inputs; see :func:`channel_negativities`."""
-    return channel_negativities([channel], [seed])[0]
+    return channel_negativities([channel])[0]
 
 
 class IdentityContext:
@@ -569,9 +500,12 @@ def residuals(channel: KrausChannel) -> dict:
 
 def channel_residuals(channels) -> list:
     """:func:`residuals` of each channel, from one stacked F* solve (each certificate
-    bit for bit its own) and one oracle search (each value at least its own)."""
+    bit for bit its own), one stacked Choi negativity solve (kept next to each
+    state, see :func:`choi_negativities`) and one oracle search (each value at
+    least its own)."""
     build_states(channels)
     contexts = [IdentityContext(channel) for channel in channels]
+    choi_negativities(channels)
     matrices = np.array([ctx.choi_state.matrix for ctx in contexts])
     cert = fstar_certificate(matrices)
     oracle = singlet_fraction_oracle(matrices, resolution_deg=4.0)

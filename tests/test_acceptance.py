@@ -97,7 +97,7 @@ def test_criterion_2_amplitude_damping_negativities():
         n_witness = negativity(apply_to_half(c, state))
         formula = (1 - p) / (2 - p) * (np.sqrt(p * p + 4) - p)
         worst = max(worst, abs(n_witness - formula))
-        n_channel = channel_negativity(c, seed=7).value
+        n_channel = channel_negativity(c).value
         min_margin = min(min_margin, n_channel - n_bell)
     elapsed = time.perf_counter() - start
     _criterion(

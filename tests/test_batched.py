@@ -139,8 +139,8 @@ def test_left_rz_factor_cancels_in_every_objective(rank):
 
 
 def test_channel_negativity_value_is_its_input_negativity():
-    for k, c in enumerate(random_channels(303, 8)):
-        search = channel_negativity(c, seed=k)
+    for c in random_channels(303, 8):
+        search = channel_negativity(c)
         assert abs(search.schmidt_weight - schmidt(search.input_state).coefficients[0]) <= 1e-12
         out = apply_to_half(c, search.input_state)
         assert abs(search.value - negativity(out)) <= 1e-12

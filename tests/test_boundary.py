@@ -54,9 +54,9 @@ def test_sweep_all_columns_at_the_ends(name, tmp_path, capsys):
 def test_identity_channel_sweep_columns():
     # The identity constructor takes no parameter, so the sweep command
     # cannot reach it; its columns are the functions the sweep calls, here
-    # on a single row with seed 5.
+    # on a single row.
     c = identity()
-    values = {name: float(fn([c], [5])[0]) for name, fn in cli.SWEEP_COLUMNS.items()}
+    values = {name: float(fn([c])[0]) for name, fn in cli.SWEEP_COLUMNS.items()}
     assert values["entanglement_breaking"] == 0.0
     _check_row(values, breaking=False)
 

@@ -365,10 +365,9 @@ def test_stacked_sweep_columns_equal_single_channel_functions(case):
     a channel object built alone."""
     makers = _stacked_sweep_rows(case)
     rows = [make() for make in makers]
-    seeds = list(range(len(rows)))
     build_states(rows)
     stacked = {
-        column: [float(x) for x in cli.SWEEP_COLUMNS[column](rows, seeds)]
+        column: [float(x) for x in cli.SWEEP_COLUMNS[column](rows)]
         for column in ("schmidt_lambda", "unitality_deviation", "negativity_relation_residual")
     }
     for index, make in enumerate(makers):
@@ -416,7 +415,7 @@ def test_sweep_byte_identical_across_runs(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def _reference_row(c, seed):
+def _reference_row(c):
     """Every sweep column of one row, from the per-channel library calls."""
     frac = oneshot.optimal_singlet_fraction(c)
     lam = float(choi(c).eig.eigenvalues[0])
@@ -427,7 +426,7 @@ def _reference_row(c, seed):
         "f_tel": teleportation_fidelity(frac.value),
         "F1": oneshot.preprocessed_fidelity(c),
         "N_choi": negativity(choi(c).matrix),
-        "N_channel": oneshot.channel_negativity(c, seed=seed).value,
+        "N_channel": oneshot.channel_negativity(c).value,
         "fstar_choi": fstar(choi(c).matrix),
         "gap": math.nan if frac.entanglement_breaking else lam - fstar(choi(c).matrix),
         "schmidt_lambda": float(oneshot.optimal_input_state(c).schmidt.coefficients[0]),
@@ -453,7 +452,7 @@ def test_sweep_all_columns_match_per_row_reference(family, tmp_path, capsys):
     assert len(rows) == 21 and list(rows[0]) == ["param"] + columns
     for index, (row, p) in enumerate(zip(rows, np.linspace(0.0, 1.0, 21))):
         assert float(row["param"]) == float(p)
-        expected = _reference_row(named_channel(family, {"p": float(p)}), 7 + index)
+        expected = _reference_row(named_channel(family, {"p": float(p)}))
         for column in columns:
             got, want = float(row[column]), expected[column]
             if column == "gap":

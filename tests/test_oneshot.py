@@ -34,7 +34,13 @@ from singletopt.oneshot import (
     residuals,
 )
 
-from conftest import random_channels, random_pauli_mixture, random_pure, random_unitary
+from conftest import (
+    random_channels,
+    random_pauli_mixture,
+    random_pure,
+    random_unitary,
+    reference_channel_negativity,
+)
 
 
 def test_optimal_fraction_identity():
@@ -174,8 +180,8 @@ def test_channel_negativity_unital_equals_choi():
     rng = np.random.default_rng(42)
     cases = [depolarizing(0.4), depolarizing(0.15)]
     cases += [random_pauli_mixture(rng) for _ in range(4)]
-    for seed, c in enumerate(cases):
-        search = channel_negativity(c, seed=seed)
+    for c in cases:
+        search = channel_negativity(c)
         target = negativity(choi(c).matrix)
         assert search.value >= target - 1e-9
         assert search.value <= target + 1e-9
@@ -187,7 +193,7 @@ def test_channel_negativity_amplitude_damping():
     c = amplitude_damping(p)
     n_choi = negativity(choi(c).matrix)
     witness = (1 - p) / (2 - p) * (np.sqrt(p**2 + 4) - p)
-    search = channel_negativity(c, seed=2)
+    search = channel_negativity(c)
     # The fixed Schmidt-weight witness input reproduces its closed form...
     state = np.zeros(4, dtype=complex)
     state[0] = 1 / np.sqrt(2 - p)
@@ -199,8 +205,8 @@ def test_channel_negativity_amplitude_damping():
 
 
 def test_channel_negativity_never_below_choi():
-    for k, c in enumerate(random_channels(101, 6)):
-        search = channel_negativity(c, seed=k)
+    for c in random_channels(101, 6):
+        search = channel_negativity(c)
         assert search.value >= negativity(choi(c).matrix) - 1e-9
         out = apply_to_half(c, search.input_state)
         assert negativity(out) == pytest.approx(search.value, abs=1e-9)
@@ -210,14 +216,13 @@ def test_channel_negativity_reaches_the_long_budget_value():
     # The budget-stopped compass search read 2.7e-7 lower at its default
     # budget and reached this value only at 20,000 evaluations or more.
     c = random_channel(7018, 3)
-    for seed in range(4):
-        assert channel_negativity(c, seed=seed).value >= 0.53300304950 - 1e-12
+    assert channel_negativity(c).value >= 0.53300304950 - 1e-12
 
 
 def test_channel_negativity_beats_random_inputs():
     rng = np.random.default_rng(606)
-    for k, c in enumerate(random_channels(606, 12)):
-        search = channel_negativity(c, seed=k)
+    for c in random_channels(606, 12):
+        search = channel_negativity(c)
         best = max(negativity(apply_to_half(c, random_pure(rng))) for _ in range(500))
         assert best <= search.value + 1e-12
 
@@ -230,8 +235,6 @@ def test_channel_negativity_is_exactly_zero_when_entanglement_breaking(channel):
     search = channel_negativity(channel)
     assert search.value == 0.0
     assert search.upper == 0.0
-    assert search.iterations == 0
-    assert search.converged
 
 
 def _unital_channel(rng):
@@ -255,13 +258,12 @@ def test_negativity_upper_bound_holds():
     # search, and its input reaches its value.
     cases = _certificate_cases()
     closed = 0
-    for k, (c, search) in enumerate(zip(cases, channel_negativities(cases, range(len(cases))))):
+    for k, (c, search) in enumerate(zip(cases, channel_negativities(cases))):
         assert search.upper >= search.value - 1e-14, k
         if optimal_singlet_fraction(c).entanglement_breaking:
             continue
         closed += 1
         assert search.upper - search.value <= 1e-12, k
-        assert search.iterations == 0 and search.converged, k
         out = apply_to_half(c, search.input_state)
         assert abs(negativity(out) - search.value) <= 1e-12, k
     assert closed >= 60
@@ -278,26 +280,30 @@ def test_negativity_certificate_is_feasible():
     # the reported bound and (J + W)^Gamma >= 0, on every row, entanglement
     # breaking (W = 0) included.
     cases = _certificate_cases() + _sweep_rows()
-    for k, (c, search) in enumerate(zip(cases, channel_negativities(cases, range(len(cases))))):
-        w = search.dual
-        assert w.shape == (4, 4) and np.allclose(w, w.conj().T, rtol=0.0, atol=1e-15), k
-        assert 4 * np.abs(np.linalg.eigvalsh(w)).max() <= search.upper + 1e-15, k
-        m = choi(c).matrix + w
-        gamma = m.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
-        assert np.linalg.eigvalsh(gamma).min() >= -1e-14, k
+    for k, (c, search) in enumerate(zip(cases, channel_negativities(cases))):
+        _assert_dual_feasible(c, search, k)
         if search.upper == 0.0:
-            assert not w.any(), k
+            assert not search.dual.any(), k
+
+
+def _assert_dual_feasible(c, search, k):
+    """4 ||W||_inf is at most the reported bound and (J + W)^Gamma >= 0."""
+    w = search.dual
+    assert w.shape == (4, 4) and np.allclose(w, w.conj().T, rtol=0.0, atol=1e-15), k
+    assert 4 * np.abs(np.linalg.eigvalsh(w)).max() <= search.upper + 1e-15, k
+    m = choi(c).matrix + w
+    gamma = m.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
+    assert np.linalg.eigvalsh(gamma).min() >= -1e-14, k
 
 
 @pytest.mark.parametrize("family", ["depolarizing", "phase_damping", "bit_flip"])
 def test_negativity_certificate_closes_on_unital_sweep_rows(family):
     channels = [named_channel(family, {"p": float(p)}) for p in np.linspace(0.0, 1.0, 21)]
     searched = 0
-    for c, search in zip(channels, channel_negativities(channels, range(21))):
+    for c, search in zip(channels, channel_negativities(channels)):
         if optimal_singlet_fraction(c).entanglement_breaking:
             continue
         searched += 1
-        assert search.iterations == 0
         assert abs(search.upper - search.value) <= 1e-12
         assert abs(search.value - negativity(choi(c).matrix)) <= 1e-12
     assert searched >= 14
@@ -308,9 +314,8 @@ def test_negativity_certificate_closes_on_amplitude_damping():
     # certifies the better input with no search.
     params = np.linspace(0.0, 1.0, 21)[1:-1]
     channels = [amplitude_damping(float(p)) for p in params]
-    found = channel_negativities(channels, range(19))
+    found = channel_negativities(channels)
     for c, search in zip(channels, found):
-        assert search.iterations == 0
         assert search.upper - search.value <= 1e-12
         assert search.value > negativity(choi(c).matrix) + 1e-4
     assert params[14] == 0.75 and abs(found[14].value - 2 / 7) <= 1e-14
@@ -318,55 +323,57 @@ def test_negativity_certificate_closes_on_amplitude_damping():
 
 
 def test_certified_value_is_at_least_the_search(monkeypatch):
-    # With no gap narrow enough, every row falls back to the alternating search.
+    # With no gap narrow enough no row closes, so each keeps the better input
+    # and the better bound of the two certificates: a bracket around the
+    # alternating search's value.
     channels = [random_channel(7000 + k, 1 + k % 4) for k in range(24)]
     channels += [amplitude_damping(float(p)) for p in np.linspace(0.0, 1.0, 21)[1:-1]]
-    certified = channel_negativities(channels, range(len(channels)))
     monkeypatch.setattr(oneshot, "_CERTIFIED_GAP", -1.0)
-    searched = channel_negativities(channels, range(len(channels)))
-    assert any(search.iterations > 0 for search in searched)
-    for k, (cert, search) in enumerate(zip(certified, searched)):
-        assert cert.iterations == 0, k
-        assert cert.value >= search.value - 2e-15, k
-        assert search.upper >= search.value - 1e-14, k
+    checked = 0
+    for k, (c, search) in enumerate(zip(channels, channel_negativities(channels))):
+        if optimal_singlet_fraction(c).entanglement_breaking:
+            continue
+        checked += 1
+        g, mes_value, mes_upper, _ = oneshot._mes_certificates([choi(c)])
+        _, kernel_value, _, kernel_upper, _ = oneshot._kernel_certificates(g)
+        assert search.value == max(mes_value[0], kernel_value[0]), k
+        assert search.upper == min(mes_upper[0], kernel_upper[0]), k
+        reference, _ = reference_channel_negativity(c, seed=k)
+        assert search.value >= reference - 2e-15, k
+        assert reference <= search.upper + 1e-14, k
+        assert search.value >= negativity(choi(c).matrix), k
+        _assert_dual_feasible(c, search, k)
+    assert checked >= 30
 
 
 @pytest.mark.parametrize(
     "family", ["amplitude_damping", "depolarizing", "phase_damping", "bit_flip"]
 )
 def test_channel_negativity_converges_on_every_sweep_row(family):
-    # The rows of `singletopt sweep --param p --from 0 --to 1 --steps 21`;
-    # row i searches with seed i.
-    for index, p in enumerate(np.linspace(0.0, 1.0, 21)):
-        search = channel_negativity(named_channel(family, {"p": float(p)}), seed=index)
-        assert search.converged
+    # The rows of `singletopt sweep --param p --from 0 --to 1 --steps 21`:
+    # every bracket closes, entanglement-breaking rows (both ends 0) included.
+    for p in np.linspace(0.0, 1.0, 21):
+        search = channel_negativity(named_channel(family, {"p": float(p)}))
+        assert search.upper - search.value <= 1e-12, p
 
 
 def test_channel_negativities_equal_the_row_by_row_searches():
-    # The 84 rows of the four sweep families over p in [0, 1], seed 7 + row,
-    # entanglement-breaking rows included, searched as one batch.
-    channels, seeds = [], []
-    for family in ("amplitude_damping", "depolarizing", "phase_damping", "bit_flip"):
-        for index, p in enumerate(np.linspace(0.0, 1.0, 21)):
-            channels.append(named_channel(family, {"p": float(p)}))
-            seeds.append(7 + index)
-    batch = channel_negativities(channels, seeds)
+    # The 84 rows of the four sweep families over p in [0, 1],
+    # entanglement-breaking rows included, certified as one batch.
+    channels = _sweep_rows()
+    batch = channel_negativities(channels)
     assert len(batch) == 84
     breaking = 0
-    for c, seed, found in zip(channels, seeds, batch):
-        alone = channel_negativity(c, seed=seed)
+    for c, found in zip(channels, batch):
+        alone = channel_negativity(c)
         assert found.value == alone.value
-        assert found.iterations == alone.iterations
-        assert found.converged == alone.converged
         assert np.array_equal(found.input_state, alone.input_state)
         assert found.schmidt_weight == alone.schmidt_weight
         assert found.upper == alone.upper
         assert np.array_equal(found.dual, alone.dual)
-        breaking += found.iterations == 0 and found.value == 0.0
+        breaking += found.upper == 0.0 and found.value == 0.0
     assert breaking >= 3
-    assert channel_negativities([], []) == []
-    with pytest.raises(ValueError, match="seeds"):
-        channel_negativities(channels[:2], seeds[:1])
+    assert channel_negativities([]) == []
 
 
 def test_inequality_chain():
