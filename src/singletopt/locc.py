@@ -21,27 +21,34 @@ PRL 90, 097901):
 
     F*(rho) = 1/2 + min{Tr Y / 2 : Y >= 0, rho^Gamma + Y (x) I >= 0}
 
-with Y a 2x2 Hermitian matrix.  :func:`fstar_certificate` solves the dual
-with a log-barrier Newton method and brackets F* from both sides: every
-iterate Y is dual feasible, so 1/2 + Tr Y / 2 is an upper bound, and the
-smallest eigenvector of rho^Gamma + Y (x) I fixes a Schmidt frame on which
-the primal minimization over the second singular value and the relative
-phase is exact, giving a feasible x and hence an achievable protocol value
-as the lower bound.  Before any Newton step the bottom eigenvector of
-rho^Gamma is tried as that frame, against the dual point
+with Y a 2x2 Hermitian matrix.  :func:`fstar_certificate` brackets F* from
+both sides: a dual feasible Y gives the upper end 1/2 + Tr Y / 2, and the
+bottom eigenvector of rho^Gamma + Y (x) I fixes a Schmidt frame on which the
+primal minimization over the second singular value and the relative phase
+is exact, giving a feasible x and hence an achievable protocol value as the
+lower end.  The bracket is closed in closed form first.  Step 0 tries the
+bottom eigenvector of rho^Gamma as that frame, against the dual point
 Y = (delta - lambda_min(rho^Gamma)) I: wherever the vector is maximally
-entangled the two ends meet at 1/2 - lambda_min(rho^Gamma) in closed form
-and no barrier step runs.  On every unital Choi state it is, and that value
-is lambda_max(rho), the paper's optimum without post-processing.  The
-solve stops once the bracket is narrower than ``GAP_TOLERANCE`` and raises
-if that takes more than ``MAX_NEWTON_STEPS`` steps, so a reported F* is
-never an unconverged estimate.  The lower end is a rank-one value and the
-upper end bounds the full program, so a closed bracket also certifies
-rank-one optimality for that state.  The solve takes leading batch axes:
-one Newton loop advances a whole stack of states, each retiring on its own
-bracket, and :func:`channel_fstars` solves many channels' Choi states in
-one such call, as the audit does for its certificates, each bit for bit
-its state's own.  :meth:`FstarCertificate.protocol` is the primal's explicit
+entangled the two ends meet at 1/2 - lambda_min(rho^Gamma).  On every unital
+Choi state it is, and that value is lambda_max(rho), the paper's optimum
+without post-processing.  Every other state gets the two KKT certificates
+that complementary slackness allows: an optimal Y of rank 2, whose primal is
+the maximally entangled vector minimizing <phi|rho^Gamma|phi>, and an
+optimal Y = y u u^dag of rank 1, read off the minimum of
+<u (x) w|(rho^Gamma)^-1|u (x) w> over product vectors.  Either closes a
+state whose bracket it brings within 2e-12.  On the named channels' Choi
+states and on every random channel tried, one of them does, and no barrier
+step runs.  A state neither closes falls back to a log-barrier Newton solve
+of the dual, whose iterates are all dual feasible; it stops once the
+bracket is narrower than ``GAP_TOLERANCE`` and raises if that takes more
+than ``MAX_NEWTON_STEPS`` steps, so a reported F* is never an unconverged
+estimate.  The lower end is a rank-one value and the upper end bounds the
+full program, so a closed bracket also certifies rank-one optimality for
+that state.  The solve takes leading batch axes: one pass closes a whole
+stack of states, each on its own rule, and :func:`channel_fstars` solves
+many channels' Choi states in one such call, as the audit does for its
+certificates, each bit for bit its state's own.
+:meth:`FstarCertificate.protocol` is the primal's explicit
 filter.  The filter protocol oracle, a test reference the audit does not
 run, maximizes the primal protocol value directly, by an independent route.
 """
@@ -62,7 +69,7 @@ from ._batched import (
 from .channel import KrausChannel
 from .choi import ENTANGLEMENT_BREAKING_THRESHOLD, choi, choi_values
 from .entmetrics import _as_density_stack, as_density_matrix, singlet_fraction
-from .linalg import I2, PAULIS, partial_transpose, tensor_product
+from .linalg import I2, MAGIC_BASIS, PAULIS, partial_transpose, tensor_product, to_magic_basis
 from .optimize import compass_search
 
 __all__ = [
@@ -81,9 +88,10 @@ __all__ = [
 
 # Width of the certified bracket at which the dual solve stops.
 GAP_TOLERANCE = 1e-10
-# Newton steps after which an unclosed bracket raises.  Random states of
-# rank 2-4 and the named channels' Choi states close within 64; pure states
-# and states PPT up to rounding close at step 0.
+# Barrier steps after which an unclosed bracket raises.  Only states that
+# neither step 0 nor a KKT certificate closes take barrier steps; forced
+# onto the barrier, random states of rank 2-4 and the named channels' Choi
+# states close within 64.
 MAX_NEWTON_STEPS = 200
 
 _S1 = 1.0 / np.sqrt(2.0)
@@ -104,8 +112,30 @@ _CENTERED = 1e-3
 _BARRIER_NU = 6.0
 # Margin by which the step-0 dual point Y = (delta - lambda_min) I clears
 # lambda_min(rho^Gamma + Y (x) I) = 0; far below GAP_TOLERANCE and far above
-# the eigensolver's rounding.
+# the eigensolver's rounding.  The KKT certificates add it to Y as delta I.
 _STEP0_MARGIN = 1e-12
+# Widest bracket a KKT certificate closes: its dual clears the optimum by
+# delta, which leaves delta for the error of the product minimum.  Closing
+# at GAP_TOLERANCE instead lets a primal 1.7e-11 short through, which the
+# audit's fstar_protocol row (1e-12) rejects.
+_KKT_GAP = 2.0 * _STEP0_MARGIN
+# z_k = Tr(Y sigma_k) / 2 of a flattened 2x2 Y, as Y.reshape(1, 4) @ _PAULI_COORDS.
+_PAULI_COORDS = _PAULIS.transpose(0, 2, 1).reshape(4, 4).T / 2.0
+# K[nu, mu] = Tr[H (sigma_nu (x) sigma_mu)] / 4 of a flattened 4x4 H, as
+# H.reshape(1, 16) @ _PRODUCT_COORDS, with nu, mu flattened to 4 nu + mu.
+_PRODUCT_COORDS = np.array(
+    [np.kron(a, b).T.ravel() for a in _PAULIS for b in _PAULIS]
+).T / 4.0
+# Starts of the alternating product-minimum steps: the six axis points.
+_AXIS_POINTS = np.concatenate([np.eye(3), -np.eye(3)])
+# A start stops once a round lowers its value by at most this fraction of
+# it, or after _PRODUCT_ROUNDS rounds; Newton steps then polish the best
+# start, and the bracket check decides.
+_PRODUCT_TOL = 1e-9
+_PRODUCT_ROUNDS = 100
+# Newton steps on the sphere after the alternating steps, each kept only
+# if it does not raise the value.
+_PRODUCT_NEWTON = 4
 
 
 def _frame_minimum(gamma: np.ndarray, v: np.ndarray):
@@ -142,6 +172,148 @@ def _frame_minimum(gamma: np.ndarray, v: np.ndarray):
     return value, _S1 * w[:, 0] + (best_t * phase)[:, None] * w[:, 1]
 
 
+def _descent(v: np.ndarray):
+    """Minimum of v . s over unit 3-vectors s, and its minimizer, per row of
+    ``v``: -|v| at s = -v / |v| (s = z where v = 0)."""
+    norm = np.linalg.norm(v, axis=1)
+    s = np.zeros_like(v)
+    s[:, 2] = 1.0
+    np.divide(-v, norm[:, None], out=s, where=norm[:, None] > 0.0)
+    return -norm, s
+
+
+def _sphere_value(k: np.ndarray, r: np.ndarray):
+    """min over unit s of (1, r) K (1, s)^T, per K and Bloch vector r:
+    a_0 - |a_1..3| with a = (1, r) K.  Returns the values and a_1..3."""
+    a = (r[:, None, :] @ k[:, 1:])[:, 0] + k[:, 0]
+    return a[:, 0] - np.linalg.norm(a[:, 1:], axis=1), a[:, 1:]
+
+
+def _product_minimum(h: np.ndarray):
+    """Minimum of <u (x) w|h|u (x) w> over unit u, w, per Hermitian 4x4 h.
+
+    With u u^dag = (I + r.sigma)/2 and w w^dag = (I + s.sigma)/2 the value is
+    (1, r) K (1, s)^T, K[nu, mu] = Tr[h (sigma_nu (x) sigma_mu)] / 4 real, so
+    each half-step is exact: s = -unit(K[0, 1:] + r K[1:, 1:]) for fixed r,
+    and r likewise for fixed s.  The steps run from the six axis points r.
+    A start stops once a round lowers its value by at most ``_PRODUCT_TOL``
+    of it, or once it is no lower than a stopped start of its own state; on
+    X-shaped h (Z (x) Z symmetric) a pole is optimal and stops the rest in
+    the second round.  Each state's best start then takes Newton steps on
+    the sphere for f(r) = min over s of the value, kept while they move r
+    without raising f: the alternating steps converge only linearly, and f
+    is flat to rounding well before r settles.  Returns f, which is
+    lambda_min of (<u| (x) I) h (|u> (x) I), and r.
+    """
+    k = (h.reshape(-1, 1, 16) @ _PRODUCT_COORDS)[:, 0].real.reshape(-1, 1, 4, 4)
+    k = np.broadcast_to(k, (len(h), 6, 4, 4)).reshape(-1, 4, 4)
+    r = np.tile(_AXIS_POINTS, (len(h), 1))
+    value = np.full(len(r), np.inf)
+    moving = np.arange(len(r))
+    for _ in range(_PRODUCT_ROUNDS):
+        km = k[moving]
+        _, s = _descent((r[moving, None, :] @ km[:, 1:, 1:])[:, 0] + km[:, 0, 1:])
+        b = (km[:, :, 1:] @ s[:, :, None])[:, :, 0] + km[:, :, 0]
+        lowered, r[moving] = _descent(b[:, 1:])
+        lowered += b[:, 0]
+        still = value[moving] - lowered > _PRODUCT_TOL * np.abs(lowered)
+        value[moving] = lowered
+        stopped = np.ones(len(r), dtype=bool)
+        stopped[moving[still]] = False
+        bar = np.where(stopped, value, np.inf).reshape(-1, 6).min(axis=1)
+        moving = moving[still & (lowered < bar[moving // 6])]
+        if not len(moving):
+            break
+    value = _sphere_value(k, r)[0].reshape(-1, 6)
+    best = value.argmin(axis=1) + 6 * np.arange(len(h))
+    k, r, value = k[best], r[best], value.ravel()[best]
+    moving = np.arange(len(h))
+    for _ in range(_PRODUCT_NEWTON):
+        _, a = _sphere_value(k[moving], r[moving])
+        norm = np.linalg.norm(a, axis=1)
+        # f is not smooth where a = 0; such a state takes no step.
+        moving, a, norm = moving[norm > 0.0], a[norm > 0.0], norm[norm > 0.0]
+        km, rm = k[moving], r[moving]
+        m = km[:, 1:, 1:]
+        ma = (m @ (a / norm[:, None])[:, :, None])[:, :, 0]
+        # Euclidean gradient and Hessian of f = K00 + K[1:, 0].r - |a|, then
+        # the Riemannian Newton system in the tangent plane, made regular by
+        # r r^T: (P (hess - (r.grad) I) P + r r^T) step = -(grad - (r.grad) r).
+        # The 3x3 products are einsums: a batched 3x3 matmul reaches BLAS
+        # kernels nothing else here runs, about 0.1 MB of resident code each.
+        grad = km[:, 1:, 0] - ma
+        hess = ma[:, :, None] * ma[:, None, :] - np.einsum("nik,njk->nij", m, m)
+        radial = (rm * grad).sum(axis=1)
+        proj = np.eye(3) - rm[:, :, None] * rm[:, None, :]
+        shifted = hess / norm[:, None, None] - radial[:, None, None] * np.eye(3)
+        system = np.einsum("nij,njk,nkl->nil", proj, shifted, proj)
+        system += rm[:, :, None] * rm[:, None, :]
+        rhs = radial[:, None] * rm - grad
+        # The symmetric 3x3 system by its adjugate: rows' cross products.
+        adjugate = np.cross(system[:, [1, 2, 0]], system[:, [2, 0, 1]])
+        det = (system[:, 0] * adjugate[:, 0]).sum(axis=1)
+        step = (adjugate @ rhs[:, :, None])[:, :, 0]
+        step = np.divide(step, det[:, None], out=np.zeros_like(step), where=det[:, None] != 0.0)
+        trial = (rm + step) / np.linalg.norm(rm + step, axis=1)[:, None]
+        lowered = _sphere_value(km, trial)[0]
+        better = (lowered <= value[moving]) & (trial != rm).any(axis=1)
+        r[moving[better]], value[moving[better]] = trial[better], lowered[better]
+        moving = moving[better]
+        if not len(moving):
+            break
+    return value, r
+
+
+def _scored(gamma: np.ndarray, z: np.ndarray):
+    """The Newton path's two checks at the dual points z (Pauli coefficients
+    of Y): strictly feasible, and the primal on the bottom eigenvector of
+    gamma + Y (x) I.  Returns each state's primal value (floored at 0, the
+    zero vector's) and vector, and its upper end, infinite if infeasible."""
+    m = gamma + (z[:, None, :] @ _DUAL_BASIS_FLAT)[:, 0].reshape(-1, 4, 4)
+    margin, vecs = np.linalg.eigh(m)
+    feasible = (margin[:, 0] > 0.0) & (z[:, 0] > np.linalg.norm(z[:, 1:], axis=1))
+    value, x = _frame_minimum(gamma, vecs[:, :, 0])
+    x[value >= 0.0] = 0.0
+    return np.minimum(value, 0.0), x, np.where(feasible, 0.5 + z[:, 0], np.inf)
+
+
+def _kkt_certificates(gamma: np.ndarray):
+    """Closed-form primal and dual points of F*'s program, per rho^Gamma.
+
+    Complementary slackness leaves two cases for an optimal Y.
+    (a) Y has rank 2, so the optimal x is the maximally entangled phi
+    minimizing <phi|gamma|phi> (the bottom eigenvector of Re gamma in the
+    magic basis), and (gamma + Y (x) I) phi = 0 gives
+    Y = -reshape(gamma phi) U^-1 with U = phi.reshape(2, 2), U^-1 = 2 U^dag.
+    (b) Y = y u u^dag has rank 1: with H = gamma^-1 and q the minimum of
+    <u (x) w|H|u (x) w> over product vectors, y = -1/q first makes
+    gamma + Y (x) I singular, on the kernel vector H (u (x) w).
+    Each dual gets delta I (delta = ``_STEP0_MARGIN``) and is scored by
+    :func:`_scored`; (b) runs only where (a) leaves the bracket open, and
+    there the better primal and the better feasible dual of the two are
+    kept.  Returns each state's primal value and vector, its dual's Pauli
+    coefficients z, and whether the bracket closes within ``_KKT_GAP``.
+    """
+    phi = np.linalg.eigh(to_magic_basis(gamma).real)[1][:, :, 0] @ MAGIC_BASIS.T
+    u_dag = phi.reshape(-1, 2, 2).conj().swapaxes(1, 2)
+    y = -2.0 * (gamma @ phi[:, :, None]).reshape(-1, 2, 2) @ u_dag
+    z = (y.reshape(-1, 1, 4) @ _PAULI_COORDS)[:, 0].real
+    z[:, 0] += _STEP0_MARGIN
+    value, x, upper = _scored(gamma, z)
+    rest = np.flatnonzero(upper - (0.5 - value) > _KKT_GAP)
+    if len(rest):
+        q, r = _product_minimum(np.linalg.pinv(gamma[rest], hermitian=True))
+        y = np.divide(-1.0, q, out=np.zeros_like(q), where=q < 0.0)
+        z_b = 0.5 * y[:, None] * np.concatenate([np.ones((len(rest), 1)), r], axis=1)
+        z_b[:, 0] += _STEP0_MARGIN
+        value_b, x_b, upper_b = _scored(gamma[rest], z_b)
+        better = value_b < value[rest]
+        value[rest[better]], x[rest[better]] = value_b[better], x_b[better]
+        better = upper_b < upper[rest]
+        upper[rest[better]], z[rest[better]] = upper_b[better], z_b[better]
+    return value, x, z, upper - (0.5 - value) <= _KKT_GAP
+
+
 @dataclass(frozen=True)
 class FstarCertificate:
     """Certified bracket ``lower <= F* <= upper`` and the points proving it.
@@ -150,8 +322,9 @@ class FstarCertificate:
     most 1/sqrt(2); it attains ``lower = 1/2 - min(0, <x|rho^Gamma|x>)``
     (the zero vector stands for preparing a separable state).  ``dual`` is
     a 2x2 matrix Y with Y >= 0 and rho^Gamma + Y (x) I >= 0, giving
-    ``upper = 1/2 + Tr Y / 2``.  ``newton_steps`` counts the barrier steps;
-    0 means the state is PPT or its bracket closed in closed form at step 0.
+    ``upper = 1/2 + Tr Y / 2``.  ``newton_steps`` counts the barrier steps:
+    0 means the state is PPT, or its bracket closed in closed form, at
+    step 0 or by a KKT certificate; above 0 marks the barrier fallback.
     For a stack of states every field carries the stack's leading axes.
     """
 
@@ -176,9 +349,25 @@ class FstarCertificate:
 
 
 def fstar_certificate(rho: np.ndarray) -> FstarCertificate:
-    """Solve the dual program for F*(rho) until the bracket closes.
+    """Close the bracket on F*(rho): in closed form where a certificate
+    applies, by the barrier solve of the dual program otherwise.
 
-    Minimizes t Tr Y / 2 - log det(rho^Gamma + Y (x) I) - log det Y over
+    A PPT state returns ``(1/2, 1/2)`` exactly.  Step 0 closes the bracket
+    where it can: the frame of rho^Gamma's bottom eigenvector gives the
+    lower end, and Y = (delta - lambda_min) I with delta = 1e-12 the upper
+    end, checked strictly feasible.  The bracket is then delta wide wherever
+    that eigenvector is maximally entangled (every unital Choi state, where
+    F* = lambda_max(rho)) and on states PPT up to rounding.  Every state
+    step 0 leaves open gets the KKT certificates of
+    :func:`_kkt_certificates` in one batched pass: each dual gets delta I
+    and must pass the same strict feasibility check (Y > 0 and
+    rho^Gamma + Y (x) I > 0 by their eigenvalues), each primal is scored on
+    the bottom eigenvector of its rho^Gamma + Y (x) I, and the state closes
+    if its bracket is at most 2 delta wide.  A state closed either way
+    returns with ``newton_steps == 0``.
+
+    Every other state falls back to the barrier loop.  It minimizes
+    t Tr Y / 2 - log det(rho^Gamma + Y (x) I) - log det Y over
     Y = sum_k z_k sigma_k by damped Newton steps, raising t by a fixed
     factor after each centering, from the strictly feasible start
     Y = (1 - lambda_min(rho^Gamma)) I.  With M = rho^Gamma + Y (x) I and
@@ -191,20 +380,10 @@ def fstar_certificate(rho: np.ndarray) -> FstarCertificate:
     closed the bracket.  The solve returns once the iterate is checked
     strictly dual feasible and ``upper - lower <= GAP_TOLERANCE``, and
     raises ``RuntimeError`` if that has not happened within
-    ``MAX_NEWTON_STEPS``.  A PPT state returns ``(1/2, 1/2)`` exactly,
-    without iterating.
+    ``MAX_NEWTON_STEPS``.
 
-    Step 0 closes the bracket in closed form where it can: the start M
-    shares rho^Gamma's eigenvectors, the frame of the bottom one gives the
-    lower end, and Y = (delta - lambda_min) I with delta = 1e-12 the upper
-    end, checked strictly feasible as on the Newton path.  The bracket is
-    then delta wide wherever that eigenvector is maximally entangled (every
-    unital Choi state, where F* = lambda_max(rho)) and on states PPT up to
-    rounding; such a state returns with ``newton_steps == 0``.  Every other
-    state runs the barrier loop unchanged.
-
-    Leading axes of ``rho`` are batch axes: one loop advances every state of
-    a (..., 4, 4) stack, each retiring on its own bracket, and the fields
+    Leading axes of ``rho`` are batch axes: one pass closes every state of
+    a (..., 4, 4) stack, each retiring on its own rule, and the fields
     come back with the stack's leading axes.  A single state gives scalar
     ``lower``, ``upper`` and ``newton_steps``.
     """
@@ -250,6 +429,14 @@ def fstar_certificate(rho: np.ndarray) -> FstarCertificate:
             z[close, 0] = y[close]
             best_value[close], best_x[close] = value[close], x[close]
             done[close] = True
+            # The KKT certificates on the states step 0 leaves open.
+            rest = np.flatnonzero(~done)
+            if len(rest):
+                value, x, dual_z, closes = _kkt_certificates(gamma[rest])
+                close = rest[closes]
+                z[close], best_value[close] = dual_z[closes], value[closes]
+                best_x[close] = x[closes]
+                done[close] = True
         check = np.flatnonzero(centered & (_BARRIER_NU / t <= GAP_TOLERANCE))
         if len(check):
             value, x = _frame_minimum(gamma[check], vecs[check, :, 0])

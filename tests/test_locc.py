@@ -108,22 +108,27 @@ def _certified_states():
             yield choi(named_channel(name, {"p": float(p)})).matrix
 
 
+def _assert_certifies(rho, cert):
+    """The checks of test_fstar_certificate_closes_and_is_feasible on one state."""
+    gamma = partial_transpose(rho, "first")
+    # Dual point: Y >= 0 and rho^Gamma + Y (x) I >= 0 certify the upper end.
+    assert np.linalg.eigvalsh(cert.dual).min() >= -1e-12
+    assert np.linalg.eigvalsh(gamma + np.kron(cert.dual, I2)).min() >= -1e-12
+    assert cert.upper == pytest.approx(0.5 + np.trace(cert.dual).real / 2, abs=1e-15)
+    # Primal point: feasible, and it attains the lower end.
+    top = np.linalg.svd(cert.primal.reshape(2, 2), compute_uv=False)[0]
+    assert top <= 1 / np.sqrt(2) + 1e-12
+    attained = 0.5 - min(0.0, np.vdot(cert.primal, gamma @ cert.primal).real)
+    assert cert.lower == pytest.approx(attained, abs=1e-14)
+
+
 def test_fstar_certificate_closes_and_is_feasible():
     assert GAP_TOLERANCE == 1e-10
     for rho in _certified_states():
         cert = fstar_certificate(rho)
         assert cert.upper - cert.lower <= 1e-10
         assert fstar_bracket(rho) == (cert.lower, cert.upper)
-        gamma = partial_transpose(rho, "first")
-        # Dual point: Y >= 0 and rho^Gamma + Y (x) I >= 0 certify the upper end.
-        assert np.linalg.eigvalsh(cert.dual).min() >= -1e-12
-        assert np.linalg.eigvalsh(gamma + np.kron(cert.dual, I2)).min() >= -1e-12
-        assert cert.upper == pytest.approx(0.5 + np.trace(cert.dual).real / 2, abs=1e-15)
-        # Primal point: feasible, and it attains the lower end.
-        top = np.linalg.svd(cert.primal.reshape(2, 2), compute_uv=False)[0]
-        assert top <= 1 / np.sqrt(2) + 1e-12
-        attained = 0.5 - min(0.0, np.vdot(cert.primal, gamma @ cert.primal).real)
-        assert cert.lower == pytest.approx(attained, abs=1e-14)
+        _assert_certifies(rho, cert)
 
 
 def test_certificate_protocol_reaches_lower():
@@ -205,18 +210,29 @@ def test_fstar_closes_at_step_zero_on_unital_choi_states():
         assert np.linalg.eigvalsh(partial_transpose(rho, "first") + np.kron(y, I2))[0] > 0.0
 
 
-def test_fstar_takes_newton_steps_off_maximally_entangled_bottom_vectors():
+def test_fstar_closes_in_closed_form_off_maximally_entangled_bottom_vectors():
     # amplitude_damping inside (0, 1) and nonunital random channels of rank
-    # 2-4: the step-0 bracket stays open and the barrier solve runs.
+    # 2-4: the bottom eigenvector of rho^Gamma is not maximally entangled, so
+    # step 0 leaves the bracket open, and a KKT certificate closes it to 2e-12
+    # with no barrier step.
     channels = [amplitude_damping(float(p)) for p in np.linspace(0.0, 1.0, 21)[1:-1]]
     channels += [random_channel(9000 + k, 2 + k % 3) for k in range(60)]
     assert not any(is_unital(c)[0] for c in channels)
     stack = np.array([choi(c).matrix for c in channels])
     entangling = np.linalg.eigvalsh(partial_transpose(stack, "first"))[:, 0] < 0.0
     assert entangling[:19].all() and entangling[19:].sum() > 50
-    cert = fstar_certificate(stack[entangling])
-    assert (cert.newton_steps > 0).all()
-    assert (cert.upper - cert.lower <= 1e-10).all()
+    stack = stack[entangling]
+    bottom = np.linalg.eigh(partial_transpose(stack, "first"))[1][:, :, 0].reshape(-1, 2, 2)
+    schmidt = np.linalg.svd(bottom, compute_uv=False)
+    assert (schmidt[:, 0] - schmidt[:, 1] > 1e-6).all()
+    cert = fstar_certificate(stack)
+    assert (cert.newton_steps == 0).all()
+    assert (cert.upper - cert.lower <= 2e-12).all()
+    # Strictly feasible, as the step-0 dual point is.
+    assert np.linalg.eigvalsh(cert.dual)[:, 0].min() > 0.0
+    for rho in stack:
+        _assert_certifies(rho, fstar_certificate(rho))
+
 
 def test_oracle_bell_state_identity_filter():
     proto = fstar_filter_oracle(BELL, seed=0)
@@ -374,36 +390,97 @@ def _mixed_stack():
     return np.array(states)[order]
 
 
+def _assert_stack_matches_per_state_solves(stack):
+    """Each state's certificate in ``stack`` is bit for bit its own solve's;
+    returns the stacked certificate."""
+    cert = fstar_certificate(stack)
+    for k, rho in enumerate(stack):
+        single = fstar_certificate(rho)
+        assert isinstance(single.lower, float) and isinstance(single.newton_steps, int)
+        assert (cert.lower[k], cert.upper[k]) == (single.lower, single.upper)
+        assert np.array_equal(cert.primal[k], single.primal)
+        assert np.array_equal(cert.dual[k], single.dual)
+        assert cert.newton_steps[k] == single.newton_steps
+    return cert
+
+
 def test_fstar_certificate_stack_matches_per_state_solves():
     stack = _mixed_stack()
-    cert = fstar_certificate(stack)
+    cert = _assert_stack_matches_per_state_solves(stack)
     n = len(stack)
     assert cert.lower.shape == cert.upper.shape == cert.newton_steps.shape == (n,)
     assert cert.primal.shape == (n, 4) and cert.dual.shape == (n, 2, 2)
     assert (cert.upper - cert.lower <= 1e-10).all()
-    steps = set()
     for k, rho in enumerate(stack):
-        single = fstar_certificate(rho)
-        assert isinstance(single.lower, float) and isinstance(single.newton_steps, int)
-        assert abs(cert.lower[k] - single.lower) <= 1e-12
-        assert abs(cert.upper[k] - single.upper) <= 1e-12
-        assert cert.newton_steps[k] == single.newton_steps
-        steps.add(single.newton_steps)
         gamma = partial_transpose(rho, "first")
         lam_min = np.linalg.eigvalsh(gamma)[0]
-        ppt = lam_min >= 0.0
         # Step 0 closes where the bottom eigenvector has equal Schmidt
         # singular values, and on states PPT up to rounding, whose step-0
-        # bracket is at most 1e-12 + |lambda_min| wide.
+        # bracket is at most 1e-12 + |lambda_min| wide.  A KKT certificate
+        # closes every other state here, to 2e-12, before any barrier step.
         schmidt = np.linalg.svd(np.linalg.eigh(gamma)[1][:, 0].reshape(2, 2), compute_uv=False)
-        maximally_entangled = schmidt[0] - schmidt[1] <= 1e-12
-        assert (single.newton_steps == 0) == (lam_min >= -1e-12 or maximally_entangled)
-        if ppt:
+        step0 = lam_min >= -1e-12 or schmidt[0] - schmidt[1] <= 1e-12
+        kkt = bool(locc._kkt_certificates(gamma[None])[3][0])
+        assert cert.newton_steps[k] == 0 and (step0 or kkt)
+        if not step0:
+            assert cert.upper[k] - cert.lower[k] <= 2e-12
+        if lam_min >= 0.0:
             assert (cert.lower[k], cert.upper[k]) == (0.5, 0.5)
-    assert len(steps) > 2  # each state stops on its own rule
     lower, upper = fstar_bracket(stack)
     assert np.array_equal(lower, cert.lower) and np.array_equal(upper, cert.upper)
     assert np.array_equal(fstar(stack), cert.lower)
+
+
+def _close_nothing_where(monkeypatch, where):
+    """Let the KKT certificates close no state on which ``where(gamma)`` holds,
+    so those states run the barrier loop."""
+    closed_form = locc._kkt_certificates
+
+    def patched(gamma):
+        value, x, z, closes = closed_form(gamma)
+        return value, x, z, closes & ~where(gamma)
+
+    monkeypatch.setattr(locc, "_kkt_certificates", patched)
+
+
+def test_barrier_fallback_agrees_with_the_closed_form(monkeypatch):
+    stack = np.concatenate([np.array(list(_certified_states())), _mixed_stack()])
+    closed = fstar_certificate(stack)
+    _close_nothing_where(monkeypatch, lambda gamma: np.ones(len(gamma), dtype=bool))
+    barrier = fstar_certificate(stack)
+    forced = barrier.newton_steps > 0
+    assert forced.sum() > 150 and (closed.newton_steps[forced] == 0).all()
+    assert (closed.upper - closed.lower <= 1e-10).all()
+    assert (barrier.upper - barrier.lower <= 1e-10).all()
+    assert np.abs(closed.lower - barrier.lower).max() <= 1e-12
+    # Neither bracket contradicts the other: each lower end is a protocol's
+    # value and each upper end bounds it, so each bracket meets the other.
+    assert (closed.lower <= barrier.upper).all() and (barrier.lower <= closed.upper).all()
+    # States the KKT pass never saw (PPT, or closed at step 0) are untouched.
+    assert np.array_equal(closed.lower[~forced], barrier.lower[~forced])
+    assert np.array_equal(closed.dual[~forced], barrier.dual[~forced])
+
+
+def _on_barrier(gamma):
+    """States whose first-qubit marginal puts less than half its weight on |0>."""
+    return gamma[:, 0, 0].real + gamma[:, 1, 1].real < 0.5
+
+
+def test_fstar_stack_mixing_closed_form_and_barrier_matches_per_state_solves(monkeypatch):
+    # Of the states step 0 leaves open, the barrier takes those _on_barrier
+    # picks and the KKT certificates close the rest.
+    _close_nothing_where(monkeypatch, _on_barrier)
+    stack = _mixed_stack()
+    cert = _assert_stack_matches_per_state_solves(stack)
+    gamma = partial_transpose(stack, "first")
+    lam, vecs = np.linalg.eigh(gamma)
+    schmidt = np.linalg.svd(vecs[:, :, 0].reshape(-1, 2, 2), compute_uv=False)
+    step0_open = (lam[:, 0] < -1e-12) & (schmidt[:, 0] - schmidt[:, 1] > 1e-12)
+    barrier = step0_open & _on_barrier(gamma)
+    closed = step0_open & ~_on_barrier(gamma)
+    assert barrier.sum() > 5 and (cert.newton_steps[barrier] > 0).all()
+    assert closed.sum() > 5 and (cert.newton_steps[closed] == 0).all()
+    assert len(set(cert.newton_steps[barrier].tolist())) > 2  # each state stops on its own rule
 
 
 def test_fstar_certificate_keeps_leading_axes():
@@ -414,6 +491,7 @@ def test_fstar_certificate_keeps_leading_axes():
 
 
 def test_fstar_stack_raises_when_a_bracket_stays_open(monkeypatch):
+    _close_nothing_where(monkeypatch, lambda gamma: np.ones(len(gamma), dtype=bool))
     monkeypatch.setattr(locc, "MAX_NEWTON_STEPS", 3)
     with pytest.raises(RuntimeError, match="3 Newton steps"):
         fstar_certificate(_mixed_stack())

@@ -17,6 +17,7 @@ from singletopt.channel import (
 from singletopt import oneshot
 from singletopt.choi import choi
 from singletopt.entmetrics import negativity, singlet_fraction
+from singletopt.linalg import partial_transpose
 from singletopt.locc import fstar_certificate, fstar_filter_oracle
 from singletopt.oneshot import (
     IDENTITIES,
@@ -489,10 +490,15 @@ def test_fstar_rows_check_the_certificate_at_1e_12():
 
 
 def test_fstar_protocol_passes_a_norm_one_ulp_over():
-    # The filter's operator norm exceeds 1 by rounding alone here.
-    c = random_channel(200061600186, 4)
+    # The filter's operator norm exceeds 1 by rounding alone here, on a
+    # primal that a KKT certificate closed with no barrier step.
+    c = random_channel(5, 2)
     rho = choi(c).matrix
-    filt = fstar_certificate(rho).protocol(rho).filter
+    cert = fstar_certificate(rho)
+    bottom = np.linalg.eigh(partial_transpose(rho, "first"))[1][:, 0]
+    schmidt = np.linalg.svd(bottom.reshape(2, 2), compute_uv=False)
+    assert cert.newton_steps == 0 and schmidt[0] - schmidt[1] > 0.1
+    filt = cert.protocol(rho).filter
     assert 0.0 < np.linalg.norm(filt, 2) - 1.0 <= 1e-14
     assert all(value <= 1e-12 for value in _fstar_rows(c).values())
 
