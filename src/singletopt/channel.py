@@ -123,9 +123,11 @@ def _measure(channels) -> None:
     One stacked pass over their Kraus lists, zero-padded to the longest,
     gives every sum A^dag A, sum A A^dag, Choi and dual-Choi matrix (that of
     the daggered list) and Choi lambda_min; the zero operators add exact
-    zeros, so each value is bit for bit the channel's own.  Frobenius norms
-    are taken matrix by matrix: ``np.linalg.norm`` of a stack sums in an
-    order one matrix alone does not reproduce.
+    zeros, so each value is bit for bit the channel's own.  The Choi and
+    dual-Choi matrices come from one :func:`_bell_products` call on the
+    Kraus and dagger stacks together.  Frobenius norms are taken matrix by
+    matrix: ``np.linalg.norm`` of a stack sums in an order one matrix alone
+    does not reproduce.
     """
     todo = [c for c in channels if "validation" not in c._states]
     if not todo:
@@ -137,8 +139,7 @@ def _measure(channels) -> None:
     with np.errstate(over="ignore", invalid="ignore"):
         tp_residuals = [float(np.linalg.norm(d)) for d in (daggers @ ops).sum(axis=1) - I2]
         unital = [float(np.linalg.norm(d)) for d in (ops @ daggers).sum(axis=1) - I2]
-        matrices = _act_on_second(ops, _BELL)
-        duals = _act_on_second(daggers, _BELL)
+        matrices, duals = np.split(_bell_products(np.concatenate([ops, daggers])), 2)
     finite = np.isfinite(matrices).all(axis=(1, 2))
     cp_min = np.full(len(todo), np.nan)
     if finite.any():
@@ -215,6 +216,29 @@ def _act_on_second(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return out.reshape(ops.shape[:-3] + (4, 4))
 
 
+_BELL_ENTRY = _BELL[0, 0].real  # 1/sqrt(2) squared: 0.4999999999999999
+
+
+def _bell_products(ops: np.ndarray) -> np.ndarray:
+    """``_act_on_second(ops, _BELL)``, bit for bit, by one broadcast.
+
+    Entry (iy, jz) is sum_k (A_k[y, i] r) conj(A_k[z, j]), with r
+    ``_BELL``'s nonzero entry: 0.4999999999999999, not 0.5.  The einsum
+    forms each term in complex arithmetic, (A r) first, and sums over k in
+    order; the same products and sums in real parts (conj(A) = cr - i ai)
+    agree with it in every bit, signs of zeros and overflows included, and
+    skip its zero terms.  Leading axes of ``ops`` before k are batch axes.
+    """
+    a = ops.swapaxes(-1, -2)  # a[..., k, i, y] = A_k[y, i]
+    left, right = a[..., :, :, :, None, None], a[..., :, None, None, :, :]
+    tr, ti = left.real * _BELL_ENTRY, left.imag * _BELL_ENTRY
+    cr, ai = right.real, right.imag
+    out = np.empty(ops.shape[:-3] + (2, 2, 2, 2), dtype=complex)
+    out.real = (tr * cr + ti * ai).sum(axis=-5)
+    out.imag = (ti * cr - tr * ai).sum(axis=-5)
+    return out.reshape(ops.shape[:-3] + (4, 4))
+
+
 def choi_matrix(channel: KrausChannel) -> np.ndarray:
     """4x4 matrix obtained by sending half of |Phi+> through the channel."""
     return apply_to_half(channel, PHI_PLUS)
@@ -233,20 +257,24 @@ def kraus_from_choi(choi) -> KrausChannel:
     A_k = sqrt(2 p_k) * [v_k reshaped column-wise], and the resulting set
     satisfies Tr(A_k^dag A_l) = 2 sqrt(p_k p_l) delta_kl and reproduces the
     original Choi matrix.  Requires a maximally mixed first marginal (which
-    is what makes the set trace preserving).
+    is what makes the set trace preserving).  A
+    :class:`~singletopt.choi.ChoiState`'s kept spectrum is used as is: the
+    bits of a fresh :func:`~singletopt.linalg.hermitian_eig` of its matrix.
     """
     matrix = np.asarray(getattr(choi, "matrix", choi), dtype=complex)
     if matrix.shape != (4, 4):
         raise ValueError(f"expected a 4x4 Choi matrix, got shape {matrix.shape}")
     if not has_maximally_mixed_marginal(matrix, _MARGINAL_TOL):
         raise ValueError("Choi matrix does not have a maximally mixed first marginal")
-    return _kraus_set(matrix)
+    return _kraus_set(matrix, getattr(choi, "eig", None))
 
 
-def _kraus_set(matrix: np.ndarray) -> KrausChannel:
+def _kraus_set(matrix: np.ndarray, eig=None) -> KrausChannel:
     """One operator sqrt(2 p_k) [v_k reshaped column-wise] per eigenpair
-    (p_k, |v_k>) of the 4x4 Choi matrix with p_k >= 1e-12."""
-    eig = hermitian_eig(matrix, tol=1e-8)
+    (p_k, |v_k>) of the 4x4 Choi matrix with p_k >= 1e-12; ``eig`` is its
+    eigendecomposition where one is already at hand."""
+    if eig is None:
+        eig = hermitian_eig(matrix, tol=1e-8)
     ops = []
     for p, vec in zip(eig.eigenvalues, eig.eigenvectors.T):
         if p < 1e-12:
@@ -419,18 +447,18 @@ def _compressed(ops: np.ndarray) -> KrausChannel:
     exact arithmetic, left for :func:`validate` to reject.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        matrix = _act_on_second(ops, _BELL)
+        matrix = _bell_products(ops)
     if np.isfinite(matrix).all():
         return _kraus_set(matrix)
     exponent = np.frexp(np.abs(ops.view(float)).max())[1]
-    small = _kraus_set(_act_on_second(np.ldexp(ops.view(float), -exponent).view(complex), _BELL))
+    small = _kraus_set(_bell_products(np.ldexp(ops.view(float), -exponent).view(complex)))
     with np.errstate(over="ignore"):
         kraus = tuple(np.ldexp(op.view(float), exponent).view(complex) for op in small.kraus)
     return KrausChannel(kraus=kraus, label="from_choi")
 
 
 def channel_from_dict(data: Mapping) -> KrausChannel:
-    """Parse either {"name": ..., "params": {...}} or {"kraus": [...]}.
+    """Parse either {"name": ..., "params": {...}} or {"kraus": [...]}, not both.
 
     Kraus lists longer than four operators are compressed through the Choi
     matrix back to a trace-orthogonal set of at most four.  The Choi matrix
@@ -440,6 +468,8 @@ def channel_from_dict(data: Mapping) -> KrausChannel:
     """
     if not isinstance(data, Mapping):
         raise ValueError("channel spec must be a JSON object")
+    if "name" in data and "kraus" in data:
+        raise ValueError("give either 'name' or 'kraus', not both")
     if "name" in data:
         name, params = data["name"], data.get("params")
         if not isinstance(name, str):

@@ -81,32 +81,34 @@ _SOURCES = {"choi": "{}", "dual_choi": "dual({})"}
 def build_states(channels, kinds=("choi", "dual_choi")) -> None:
     """Build every missing state of ``kinds`` for ``channels`` in one pass.
 
-    The channels that need a state are measured together by
-    :func:`~singletopt.channel.validate`'s stacked pass and gated one by
-    one by its ``ok``.  The Choi and dual-Choi matrices it measured of the
-    accepted channels are then eigendecomposed in one
-    batched :func:`~singletopt.linalg.hermitian_eig` call, and each state
-    is kept on its channel object, read-only.  After building what it can,
-    raises the gate's ``ValueError`` for the first rejected channel, which
-    stores no state.
+    The distinct channels that need a state are measured together by
+    :func:`~singletopt.channel.validate`'s stacked pass; each is gated once
+    by its ``ok`` and, if accepted, labelled once.  The Choi and dual-Choi
+    matrices it measured of the accepted channels are then eigendecomposed
+    in one batched :func:`~singletopt.linalg.hermitian_eig` call, and each
+    state is kept on its channel object, read-only.  After building what it
+    can, raises the gate's ``ValueError`` for the first rejected channel,
+    which stores no state.
     """
-    unique = list({id(c): c for c in channels}.values())
-    todo = {kind: [c for c in unique if kind not in c._states] for kind in kinds}
-    if not any(todo.values()):
+    unique = {id(c): c for c in channels}.values()
+    todo = [c for c in unique if any(kind not in c._states for kind in kinds)]
+    if not todo:
         return
-    _measure(unique)
-    todo = {kind: [c for c in group if validate(c).ok] for kind, group in todo.items()}
-    owners = [(kind, c) for kind, group in todo.items() for c in group]
+    _measure(todo)
+    accepted = {id(c): c.describe() for c in todo if validate(c).ok}
+    owners = [(kind, c) for kind in kinds for c in todo
+              if id(c) in accepted and kind not in c._states]
     if owners:
         matrices = np.array([c._states[f"{kind}_matrix"] for kind, c in owners])
         matrices.setflags(write=False)
         eig = hermitian_eig(matrices, tol=1e-9)
         for k, (kind, c) in enumerate(owners):
             spectrum = EigenDecomposition(eig.eigenvalues[k], eig.eigenvectors[k])
-            source = _SOURCES[kind].format(c.describe())
+            source = _SOURCES[kind].format(accepted[id(c)])
             c._states[kind] = ChoiState(matrix=matrices[k], eig=spectrum, source=source)
-    for channel in channels:
-        _require_cptp(channel)
+    for channel in todo:
+        if id(channel) not in accepted:
+            _require_cptp(channel)
 
 
 def choi_states(channels) -> list:

@@ -151,8 +151,10 @@ def hermitian_eig(m: np.ndarray, tol: float = 1e-9) -> EigenDecomposition:
     their rounded, phase-fixed components, so repeated calls and degenerate
     spectra still produce a reproducible decomposition.  Leading axes of
     ``m`` are batch axes, as for :func:`partial_transpose`: a (..., n, n)
-    stack is decomposed in one ``eigh`` call, matrix by matrix, and only
-    the matrices with a tied cluster run the tie-break.
+    stack is decomposed in one ``eigh`` call, matrix by matrix, and its
+    tie-break is one stable ``np.lexsort`` over the whole stack, keyed by
+    cluster and then by the rounded components, so each matrix comes out
+    bit for bit as it would alone.
 
     Raises ``ValueError`` if any matrix is farther than ``tol`` from
     Hermitian (Frobenius norm).
@@ -172,20 +174,20 @@ def hermitian_eig(m: np.ndarray, tol: float = 1e-9) -> EigenDecomposition:
     w = w[rows, order]
     vectors = v.swapaxes(1, 2)[rows, order]  # vectors[b, k] is eigenvector k
 
-    # Canonical ordering inside clusters of tied eigenvalues: by the rounded
-    # real, then imaginary, parts of each phase-fixed vector.
-    tied = np.flatnonzero((w[:, :-1] - w[:, 1:] < _TIE_TOL).any(axis=1))
-    if tied.size:
-        fixed = _fix_phase(vectors[tied])
-        keys = np.round(np.concatenate([fixed.real, fixed.imag], axis=2), 10)
-        for index, key in zip(tied, keys):
-            for start, stop in eigenvalue_clusters(w[index], _TIE_TOL):
-                if stop - start > 1:
-                    order = sorted(range(start, stop), key=lambda k: key[k].tolist())
-                    vectors[index, start:stop] = vectors[index, order]
+    # Canonical ordering inside clusters of tied eigenvalues (as in
+    # :func:`eigenvalue_clusters`): by the rounded real, then imaginary,
+    # parts of each phase-fixed vector.  Keyed first by cluster, one stable
+    # sort moves vectors only inside their cluster; eigenvalues stay put.
+    vectors = _fix_phase(vectors)
+    parts = np.round(vectors.view(float).reshape(vectors.shape + (2,)), 10)
+    keys = parts.transpose(3, 2, 0, 1).reshape(2 * n, len(w), n)  # real parts, then imaginary
+    cluster = np.zeros(w.shape, dtype=int)
+    np.cumsum(w[:, :-1] - w[:, 1:] >= _TIE_TOL, axis=1, out=cluster[:, 1:])
+    order = np.lexsort(np.concatenate([keys[::-1], cluster[None]]))  # last key sorts first
+    vectors = vectors[rows, order]
 
     w = w.reshape(m.shape[:-1])
-    v = _fix_phase(vectors).swapaxes(1, 2).reshape(m.shape)
+    v = vectors.swapaxes(1, 2).reshape(m.shape)
     w.setflags(write=False)
     v.setflags(write=False)
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)

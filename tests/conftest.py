@@ -4,7 +4,7 @@ import numpy as np
 
 from singletopt.channel import KrausChannel, random_channel
 from singletopt.choi import choi
-from singletopt.linalg import PAULIS
+from singletopt.linalg import _TIE_TOL, PAULIS, PHI_PLUS, _fix_phase, eigenvalue_clusters
 
 
 def random_density(rng, rank=4, dim=4):
@@ -81,3 +81,37 @@ def reference_channel_negativity(channel, seed, restarts=16, max_steps=2000):
         if -4.0 * value > best:
             best, best_input = -4.0 * value, a.reshape(4)
     return best, best_input
+
+
+def assert_bitwise_equal(actual, expected):
+    """Equal real and imaginary parts, NaNs and signs of zero included."""
+    for part in (np.real, np.imag):
+        a, e = part(np.asarray(actual)), part(np.asarray(expected))
+        np.testing.assert_array_equal(a, e)
+        np.testing.assert_array_equal(np.signbit(a), np.signbit(e))
+
+
+def einsum_bell_products(ops):
+    """sum_k (I (x) A_k) |Phi+><Phi+| (I (x) A_k)^dag for stacked (..., k, 2, 2)
+    operators, by numpy's three-operand einsum over every entry of the
+    projector: the reference ``channel._bell_products`` must match bit for bit."""
+    bell = np.outer(PHI_PLUS, PHI_PLUS.conj()).reshape(2, 2, 2, 2)
+    out = np.einsum("...kyb,ibjd,...kzd->...iyjz", ops, bell, ops.conj())
+    return out.reshape(ops.shape[:-3] + (4, 4))
+
+
+def loop_hermitian_eig(m):
+    """``linalg.hermitian_eig`` of one matrix, its tie-break written as a
+    Python ``sorted`` per cluster of tied eigenvalues: the reference for the
+    one stacked sort.  Returns (eigenvalues, eigenvectors as columns)."""
+    m = np.asarray(m, dtype=complex)
+    w, v = np.linalg.eigh((m + m.conj().T) / 2)
+    order = np.argsort(-w, kind="stable")
+    w, vectors = w[order], v.T[order]  # vectors[k] is eigenvector k
+    fixed = _fix_phase(vectors)
+    key = np.round(np.concatenate([fixed.real, fixed.imag], axis=1), 10)
+    for start, stop in eigenvalue_clusters(w, _TIE_TOL):
+        if stop - start > 1:
+            order = sorted(range(start, stop), key=lambda k: key[k].tolist())
+            vectors[start:stop] = vectors[order]
+    return w, _fix_phase(vectors).T

@@ -23,9 +23,17 @@ from singletopt.channel import (
     unitary,
     validate,
 )
+from singletopt.channel import _bell_products, _kraus_set, _measure
 from singletopt.linalg import I2, PAULI_X, PAULI_Y, PAULI_Z, PHI_PLUS
 
-from conftest import random_channels, random_density, random_pure, random_unitary
+from conftest import (
+    assert_bitwise_equal,
+    einsum_bell_products,
+    random_channels,
+    random_density,
+    random_pure,
+    random_unitary,
+)
 
 
 def test_validate_identity():
@@ -311,6 +319,92 @@ def test_json_rejects_garbage():
         channel_from_dict({"something": 1})
     with pytest.raises(ValueError):
         channel_from_dict([1, 2, 3])
+
+
+def test_json_rejects_name_and_kraus_together():
+    # Neither field is dropped silently, whether or not each is valid alone.
+    kraus = channel_to_dict(identity())["kraus"]
+    for spec in (
+        {"name": "depolarizing", "params": {"p": 0.5}, "kraus": kraus},
+        {"name": "identity", "kraus": kraus},
+        {"name": "nonsense", "kraus": []},
+    ):
+        with pytest.raises(ValueError, match="^give either 'name' or 'kraus', not both$"):
+            channel_from_dict(spec)
+
+
+# ---------------------------------------------------------------------------
+# Choi matrices by broadcast, against the einsum bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _named_family_channels():
+    return [
+        family(p)
+        for family in (depolarizing, amplitude_damping, phase_damping, bit_flip)
+        for p in np.linspace(0.0, 1.0, 101)
+    ]
+
+
+def _padded(channels):
+    """Kraus lists zero-padded to the longest, as one (n, k, 2, 2) stack."""
+    ops = np.zeros((len(channels), max(len(c.kraus) for c in channels), 2, 2), dtype=complex)
+    for row, c in zip(ops, channels):
+        row[: len(c.kraus)] = c.kraus
+    return ops
+
+
+def test_bell_products_equal_the_einsum_channel_by_channel():
+    for c in random_channels(9400, 400) + _named_family_channels():
+        ops = np.array(c.kraus)
+        for stack in (ops, ops.conj().swapaxes(-1, -2)):
+            assert_bitwise_equal(_bell_products(stack), einsum_bell_products(stack))
+
+
+def test_bell_products_equal_the_einsum_on_padded_mixed_rank_stacks():
+    channels = random_channels(9500, 210) + _named_family_channels()
+    for start in range(0, len(channels), 21):
+        ops = _padded(channels[start : start + 21])
+        for stack in (ops, ops.conj().swapaxes(-1, -2)):
+            assert_bitwise_equal(_bell_products(stack), einsum_bell_products(stack))
+
+
+def test_measured_choi_and_dual_matrices_are_each_channels_einsum():
+    # _measure stacks the Choi and dagger lists together; each matrix is the
+    # einsum of that channel's own, unpadded list.
+    channels = random_channels(9600, 42) + [depolarizing(0.5), amplitude_damping(1.0)]
+    _measure(channels)
+    for c in channels:
+        ops = np.array(c.kraus)
+        assert_bitwise_equal(c._states["choi_matrix"], einsum_bell_products(ops))
+        assert_bitwise_equal(
+            c._states["dual_choi_matrix"], einsum_bell_products(ops.conj().swapaxes(-1, -2))
+        )
+
+
+def test_bell_products_overflow_as_the_einsum_does():
+    rng = np.random.default_rng(9700)
+    for count in (1, 4, 5, 9):
+        g = rng.standard_normal((count, 2, 2)) + 1j * rng.standard_normal((count, 2, 2))
+        for scale in (1e155, 1e160, 1e300, 1e-170):
+            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+                assert_bitwise_equal(_bell_products(scale * g), einsum_bell_products(scale * g))
+
+
+def test_compressed_five_huge_identities_keep_their_scale():
+    # Five copies of 1e155 I overflow the Choi matrix; the list is compressed
+    # at 2^-exponent, the power of two that brings every part below 1.
+    ops = np.array([1e155 * I2] * 5, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(einsum_bell_products(ops)).all()
+    exponent = np.frexp(1e155)[1]
+    small = np.ldexp(ops.view(float), -exponent).view(complex)
+    assert np.abs(small.view(float)).max() < 1.0
+    expected = _kraus_set(einsum_bell_products(small)).kraus
+    c = channel_from_dict(_kraus_spec(ops))
+    assert len(c.kraus) == len(expected) == 1
+    assert_bitwise_equal(c.kraus[0], np.ldexp(expected[0].view(float), exponent).view(complex))
+    assert not validate(c).ok
 
 
 # ---------------------------------------------------------------------------

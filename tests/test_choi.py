@@ -6,10 +6,12 @@ import pytest
 from singletopt.channel import (
     KrausChannel,
     amplitude_damping,
+    bit_flip,
     choi_matrix,
     depolarizing,
     identity,
     kraus_from_choi,
+    phase_damping,
     validate,
 )
 from singletopt.choi import (
@@ -37,6 +39,7 @@ from conftest import random_channels, random_unitary
 
 # The package re-exports the function ``choi``, which shadows the module.
 choi_module = importlib.import_module("singletopt.choi")
+channel_module = importlib.import_module("singletopt.channel")
 
 
 def test_choi_identity_is_bell_projector():
@@ -222,6 +225,48 @@ def test_choi_states_build_accepted_channels_and_raise_for_rejected(builds):
     with pytest.raises(ValueError, match="not CPTP: tp_residual="):
         dual_choi_states([bad, good])
     assert builds == ["amplitude_damping(p=0.3)", "depolarizing(p=0.2)", "dual(amplitude_damping(p=0.3))"]
+
+
+def test_build_states_gates_and_labels_each_channel_once(monkeypatch):
+    checked, labelled = [], []
+    real_validate, real_describe = choi_module.validate, KrausChannel.describe
+
+    def counting_validate(channel, *args):
+        checked.append(channel)
+        return real_validate(channel, *args)
+
+    def counting_describe(channel):
+        labelled.append(channel)
+        return real_describe(channel)
+
+    monkeypatch.setattr(choi_module, "validate", counting_validate)
+    monkeypatch.setattr(KrausChannel, "describe", counting_describe)
+    rows = [amplitude_damping(p) for p in np.linspace(0.0, 1.0, 21)]
+    build_states(rows + rows[:5])
+    assert len(checked) == len(labelled) == 21
+    assert {id(c) for c in checked} == {id(c) for c in rows}
+    # A rejected channel is gated once more, to raise its own message.
+    bad = KrausChannel(kraus=(2 * I2,))
+    checked.clear()
+    with pytest.raises(ValueError, match="not CPTP"):
+        build_states([depolarizing(0.1), bad, depolarizing(0.2)])
+    assert [c is bad for c in checked] == [False, True, False, True]
+
+
+def test_kraus_from_choi_state_reads_its_kept_spectrum(monkeypatch):
+    channels = random_channels(33, 40) + [
+        identity(), depolarizing(0.3), amplitude_damping(1.0), phase_damping(0.5), bit_flip(0.25),
+    ]
+    states = choi_states(channels)
+    expected = [kraus_from_choi(state.matrix).kraus for state in states]
+    decomposed = []
+    monkeypatch.setattr(channel_module, "hermitian_eig", lambda *args: decomposed.append(args))
+    for state, kraus in zip(states, expected):
+        got = kraus_from_choi(state).kraus
+        assert len(got) == len(kraus)
+        for a, b in zip(got, kraus):
+            assert a.tobytes() == b.tobytes()
+    assert decomposed == []
 
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-7])

@@ -24,6 +24,8 @@ from singletopt.locc import fstar
 
 # The package re-exports the function ``choi``, which shadows the module.
 choi_module = importlib.import_module("singletopt.choi")
+channel_module = importlib.import_module("singletopt.channel")
+linalg_module = importlib.import_module("singletopt.linalg")
 
 
 def run(argv, capsys):
@@ -579,6 +581,36 @@ def test_audit_solves_fstar_and_runs_the_oracle_once_over_all_channels(capsys, t
     assert "audit PASSED" in out.splitlines()
     assert solved == [(4, 4, 4)]
     assert searched == [(4, 4, 4)]
+
+
+def test_audit_decomposes_every_state_once(capsys, tmp_path, monkeypatch):
+    # One batched eigendecomposition of the 4 Choi and 4 dual-Choi matrices;
+    # the Kraus sets read back from the Choi states reuse their spectra.
+    monkeypatch.chdir(tmp_path)
+    shapes = []
+    original = choi_module.hermitian_eig
+
+    def counting(m, tol=1e-9):
+        shapes.append(np.shape(m))
+        return original(m, tol)
+
+    for module in (choi_module, channel_module, linalg_module):
+        monkeypatch.setattr(module, "hermitian_eig", counting)
+    code, out, _ = run(["audit", "--seed", "42", "--count", "4"], capsys)
+    assert code == 0
+    assert "audit PASSED" in out.splitlines()
+    assert shapes == [(8, 4, 4)]
+
+
+def test_analyze_name_and_kraus_spec_exits_2(capsys, tmp_path):
+    path = tmp_path / "both.json"
+    kraus = channel_to_dict(depolarizing(0.5))["kraus"]
+    spec = {"name": "depolarizing", "params": {"p": 0.5}, "kraus": kraus}
+    path.write_text(json.dumps(spec))
+    code, out, err = run(["analyze", "--file", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: give either 'name' or 'kraus', not both\n"
 
 
 def test_channel_json_wire_format():

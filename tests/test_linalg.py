@@ -4,10 +4,13 @@ import pytest
 from singletopt.linalg import (
     I2,
     MAGIC_BASIS,
+    EigenDecomposition,
     PAULI_X,
     PAULI_Z,
     PHI_PLUS,
+    PSI_MINUS,
     SWAP,
+    _fix_phase,
     eigenvalue_clusters,
     has_maximally_mixed_marginal,
     hermitian_eig,
@@ -20,7 +23,7 @@ from singletopt.linalg import (
     to_magic_basis,
 )
 
-from conftest import random_density, random_unitary
+from conftest import loop_hermitian_eig, random_density, random_unitary
 
 
 def test_tensor_product_identities():
@@ -155,6 +158,60 @@ def test_eig_batch_equals_per_matrix_calls_bit_for_bit():
     np.testing.assert_allclose(batched.reconstruct()[0], states, atol=1e-14)
     # The tie-break still orders the identity channel's tied eigenvectors.
     assert hermitian_eig(states[12]).eigenvalues[0] == pytest.approx(1.0, abs=1e-15)
+
+
+def _tie_break_cases():
+    """Tied, nearly tied and barely untied spectra, as Choi states and as
+    random unitary conjugates of fixed spectra."""
+    from singletopt.channel import (
+        amplitude_damping,
+        bit_flip,
+        choi_matrix,
+        identity,
+        phase_damping,
+        random_channel,
+    )
+
+    rng = np.random.default_rng(29)
+    singlet = np.outer(PSI_MINUS, PSI_MINUS.conj())
+    cases = [np.eye(4, dtype=complex) / 4]
+    cases += [p * singlet + (1 - p) * np.eye(4) / 4 for p in np.linspace(0.0, 1.0, 11)]  # Werner
+    cases += [
+        choi_matrix(c)
+        for c in (identity(), amplitude_damping(0.3), amplitude_damping(1.0),
+                  phase_damping(0.6), bit_flip(0.2))
+    ]
+    cases += [choi_matrix(random_channel(9800 + k, 1 + k % 2)) for k in range(20)]
+    spectra = [
+        (0.5, 0.5, 0.0, 0.0),
+        (0.25, 0.25, 0.25, 0.25),
+        (0.5, 0.5 - 1e-13, 0.0, 1e-13),
+        (0.3, 0.3 - 1e-13, 0.3 - 2e-13, 0.1),
+        (0.4, 0.4, 0.2 + 1e-13, 0.2),
+        (0.5, 0.5 - 2e-12, 0.0, 0.0),  # a gap just above the tie tolerance
+    ]
+    for spectrum in spectra:
+        for _ in range(25):
+            u = random_unitary(rng, 4)
+            cases.append(u @ np.diag(spectrum) @ u.conj().T)
+    return np.array(cases)
+
+
+def test_eig_stacked_tie_break_equals_the_sorted_loop_bit_for_bit():
+    cases = _tie_break_cases()
+    stacked = hermitian_eig(cases)
+    moved = 0
+    for k, m in enumerate(cases):
+        w, v = loop_hermitian_eig(m)
+        alone = hermitian_eig(m)
+        for eig in (alone, EigenDecomposition(stacked.eigenvalues[k], stacked.eigenvectors[k])):
+            assert eig.eigenvalues.tobytes() == w.tobytes(), k
+            assert eig.eigenvectors.tobytes() == v.tobytes(), k
+        w0, v0 = np.linalg.eigh((m + m.conj().T) / 2)
+        plain = v0[:, np.argsort(-w0, kind="stable")]
+        moved += not np.array_equal(_fix_phase(plain.T).T, v)
+    # The cases exercise the tie-break: it reorders many of them.
+    assert moved >= 100
 
 
 def test_eig_batch_rejects_any_non_hermitian_member():
