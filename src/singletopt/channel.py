@@ -271,8 +271,10 @@ def kraus_from_choi(choi) -> KrausChannel:
 
 def _kraus_set(matrix: np.ndarray, eig=None) -> KrausChannel:
     """One operator sqrt(2 p_k) [v_k reshaped column-wise] per eigenpair
-    (p_k, |v_k>) of the 4x4 Choi matrix with p_k >= 1e-12; ``eig`` is its
-    eigendecomposition where one is already at hand."""
+    (p_k, |v_k>) of the 4x4 Choi matrix with p_k >= 1e-12, or the single zero
+    operator where there is none (a compressed list of tiny operators, left
+    for :func:`validate` to reject); ``eig`` is its eigendecomposition where
+    one is already at hand."""
     if eig is None:
         eig = hermitian_eig(matrix, tol=1e-8)
     ops = []
@@ -281,7 +283,7 @@ def _kraus_set(matrix: np.ndarray, eig=None) -> KrausChannel:
             continue
         g = np.sqrt(2.0) * np.column_stack([vec[0:2], vec[2:4]])
         ops.append(np.sqrt(p) * g)
-    return KrausChannel(kraus=tuple(ops), label="from_choi")
+    return KrausChannel(kraus=tuple(ops) or (np.zeros((2, 2), dtype=complex),), label="from_choi")
 
 
 # ---------------------------------------------------------------------------

@@ -37,14 +37,12 @@ the maximally entangled vector minimizing <phi|rho^Gamma|phi>, and an
 optimal Y = y u u^dag of rank 1, read off the minimum of
 <u (x) w|(rho^Gamma)^-1|u (x) w> over product vectors.  Either closes a
 state whose bracket it brings within 2e-12.  On the named channels' Choi
-states and on every random channel tried, one of them does, and no barrier
-step runs.  A state neither closes falls back to a log-barrier Newton solve
-of the dual, whose iterates are all dual feasible; it stops once the
-bracket is narrower than ``GAP_TOLERANCE`` and raises if that takes more
-than ``MAX_NEWTON_STEPS`` steps, so a reported F* is never an unconverged
-estimate.  The lower end is a rank-one value and the upper end bounds the
-full program, so a closed bracket also certifies rank-one optimality for
-that state.  The solve takes leading batch axes: one pass closes a whole
+states and on every random channel tried, one of them does.  The solve is
+these closed forms only, with no iteration over Y: a state neither closes
+raises rather than return its open bracket, so a reported F* is never an
+unconverged estimate.  The lower end is a rank-one value and the upper end
+bounds the full program, so a closed bracket also certifies rank-one
+optimality for that state.  The solve takes leading batch axes: one pass closes a whole
 stack of states, each on its own rule, and :func:`channel_fstars` solves
 many channels' Choi states in one such call, as the audit does for its
 certificates, each bit for bit its state's own.
@@ -74,7 +72,6 @@ from .optimize import compass_search
 
 __all__ = [
     "GAP_TOLERANCE",
-    "MAX_NEWTON_STEPS",
     "FilterProtocol",
     "FstarCertificate",
     "channel_fstar",
@@ -86,30 +83,14 @@ __all__ = [
     "postprocessing_gap",
 ]
 
-# Width of the certified bracket at which the dual solve stops.
+# Widest bracket that step 0 closes, and the most any reported bracket spans.
 GAP_TOLERANCE = 1e-10
-# Barrier steps after which an unclosed bracket raises.  Only states that
-# neither step 0 nor a KKT certificate closes take barrier steps; forced
-# onto the barrier, random states of rank 2-4 and the named channels' Choi
-# states close within 64.
-MAX_NEWTON_STEPS = 200
 
 _S1 = 1.0 / np.sqrt(2.0)
 
-# Y = sum_k z_k sigma_k with sigma_0 = I, so Y (x) I = sum_k z_k _DUAL_BASIS[k]
-# and log det Y = log(z_0^2 - |z_1..3|^2), the Minkowski form _SIGNATURE.
+# Y = sum_k z_k sigma_k with sigma_0 = I, so Y (x) I = sum_k z_k _DUAL_BASIS_FLAT[k].
 _PAULIS = np.array(PAULIS)
-_DUAL_BASIS = np.array([np.kron(sigma, I2) for sigma in _PAULIS])
-_DUAL_BASIS_FLAT = _DUAL_BASIS.reshape(4, 16)
-_SIGNATURE = np.array([1.0, -1.0, -1.0, -1.0])
-_SIGNATURE_DIAG = np.diag(_SIGNATURE)
-# Barrier weight on Tr Y / 2 at the first centering, and its growth per round.
-_T_START = 10.0
-_T_GROWTH = 50.0
-# Squared Newton decrement below which an iterate counts as centered.
-_CENTERED = 1e-3
-# Barrier parameter: log det of the 4x4 M plus log det of the 2x2 Y.
-_BARRIER_NU = 6.0
+_DUAL_BASIS_FLAT = np.array([np.kron(sigma, I2) for sigma in _PAULIS]).reshape(4, 16)
 # Margin by which the step-0 dual point Y = (delta - lambda_min) I clears
 # lambda_min(rho^Gamma + Y (x) I) = 0; far below GAP_TOLERANCE and far above
 # the eigensolver's rounding.  The KKT certificates add it to Y as delta I.
@@ -292,7 +273,8 @@ def _kkt_certificates(gamma: np.ndarray):
     :func:`_scored`; (b) runs only where (a) leaves the bracket open, and
     there the better primal and the better feasible dual of the two are
     kept.  Returns each state's primal value and vector, its dual's Pauli
-    coefficients z, and whether the bracket closes within ``_KKT_GAP``.
+    coefficients z, and its bracket's width (infinite without a feasible
+    dual); the bracket closes where that is at most ``_KKT_GAP``.
     """
     phi = np.linalg.eigh(to_magic_basis(gamma).real)[1][:, :, 0] @ MAGIC_BASIS.T
     u_dag = phi.reshape(-1, 2, 2).conj().swapaxes(1, 2)
@@ -311,7 +293,7 @@ def _kkt_certificates(gamma: np.ndarray):
         value[rest[better]], x[rest[better]] = value_b[better], x_b[better]
         better = upper_b < upper[rest]
         upper[rest[better]], z[rest[better]] = upper_b[better], z_b[better]
-    return value, x, z, upper - (0.5 - value) <= _KKT_GAP
+    return value, x, z, upper - (0.5 - value)
 
 
 @dataclass(frozen=True)
@@ -322,17 +304,16 @@ class FstarCertificate:
     most 1/sqrt(2); it attains ``lower = 1/2 - min(0, <x|rho^Gamma|x>)``
     (the zero vector stands for preparing a separable state).  ``dual`` is
     a 2x2 matrix Y with Y >= 0 and rho^Gamma + Y (x) I >= 0, giving
-    ``upper = 1/2 + Tr Y / 2``.  ``newton_steps`` counts the barrier steps:
-    0 means the state is PPT, or its bracket closed in closed form, at
-    step 0 or by a KKT certificate; above 0 marks the barrier fallback.
-    For a stack of states every field carries the stack's leading axes.
+    ``upper = 1/2 + Tr Y / 2``.  The bracket is at most 1e-10 wide where
+    step 0 closed it and at most 2e-12 where a KKT certificate did, and a
+    PPT state's is exactly (1/2, 1/2).  For a stack of states every field
+    carries the stack's leading axes.
     """
 
     lower: float | np.ndarray
     upper: float | np.ndarray
     primal: np.ndarray
     dual: np.ndarray
-    newton_steps: int | np.ndarray
 
     def protocol(self, rho: np.ndarray) -> FilterProtocol:
         """The filter protocol on ``rho`` that this single state's ``primal`` is.
@@ -349,8 +330,7 @@ class FstarCertificate:
 
 
 def fstar_certificate(rho: np.ndarray) -> FstarCertificate:
-    """Close the bracket on F*(rho): in closed form where a certificate
-    applies, by the barrier solve of the dual program otherwise.
+    """Close the bracket on F*(rho) in closed form, or raise.
 
     A PPT state returns ``(1/2, 1/2)`` exactly.  Step 0 closes the bracket
     where it can: the frame of rho^Gamma's bottom eigenvector gives the
@@ -363,29 +343,14 @@ def fstar_certificate(rho: np.ndarray) -> FstarCertificate:
     and must pass the same strict feasibility check (Y > 0 and
     rho^Gamma + Y (x) I > 0 by their eigenvalues), each primal is scored on
     the bottom eigenvector of its rho^Gamma + Y (x) I, and the state closes
-    if its bracket is at most 2 delta wide.  A state closed either way
-    returns with ``newton_steps == 0``.
-
-    Every other state falls back to the barrier loop.  It minimizes
-    t Tr Y / 2 - log det(rho^Gamma + Y (x) I) - log det Y over
-    Y = sum_k z_k sigma_k by damped Newton steps, raising t by a fixed
-    factor after each centering, from the strictly feasible start
-    Y = (1 - lambda_min(rho^Gamma)) I.  With M = rho^Gamma + Y (x) I and
-    E_k = sigma_k (x) I, the log det M terms of gradient and Hessian are
-    d_k = -Tr(M^-1 E_k) and H_kl = Tr(M^-1 E_k M^-1 E_l), with M^-1 from one
-    Hermitian eigendecomposition per step.  The primal frame candidate is
-    evaluated only at centered iterates whose barrier bound nu / t (nu = 6)
-    is within ``GAP_TOLERANCE``: only then is the upper end certified that
-    close to the optimum, and on random and Choi states no earlier frame
-    closed the bracket.  The solve returns once the iterate is checked
-    strictly dual feasible and ``upper - lower <= GAP_TOLERANCE``, and
-    raises ``RuntimeError`` if that has not happened within
-    ``MAX_NEWTON_STEPS``.
+    if its bracket is at most 2 delta wide.  If any state's bracket is still
+    wider, the solve raises ``RuntimeError`` with the number of open states
+    and the widest bracket; no known state does.
 
     Leading axes of ``rho`` are batch axes: one pass closes every state of
-    a (..., 4, 4) stack, each retiring on its own rule, and the fields
-    come back with the stack's leading axes.  A single state gives scalar
-    ``lower``, ``upper`` and ``newton_steps``.
+    a (..., 4, 4) stack, each on its own rule, and the fields come back
+    with the stack's leading axes.  A single state gives scalar ``lower``
+    and ``upper``.
     """
     rho = _as_density_stack(rho)
     batch = rho.shape[:-2]
@@ -394,107 +359,48 @@ def fstar_certificate(rho: np.ndarray) -> FstarCertificate:
     lower, upper = np.full(n, 0.5), np.full(n, 0.5)
     primal = np.zeros((n, 4), dtype=complex)
     dual = np.zeros((n, 2, 2), dtype=complex)
-    steps = np.zeros(n, dtype=int)
 
     lam_min = np.linalg.eigvalsh(gamma)[:, 0]
-    # The states still iterating, and each one's solver state.
     live = np.flatnonzero(lam_min < 0.0)
     gamma = gamma[live]
+    # Step 0.  M = rho^Gamma + (1 - lambda_min) I shares rho^Gamma's
+    # eigenvectors, and its eigh fixes the frame: an eigh of rho^Gamma in
+    # place of the eigvalsh above would move lambda_min in the last bits.
     z = np.zeros((len(live), 4))
     z[:, 0] = 1.0 - lam_min[live]
-    t = np.full(len(live), _T_START)
-    count = np.zeros(len(live), dtype=int)
-    centered = np.zeros(len(live), dtype=bool)
-    best_value = np.zeros(len(live))
-    best_x = np.zeros((len(live), 4), dtype=complex)
-    while len(live):
-        # One Hermitian eigensolve gives M^-1, the feasibility margin and,
-        # at a centered iterate, the primal frame.
-        vals, vecs = np.linalg.eigh(gamma + (z @ _DUAL_BASIS_FLAT).reshape(-1, 4, 4))
-        done = np.zeros(len(live), dtype=bool)
-        if not count[0]:
-            # Step 0 (all states start together).  The start M shares
-            # rho^Gamma's eigenvectors, so its eigh serves; an eigh of
-            # rho^Gamma in place of the eigvalsh above would move lambda_min,
-            # and with it every later iterate, in the last bits.
-            y = _STEP0_MARGIN - lam_min[live]
-            value, x = _frame_minimum(gamma, vecs[:, :, 0])
-            # As on the Newton path, the zero vector (lower end 1/2) is the floor.
-            x[value >= 0.0] = 0.0
-            value = np.minimum(value, 0.0)
-            close = np.flatnonzero((0.5 + y) - (0.5 - value) <= GAP_TOLERANCE)
-            margin = np.linalg.eigvalsh(gamma[close] + y[close, None, None] * np.eye(4))
-            close = close[(margin[:, 0] > 0.0) & (y[close] > 0.0)]
-            z[close] = 0.0
-            z[close, 0] = y[close]
-            best_value[close], best_x[close] = value[close], x[close]
-            done[close] = True
-            # The KKT certificates on the states step 0 leaves open.
-            rest = np.flatnonzero(~done)
-            if len(rest):
-                value, x, dual_z, closes = _kkt_certificates(gamma[rest])
-                close = rest[closes]
-                z[close], best_value[close] = dual_z[closes], value[closes]
-                best_x[close] = x[closes]
-                done[close] = True
-        check = np.flatnonzero(centered & (_BARRIER_NU / t <= GAP_TOLERANCE))
-        if len(check):
-            value, x = _frame_minimum(gamma[check], vecs[check, :, 0])
-            better = value < best_value[check]
-            best_value[check[better]] = value[better]
-            best_x[check[better]] = x[better]
-            # The barrier keeps iterates interior; the check makes that explicit.
-            feasible = (vals[check, 0] > 0.0) & (
-                z[check, 0] > np.linalg.norm(z[check, 1:], axis=1)
-            )
-            closed = (0.5 + z[check, 0]) - (0.5 - best_value[check]) <= GAP_TOLERANCE
-            done[check[feasible & closed]] = True
-        if done.any():
-            out = live[done]
-            lower[out] = 0.5 - best_value[done]
-            upper[out] = 0.5 + z[done, 0]
-            primal[out] = best_x[done]
-            dual[out] = np.tensordot(z[done], _PAULIS, 1)
-            steps[out] = count[done]
-            live, gamma, z, t, count, centered, best_value, best_x, vals, vecs = (
-                x[~done]
-                for x in (live, gamma, z, t, count, centered, best_value, best_x, vals, vecs)
-            )
-            if not len(live):
-                break
-        t[centered] *= _T_GROWTH
-        if (count == MAX_NEWTON_STEPS).any():
+    vecs = np.linalg.eigh(gamma + (z @ _DUAL_BASIS_FLAT).reshape(-1, 4, 4))[1]
+    y = _STEP0_MARGIN - lam_min[live]
+    value, x = _frame_minimum(gamma, vecs[:, :, 0])
+    # The zero vector (lower end 1/2) is the floor.
+    x[value >= 0.0] = 0.0
+    value = np.minimum(value, 0.0)
+    close = (0.5 + y) - (0.5 - value) <= GAP_TOLERANCE
+    margin = np.linalg.eigvalsh(gamma[close] + y[close, None, None] * np.eye(4))
+    close[close] = (margin[:, 0] > 0.0) & (y[close] > 0.0)
+    z[close] = 0.0
+    z[close, 0] = y[close]
+    # The KKT certificates on the states step 0 leaves open.
+    rest = np.flatnonzero(~close)
+    if len(rest):
+        value[rest], x[rest], z[rest], width = _kkt_certificates(gamma[rest])
+        still_open = ~(width <= _KKT_GAP)
+        if still_open.any():
             raise RuntimeError(
-                f"fstar: bracket still wider than {GAP_TOLERANCE:.0e} "
-                f"after {MAX_NEWTON_STEPS} Newton steps"
+                f"fstar: {still_open.sum()} of {n} brackets still open after the "
+                f"closed-form certificates, the widest {width[still_open].max():.3g} wide"
             )
-        a = ((vecs / vals[:, None, :]) @ vecs.conj().swapaxes(1, 2))[:, None] @ _DUAL_BASIS
-        grad = -np.trace(a, axis1=2, axis2=3).real
-        hess = (a.reshape(-1, 4, 16) @ a.swapaxes(2, 3).reshape(-1, 4, 16).swapaxes(1, 2)).real
-        w = _SIGNATURE * z
-        q = (z * w).sum(axis=1)  # det Y
-        grad += (-2.0 / q)[:, None] * w
-        grad[:, 0] += t
-        hess += (-2.0 / q)[:, None, None] * _SIGNATURE_DIAG
-        hess += (4.0 / q**2)[:, None, None] * (w[:, :, None] * w[:, None, :])
-        # An explicit trailing axis: numpy 1.x reads a 2-D b as a stack of
-        # vectors, numpy 2 as one matrix.
-        delta = np.linalg.solve(hess, -grad[:, :, None])[:, :, 0]
-        decrement2 = -(grad * delta).sum(axis=1)
-        z = z + delta / (1.0 + np.sqrt(decrement2))[:, None]
-        count += 1
-        centered = decrement2 <= _CENTERED
+    lower[live] = 0.5 - value
+    upper[live] = 0.5 + z[:, 0]
+    primal[live] = x
+    dual[live] = np.tensordot(z, _PAULIS, 1)
 
     if not batch:
-        return FstarCertificate(
-            float(lower[0]), float(upper[0]), primal[0], dual[0], int(steps[0])
-        )
+        return FstarCertificate(float(lower[0]), float(upper[0]), primal[0], dual[0])
     return FstarCertificate(
         lower.reshape(batch),
         upper.reshape(batch),
         primal.reshape(batch + (4,)),
         dual.reshape(batch + (2, 2)),
-        steps.reshape(batch),
     )
 
 

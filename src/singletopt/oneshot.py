@@ -509,8 +509,7 @@ def channel_residuals(channels) -> list:
     matrices = np.array([ctx.choi_state.matrix for ctx in contexts])
     cert = fstar_certificate(matrices)
     oracle = singlet_fraction_oracle(matrices, resolution_deg=4.0)
-    fields = zip(cert.lower.tolist(), cert.upper.tolist(), cert.primal, cert.dual,
-                 cert.newton_steps.tolist())
+    fields = zip(cert.lower.tolist(), cert.upper.tolist(), cert.primal, cert.dual)
     for ctx, field, value in zip(contexts, fields, oracle.tolist()):
         ctx.certificate, ctx.oracle_fraction = FstarCertificate(*field), value
     return [_evaluate(ctx, reported_only=False) for ctx in contexts]

@@ -4,7 +4,16 @@ import numpy as np
 
 from singletopt.channel import KrausChannel, random_channel
 from singletopt.choi import choi
-from singletopt.linalg import _TIE_TOL, PAULIS, PHI_PLUS, _fix_phase, eigenvalue_clusters
+from singletopt.linalg import (
+    _TIE_TOL,
+    I2,
+    PAULIS,
+    PHI_PLUS,
+    _fix_phase,
+    eigenvalue_clusters,
+    partial_transpose,
+)
+from singletopt.locc import GAP_TOLERANCE, _frame_minimum
 
 
 def random_density(rng, rank=4, dim=4):
@@ -115,3 +124,73 @@ def loop_hermitian_eig(m):
             order = sorted(range(start, stop), key=lambda k: key[k].tolist())
             vectors[start:stop] = vectors[order]
     return w, _fix_phase(vectors).T
+
+
+# Y = sum_k z_k sigma_k, so Y (x) I = sum_k z_k _DUAL_BASIS[k] and
+# log det Y = log(z_0^2 - |z_1..3|^2), the Minkowski form _SIGNATURE.
+_DUAL_BASIS = np.array([np.kron(sigma, I2) for sigma in PAULIS])
+_SIGNATURE = np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def reference_fstar_barrier(stack):
+    """F*'s bracket on each state of a (n, 4, 4) stack by a log-barrier
+    Newton solve of the dual: the reference for ``locc.fstar_certificate``'s
+    closed forms.  Returns ``(lower, upper)``; a PPT state gives (1/2, 1/2).
+
+    Minimizes t Tr Y / 2 - log det(rho^Gamma + Y (x) I) - log det Y over
+    Y = sum_k z_k sigma_k by damped Newton steps, from the strictly feasible
+    start Y = (1 - lambda_min(rho^Gamma)) I, raising t by 50 after each
+    centering (squared decrement at most 1e-3).  With M = rho^Gamma + Y (x) I
+    and E_k = sigma_k (x) I, the log det M terms of gradient and Hessian are
+    -Tr(M^-1 E_k) and Tr(M^-1 E_k M^-1 E_l).  At a centered iterate whose
+    barrier bound 6 / t is within ``GAP_TOLERANCE`` the frame of M's bottom
+    eigenvector gives a primal value; a state stops once its iterate is
+    strictly feasible and its bracket within ``GAP_TOLERANCE``, and the
+    solve raises if one has not after 200 steps.
+    """
+    gamma = partial_transpose(stack, "first")
+    lower, upper = np.full(len(gamma), 0.5), np.full(len(gamma), 0.5)
+    lam_min = np.linalg.eigvalsh(gamma)[:, 0]
+    live = np.flatnonzero(lam_min < 0.0)
+    gamma = gamma[live]
+    z = np.zeros((len(live), 4))
+    z[:, 0] = 1.0 - lam_min[live]
+    t = np.full(len(live), 10.0)
+    centered = np.zeros(len(live), dtype=bool)
+    best_value = np.zeros(len(live))
+    for _ in range(201):
+        vals, vecs = np.linalg.eigh(gamma + (z @ _DUAL_BASIS.reshape(4, 16)).reshape(-1, 4, 4))
+        done = np.zeros(len(live), dtype=bool)
+        check = np.flatnonzero(centered & (6.0 / t <= GAP_TOLERANCE))
+        if len(check):
+            value = _frame_minimum(gamma[check], vecs[check, :, 0])[0]
+            best_value[check] = np.minimum(best_value[check], value)
+            feasible = (vals[check, 0] > 0.0) & (
+                z[check, 0] > np.linalg.norm(z[check, 1:], axis=1)
+            )
+            closed = (0.5 + z[check, 0]) - (0.5 - best_value[check]) <= GAP_TOLERANCE
+            done[check[feasible & closed]] = True
+        lower[live[done]] = 0.5 - best_value[done]
+        upper[live[done]] = 0.5 + z[done, 0]
+        live, gamma, z, t, centered, best_value, vals, vecs = (
+            x[~done] for x in (live, gamma, z, t, centered, best_value, vals, vecs)
+        )
+        if not len(live):
+            return lower, upper
+        t[centered] *= 50.0
+        a = ((vecs / vals[:, None, :]) @ vecs.conj().swapaxes(1, 2))[:, None] @ _DUAL_BASIS
+        grad = -np.trace(a, axis1=2, axis2=3).real
+        hess = (a.reshape(-1, 4, 16) @ a.swapaxes(2, 3).reshape(-1, 4, 16).swapaxes(1, 2)).real
+        w = _SIGNATURE * z
+        q = (z * w).sum(axis=1)  # det Y
+        grad += (-2.0 / q)[:, None] * w
+        grad[:, 0] += t
+        hess += (-2.0 / q)[:, None, None] * np.diag(_SIGNATURE)
+        hess += (4.0 / q**2)[:, None, None] * (w[:, :, None] * w[:, None, :])
+        # An explicit trailing axis: numpy 1.x reads a 2-D b as a stack of
+        # vectors, numpy 2 as one matrix.
+        delta = np.linalg.solve(hess, -grad[:, :, None])[:, :, 0]
+        decrement2 = -(grad * delta).sum(axis=1)
+        z = z + delta / (1.0 + np.sqrt(decrement2))[:, None]
+        centered = decrement2 <= 1e-3
+    raise RuntimeError(f"reference barrier: {len(live)} brackets open after 200 steps")

@@ -407,6 +407,18 @@ def test_compressed_five_huge_identities_keep_their_scale():
     assert not validate(c).ok
 
 
+@pytest.mark.parametrize("scale", [1e-7, 1e-170])
+def test_compressed_list_of_negligible_operators_is_the_zero_map(scale):
+    # Every Choi eigenvalue of five copies of scale * I falls below the 1e-12
+    # cut: the list compresses to the single zero operator, which parses and
+    # fails validation like four copies do.
+    c = channel_from_dict(_kraus_spec([scale * I2] * 5))
+    assert len(c.kraus) == 1
+    assert_bitwise_equal(c.kraus[0], np.zeros((2, 2), dtype=complex))
+    report = validate(c)
+    assert not report.ok and report.tp_residual == np.sqrt(2.0)
+
+
 # ---------------------------------------------------------------------------
 # Seeded property tests of the JSON wire format
 # ---------------------------------------------------------------------------

@@ -93,19 +93,23 @@ def test_analyze_invalid_channel_exits_3(capsys, tmp_path):
     assert "tp_residual" in err
 
 
-@pytest.mark.parametrize("copies", [4, 5])
-def test_analyze_copies_of_identity_exit_3(capsys, tmp_path, copies):
-    # sum A^dag A = copies * I.  A list longer than four is compressed to one
-    # operator first, and the compressed channel fails validation the same way.
-    identity = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+@pytest.mark.parametrize(
+    "copies, scale", [(4, 1.0), (5, 1.0), (5, 1e-7)], ids=["4", "5", "5-negligible"]
+)
+def test_analyze_copies_of_identity_exit_3(capsys, tmp_path, copies, scale):
+    # sum A^dag A = copies scale^2 I.  A list longer than four is compressed
+    # to one operator first (at 1e-7, whose Choi eigenvalues all fall below
+    # the cut, the zero operator), and fails validation the same way.
+    op = [[[scale, 0.0], [0.0, 0.0]], [[0.0, 0.0], [scale, 0.0]]]
     path = tmp_path / "copies.json"
-    path.write_text(json.dumps({"kraus": [identity] * copies}))
+    path.write_text(json.dumps({"kraus": [op] * copies}))
     code, out, err = run(["analyze", "--file", str(path)], capsys)
     assert code == 3
     assert out == ""
     assert err.startswith("error: channel failed CPTP validation: tp_residual=")
+    assert err.count("\n") == 1
     residual = float(err.split("tp_residual=")[1].split(",")[0])
-    assert residual == pytest.approx((copies - 1) * np.sqrt(2.0), abs=1e-12)
+    assert residual == pytest.approx(abs(copies * scale**2 - 1) * np.sqrt(2.0), abs=1e-12)
 
 
 @pytest.mark.parametrize("scale", [1e155, 1e200])

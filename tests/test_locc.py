@@ -26,7 +26,13 @@ from singletopt.locc import (
 from singletopt.oneshot import optimal_input_state
 from singletopt.channel import apply_to_half
 
-from conftest import random_channels, random_density, random_product_state, random_unitary
+from conftest import (
+    random_channels,
+    random_density,
+    random_product_state,
+    random_unitary,
+    reference_fstar_barrier,
+)
 
 BELL = np.outer(PHI_PLUS, PHI_PLUS.conj())
 
@@ -165,7 +171,6 @@ def test_fstar_bracket_ppt_states_exact():
     for rho in states:
         assert np.linalg.eigvalsh(partial_transpose(rho, "first")).min() >= 0.0
         assert fstar_bracket(rho) == (0.5, 0.5)
-        assert fstar_certificate(rho).newton_steps == 0
 
 
 
@@ -201,7 +206,6 @@ def test_fstar_closes_at_step_zero_on_unital_choi_states():
     assert entangling[:64].sum() == 1 + 14 + 20 + 20 and entangling[64:].sum() > 280
     stack = stack[entangling]
     cert = fstar_certificate(stack)
-    assert (cert.newton_steps == 0).all()
     assert (cert.upper - cert.lower <= 1e-10).all()
     assert np.abs(cert.lower - _top_eigenvalues(stack)).max() <= 1e-15
     # The dual point is strictly feasible: Y > 0 and rho^Gamma + Y (x) I > 0.
@@ -213,8 +217,7 @@ def test_fstar_closes_at_step_zero_on_unital_choi_states():
 def test_fstar_closes_in_closed_form_off_maximally_entangled_bottom_vectors():
     # amplitude_damping inside (0, 1) and nonunital random channels of rank
     # 2-4: the bottom eigenvector of rho^Gamma is not maximally entangled, so
-    # step 0 leaves the bracket open, and a KKT certificate closes it to 2e-12
-    # with no barrier step.
+    # step 0 leaves the bracket open, and a KKT certificate closes it to 2e-12.
     channels = [amplitude_damping(float(p)) for p in np.linspace(0.0, 1.0, 21)[1:-1]]
     channels += [random_channel(9000 + k, 2 + k % 3) for k in range(60)]
     assert not any(is_unital(c)[0] for c in channels)
@@ -226,7 +229,6 @@ def test_fstar_closes_in_closed_form_off_maximally_entangled_bottom_vectors():
     schmidt = np.linalg.svd(bottom, compute_uv=False)
     assert (schmidt[:, 0] - schmidt[:, 1] > 1e-6).all()
     cert = fstar_certificate(stack)
-    assert (cert.newton_steps == 0).all()
     assert (cert.upper - cert.lower <= 2e-12).all()
     # Strictly feasible, as the step-0 dual point is.
     assert np.linalg.eigvalsh(cert.dual)[:, 0].min() > 0.0
@@ -396,11 +398,10 @@ def _assert_stack_matches_per_state_solves(stack):
     cert = fstar_certificate(stack)
     for k, rho in enumerate(stack):
         single = fstar_certificate(rho)
-        assert isinstance(single.lower, float) and isinstance(single.newton_steps, int)
+        assert isinstance(single.lower, float) and isinstance(single.upper, float)
         assert (cert.lower[k], cert.upper[k]) == (single.lower, single.upper)
         assert np.array_equal(cert.primal[k], single.primal)
         assert np.array_equal(cert.dual[k], single.dual)
-        assert cert.newton_steps[k] == single.newton_steps
     return cert
 
 
@@ -408,7 +409,7 @@ def test_fstar_certificate_stack_matches_per_state_solves():
     stack = _mixed_stack()
     cert = _assert_stack_matches_per_state_solves(stack)
     n = len(stack)
-    assert cert.lower.shape == cert.upper.shape == cert.newton_steps.shape == (n,)
+    assert cert.lower.shape == cert.upper.shape == (n,)
     assert cert.primal.shape == (n, 4) and cert.dual.shape == (n, 2, 2)
     assert (cert.upper - cert.lower <= 1e-10).all()
     for k, rho in enumerate(stack):
@@ -417,11 +418,11 @@ def test_fstar_certificate_stack_matches_per_state_solves():
         # Step 0 closes where the bottom eigenvector has equal Schmidt
         # singular values, and on states PPT up to rounding, whose step-0
         # bracket is at most 1e-12 + |lambda_min| wide.  A KKT certificate
-        # closes every other state here, to 2e-12, before any barrier step.
+        # closes every other state here, to 2e-12.
         schmidt = np.linalg.svd(np.linalg.eigh(gamma)[1][:, 0].reshape(2, 2), compute_uv=False)
         step0 = lam_min >= -1e-12 or schmidt[0] - schmidt[1] <= 1e-12
-        kkt = bool(locc._kkt_certificates(gamma[None])[3][0])
-        assert cert.newton_steps[k] == 0 and (step0 or kkt)
+        kkt = bool(locc._kkt_certificates(gamma[None])[3][0] <= 2e-12)
+        assert step0 or kkt
         if not step0:
             assert cert.upper[k] - cert.lower[k] <= 2e-12
         if lam_min >= 0.0:
@@ -431,56 +432,36 @@ def test_fstar_certificate_stack_matches_per_state_solves():
     assert np.array_equal(fstar(stack), cert.lower)
 
 
+def test_barrier_fallback_agrees_with_the_closed_form():
+    # The log-barrier solve, once the library's fallback, is now the reference.
+    stack = np.concatenate([np.array(list(_certified_states())), _mixed_stack()])
+    closed = fstar_certificate(stack)
+    lower, upper = reference_fstar_barrier(stack)
+    npt = np.linalg.eigvalsh(partial_transpose(stack, "first"))[:, 0] < 0.0
+    assert npt.sum() > 150
+    assert (closed.upper - closed.lower <= 1e-10).all()
+    assert (upper - lower <= 1e-10).all()
+    assert np.abs(closed.lower - lower).max() <= 1e-12
+    # Neither bracket contradicts the other: each lower end is a protocol's
+    # value and each upper end bounds it, so each bracket meets the other.
+    assert (closed.lower <= upper).all() and (lower <= closed.upper).all()
+
+
 def _close_nothing_where(monkeypatch, where):
-    """Let the KKT certificates close no state on which ``where(gamma)`` holds,
-    so those states run the barrier loop."""
+    """Let the KKT certificates close no state on which ``where(gamma)`` holds:
+    their brackets there come back infinitely wide."""
     closed_form = locc._kkt_certificates
 
     def patched(gamma):
-        value, x, z, closes = closed_form(gamma)
-        return value, x, z, closes & ~where(gamma)
+        value, x, z, width = closed_form(gamma)
+        return value, x, z, np.where(where(gamma), np.inf, width)
 
     monkeypatch.setattr(locc, "_kkt_certificates", patched)
 
 
-def test_barrier_fallback_agrees_with_the_closed_form(monkeypatch):
-    stack = np.concatenate([np.array(list(_certified_states())), _mixed_stack()])
-    closed = fstar_certificate(stack)
-    _close_nothing_where(monkeypatch, lambda gamma: np.ones(len(gamma), dtype=bool))
-    barrier = fstar_certificate(stack)
-    forced = barrier.newton_steps > 0
-    assert forced.sum() > 150 and (closed.newton_steps[forced] == 0).all()
-    assert (closed.upper - closed.lower <= 1e-10).all()
-    assert (barrier.upper - barrier.lower <= 1e-10).all()
-    assert np.abs(closed.lower - barrier.lower).max() <= 1e-12
-    # Neither bracket contradicts the other: each lower end is a protocol's
-    # value and each upper end bounds it, so each bracket meets the other.
-    assert (closed.lower <= barrier.upper).all() and (barrier.lower <= closed.upper).all()
-    # States the KKT pass never saw (PPT, or closed at step 0) are untouched.
-    assert np.array_equal(closed.lower[~forced], barrier.lower[~forced])
-    assert np.array_equal(closed.dual[~forced], barrier.dual[~forced])
-
-
-def _on_barrier(gamma):
+def _marginal_below_half(gamma):
     """States whose first-qubit marginal puts less than half its weight on |0>."""
     return gamma[:, 0, 0].real + gamma[:, 1, 1].real < 0.5
-
-
-def test_fstar_stack_mixing_closed_form_and_barrier_matches_per_state_solves(monkeypatch):
-    # Of the states step 0 leaves open, the barrier takes those _on_barrier
-    # picks and the KKT certificates close the rest.
-    _close_nothing_where(monkeypatch, _on_barrier)
-    stack = _mixed_stack()
-    cert = _assert_stack_matches_per_state_solves(stack)
-    gamma = partial_transpose(stack, "first")
-    lam, vecs = np.linalg.eigh(gamma)
-    schmidt = np.linalg.svd(vecs[:, :, 0].reshape(-1, 2, 2), compute_uv=False)
-    step0_open = (lam[:, 0] < -1e-12) & (schmidt[:, 0] - schmidt[:, 1] > 1e-12)
-    barrier = step0_open & _on_barrier(gamma)
-    closed = step0_open & ~_on_barrier(gamma)
-    assert barrier.sum() > 5 and (cert.newton_steps[barrier] > 0).all()
-    assert closed.sum() > 5 and (cert.newton_steps[closed] == 0).all()
-    assert len(set(cert.newton_steps[barrier].tolist())) > 2  # each state stops on its own rule
 
 
 def test_fstar_certificate_keeps_leading_axes():
@@ -491,10 +472,22 @@ def test_fstar_certificate_keeps_leading_axes():
 
 
 def test_fstar_stack_raises_when_a_bracket_stays_open(monkeypatch):
-    _close_nothing_where(monkeypatch, lambda gamma: np.ones(len(gamma), dtype=bool))
-    monkeypatch.setattr(locc, "MAX_NEWTON_STEPS", 3)
-    with pytest.raises(RuntimeError, match="3 Newton steps"):
-        fstar_certificate(_mixed_stack())
+    # Of the states step 0 leaves open, the KKT certificates close none of
+    # those _marginal_below_half picks: the solve reports how many are open.
+    stack = _mixed_stack()
+    gamma = partial_transpose(stack, "first")
+    lam, vecs = np.linalg.eigh(gamma)
+    schmidt = np.linalg.svd(vecs[:, :, 0].reshape(-1, 2, 2), compute_uv=False)
+    step0_open = (lam[:, 0] < -1e-12) & (schmidt[:, 0] - schmidt[:, 1] > 1e-12)
+    count = (step0_open & _marginal_below_half(gamma)).sum()
+    assert 5 < count < step0_open.sum()
+    _close_nothing_where(monkeypatch, _marginal_below_half)
+    message = (
+        f"^fstar: {count} of {len(stack)} brackets still open after the "
+        "closed-form certificates, the widest inf wide$"
+    )
+    with pytest.raises(RuntimeError, match=message):
+        fstar_certificate(stack)
 
 
 def test_fstar_stack_rejects_a_non_state():
