@@ -104,7 +104,8 @@ def _render_text(channel: KrausChannel, rep) -> str:
 def _cmd_analyze(args) -> int:
     try:
         channel = _load_channel(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    # json raises RecursionError on input nested past the interpreter's limit.
+    except (ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     check = validate(channel)

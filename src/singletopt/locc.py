@@ -26,23 +26,22 @@ both sides: a dual feasible Y gives the upper end 1/2 + Tr Y / 2, and the
 bottom eigenvector of rho^Gamma + Y (x) I fixes a Schmidt frame on which the
 primal minimization over the second singular value and the relative phase
 is exact, giving a feasible x and hence an achievable protocol value as the
-lower end.  The bracket is closed in closed form first.  Step 0 tries the
-bottom eigenvector of rho^Gamma as that frame, against the dual point
-Y = (delta - lambda_min(rho^Gamma)) I: wherever the vector is maximally
-entangled the two ends meet at 1/2 - lambda_min(rho^Gamma).  On every unital
-Choi state it is, and that value is lambda_max(rho), the paper's optimum
-without post-processing.  Every other state gets the two KKT certificates
-that complementary slackness allows: an optimal Y of rank 2, whose primal is
-the maximally entangled vector minimizing <phi|rho^Gamma|phi>, and an
-optimal Y = y u u^dag of rank 1, read off the minimum of
-<u (x) w|(rho^Gamma)^-1|u (x) w> over product vectors.  Either closes a
-state whose bracket it brings within 2e-12.  On the named channels' Choi
-states and on every random channel tried, one of them does.  The solve is
-these closed forms only, with no iteration over Y: a state neither closes
-raises rather than return its open bracket, so a reported F* is never an
-unconverged estimate.  The lower end is a rank-one value and the upper end
-bounds the full program, so a closed bracket also certifies rank-one
-optimality for that state.  The solve takes leading batch axes: one pass closes a whole
+lower end.  The bracket is closed in closed form, by the two KKT
+certificates that complementary slackness allows: an optimal Y of rank 2,
+whose primal is the maximally entangled vector minimizing
+<phi|rho^Gamma|phi>, and an optimal Y = y u u^dag of rank 1, read off the
+minimum of <u (x) w|(rho^Gamma)^-1|u (x) w> over product vectors.  On every
+unital Choi state the bottom eigenvector of rho^Gamma is maximally
+entangled, so the rank-2 certificate is Y = -lambda_min(rho^Gamma) I and
+closes on lambda_max(rho), the paper's optimum without post-processing.
+Either certificate closes a state whose bracket it brings within
+``GAP_TOLERANCE`` = 2e-12.  On the named channels' Choi states and on every
+random channel tried, one of them does.  The solve is these closed forms
+only, with no iteration over Y: a state neither closes raises rather than
+return its open bracket, so a reported F* is never an unconverged estimate.
+The lower end is a rank-one value and the upper end bounds the full
+program, so a closed bracket also certifies rank-one optimality for that
+state.  The solve takes leading batch axes: one pass closes a whole
 stack of states, each on its own rule, and :func:`channel_fstars` solves
 many channels' Choi states in one such call, as the audit does for its
 certificates, each bit for bit its state's own.
@@ -83,23 +82,20 @@ __all__ = [
     "postprocessing_gap",
 ]
 
-# Widest bracket that step 0 closes, and the most any reported bracket spans.
-GAP_TOLERANCE = 1e-10
+# Margin delta by which each dual point Y + delta I clears
+# lambda_min(rho^Gamma + Y (x) I) = 0: far above the eigensolver's rounding.
+_DUAL_MARGIN = 1e-12
+# The most any reported bracket spans: the dual clears the optimum by delta,
+# which leaves delta for the error of the primal.  A wider closure lets a
+# primal 1.7e-11 short through, which the audit's fstar_protocol row (1e-12)
+# rejects.
+GAP_TOLERANCE = 2.0 * _DUAL_MARGIN
 
 _S1 = 1.0 / np.sqrt(2.0)
 
 # Y = sum_k z_k sigma_k with sigma_0 = I, so Y (x) I = sum_k z_k _DUAL_BASIS_FLAT[k].
 _PAULIS = np.array(PAULIS)
 _DUAL_BASIS_FLAT = np.array([np.kron(sigma, I2) for sigma in _PAULIS]).reshape(4, 16)
-# Margin by which the step-0 dual point Y = (delta - lambda_min) I clears
-# lambda_min(rho^Gamma + Y (x) I) = 0; far below GAP_TOLERANCE and far above
-# the eigensolver's rounding.  The KKT certificates add it to Y as delta I.
-_STEP0_MARGIN = 1e-12
-# Widest bracket a KKT certificate closes: its dual clears the optimum by
-# delta, which leaves delta for the error of the product minimum.  Closing
-# at GAP_TOLERANCE instead lets a primal 1.7e-11 short through, which the
-# audit's fstar_protocol row (1e-12) rejects.
-_KKT_GAP = 2.0 * _STEP0_MARGIN
 # z_k = Tr(Y sigma_k) / 2 of a flattened 2x2 Y, as Y.reshape(1, 4) @ _PAULI_COORDS.
 _PAULI_COORDS = _PAULIS.transpose(0, 2, 1).reshape(4, 4).T / 2.0
 # K[nu, mu] = Tr[H (sigma_nu (x) sigma_mu)] / 4 of a flattened 4x4 H, as
@@ -246,8 +242,8 @@ def _product_minimum(h: np.ndarray):
 
 
 def _scored(gamma: np.ndarray, z: np.ndarray):
-    """The Newton path's two checks at the dual points z (Pauli coefficients
-    of Y): strictly feasible, and the primal on the bottom eigenvector of
+    """The KKT check at the dual points z (Pauli coefficients of Y): each
+    dual strictly feasible, and the primal on the bottom eigenvector of
     gamma + Y (x) I.  Returns each state's primal value (floored at 0, the
     zero vector's) and vector, and its upper end, infinite if infeasible."""
     m = gamma + (z[:, None, :] @ _DUAL_BASIS_FLAT)[:, 0].reshape(-1, 4, 4)
@@ -268,26 +264,30 @@ def _kkt_certificates(gamma: np.ndarray):
     Y = -reshape(gamma phi) U^-1 with U = phi.reshape(2, 2), U^-1 = 2 U^dag.
     (b) Y = y u u^dag has rank 1: with H = gamma^-1 and q the minimum of
     <u (x) w|H|u (x) w> over product vectors, y = -1/q first makes
-    gamma + Y (x) I singular, on the kernel vector H (u (x) w).
-    Each dual gets delta I (delta = ``_STEP0_MARGIN``) and is scored by
+    gamma + Y (x) I singular, on the kernel vector H (u (x) w).  An optimal
+    Y has Tr Y = 2 F* - 1 <= 1, so only q <= -1 gives one.  Any other q
+    gives y = 0, the dual delta I, which closes every state with
+    lambda_min(gamma) > -delta: there gamma is singular up to rounding, and
+    -1/q can be anything (q = -2e-16, y = 4.5e15 on amplitude_damping at
+    p = 1 - 1e-16).  Each dual gets delta I (delta = ``_DUAL_MARGIN``) and is scored by
     :func:`_scored`; (b) runs only where (a) leaves the bracket open, and
     there the better primal and the better feasible dual of the two are
     kept.  Returns each state's primal value and vector, its dual's Pauli
     coefficients z, and its bracket's width (infinite without a feasible
-    dual); the bracket closes where that is at most ``_KKT_GAP``.
+    dual); the bracket closes where that is at most ``GAP_TOLERANCE``.
     """
     phi = np.linalg.eigh(to_magic_basis(gamma).real)[1][:, :, 0] @ MAGIC_BASIS.T
     u_dag = phi.reshape(-1, 2, 2).conj().swapaxes(1, 2)
     y = -2.0 * (gamma @ phi[:, :, None]).reshape(-1, 2, 2) @ u_dag
     z = (y.reshape(-1, 1, 4) @ _PAULI_COORDS)[:, 0].real
-    z[:, 0] += _STEP0_MARGIN
+    z[:, 0] += _DUAL_MARGIN
     value, x, upper = _scored(gamma, z)
-    rest = np.flatnonzero(upper - (0.5 - value) > _KKT_GAP)
+    rest = np.flatnonzero(upper - (0.5 - value) > GAP_TOLERANCE)
     if len(rest):
         q, r = _product_minimum(np.linalg.pinv(gamma[rest], hermitian=True))
-        y = np.divide(-1.0, q, out=np.zeros_like(q), where=q < 0.0)
+        y = np.divide(-1.0, q, out=np.zeros_like(q), where=q <= -1.0)
         z_b = 0.5 * y[:, None] * np.concatenate([np.ones((len(rest), 1)), r], axis=1)
-        z_b[:, 0] += _STEP0_MARGIN
+        z_b[:, 0] += _DUAL_MARGIN
         value_b, x_b, upper_b = _scored(gamma[rest], z_b)
         better = value_b < value[rest]
         value[rest[better]], x[rest[better]] = value_b[better], x_b[better]
@@ -304,10 +304,9 @@ class FstarCertificate:
     most 1/sqrt(2); it attains ``lower = 1/2 - min(0, <x|rho^Gamma|x>)``
     (the zero vector stands for preparing a separable state).  ``dual`` is
     a 2x2 matrix Y with Y >= 0 and rho^Gamma + Y (x) I >= 0, giving
-    ``upper = 1/2 + Tr Y / 2``.  The bracket is at most 1e-10 wide where
-    step 0 closed it and at most 2e-12 where a KKT certificate did, and a
-    PPT state's is exactly (1/2, 1/2).  For a stack of states every field
-    carries the stack's leading axes.
+    ``upper = 1/2 + Tr Y / 2``.  The bracket is at most ``GAP_TOLERANCE``
+    = 2e-12 wide, and a PPT state's is exactly (1/2, 1/2).  For a stack of
+    states every field carries the stack's leading axes.
     """
 
     lower: float | np.ndarray
@@ -332,20 +331,16 @@ class FstarCertificate:
 def fstar_certificate(rho: np.ndarray) -> FstarCertificate:
     """Close the bracket on F*(rho) in closed form, or raise.
 
-    A PPT state returns ``(1/2, 1/2)`` exactly.  Step 0 closes the bracket
-    where it can: the frame of rho^Gamma's bottom eigenvector gives the
-    lower end, and Y = (delta - lambda_min) I with delta = 1e-12 the upper
-    end, checked strictly feasible.  The bracket is then delta wide wherever
-    that eigenvector is maximally entangled (every unital Choi state, where
-    F* = lambda_max(rho)) and on states PPT up to rounding.  Every state
-    step 0 leaves open gets the KKT certificates of
-    :func:`_kkt_certificates` in one batched pass: each dual gets delta I
-    and must pass the same strict feasibility check (Y > 0 and
-    rho^Gamma + Y (x) I > 0 by their eigenvalues), each primal is scored on
-    the bottom eigenvector of its rho^Gamma + Y (x) I, and the state closes
-    if its bracket is at most 2 delta wide.  If any state's bracket is still
-    wider, the solve raises ``RuntimeError`` with the number of open states
-    and the widest bracket; no known state does.
+    A PPT state returns ``(1/2, 1/2)`` exactly.  Every other state gets the
+    KKT certificates of :func:`_kkt_certificates` in one batched pass: each
+    dual gets delta I (delta = 1e-12) and must pass a strict feasibility
+    check (Y > 0 and rho^Gamma + Y (x) I > 0 by their eigenvalues), each
+    primal is scored on the bottom eigenvector of its rho^Gamma + Y (x) I,
+    and the state closes if its bracket is at most ``GAP_TOLERANCE`` = 2 delta
+    wide.  On a unital Choi state the rank-2 certificate closes on
+    F* = lambda_max(rho).  If any state's bracket is still wider, the solve
+    raises ``RuntimeError`` with the number of open states and the widest
+    bracket; no known state does.
 
     Leading axes of ``rho`` are batch axes: one pass closes every state of
     a (..., 4, 4) stack, each on its own rule, and the fields come back
@@ -360,35 +355,14 @@ def fstar_certificate(rho: np.ndarray) -> FstarCertificate:
     primal = np.zeros((n, 4), dtype=complex)
     dual = np.zeros((n, 2, 2), dtype=complex)
 
-    lam_min = np.linalg.eigvalsh(gamma)[:, 0]
-    live = np.flatnonzero(lam_min < 0.0)
-    gamma = gamma[live]
-    # Step 0.  M = rho^Gamma + (1 - lambda_min) I shares rho^Gamma's
-    # eigenvectors, and its eigh fixes the frame: an eigh of rho^Gamma in
-    # place of the eigvalsh above would move lambda_min in the last bits.
-    z = np.zeros((len(live), 4))
-    z[:, 0] = 1.0 - lam_min[live]
-    vecs = np.linalg.eigh(gamma + (z @ _DUAL_BASIS_FLAT).reshape(-1, 4, 4))[1]
-    y = _STEP0_MARGIN - lam_min[live]
-    value, x = _frame_minimum(gamma, vecs[:, :, 0])
-    # The zero vector (lower end 1/2) is the floor.
-    x[value >= 0.0] = 0.0
-    value = np.minimum(value, 0.0)
-    close = (0.5 + y) - (0.5 - value) <= GAP_TOLERANCE
-    margin = np.linalg.eigvalsh(gamma[close] + y[close, None, None] * np.eye(4))
-    close[close] = (margin[:, 0] > 0.0) & (y[close] > 0.0)
-    z[close] = 0.0
-    z[close, 0] = y[close]
-    # The KKT certificates on the states step 0 leaves open.
-    rest = np.flatnonzero(~close)
-    if len(rest):
-        value[rest], x[rest], z[rest], width = _kkt_certificates(gamma[rest])
-        still_open = ~(width <= _KKT_GAP)
-        if still_open.any():
-            raise RuntimeError(
-                f"fstar: {still_open.sum()} of {n} brackets still open after the "
-                f"closed-form certificates, the widest {width[still_open].max():.3g} wide"
-            )
+    live = np.flatnonzero(np.linalg.eigvalsh(gamma)[:, 0] < 0.0)
+    value, x, z, width = _kkt_certificates(gamma[live])
+    still_open = ~(width <= GAP_TOLERANCE)
+    if still_open.any():
+        raise RuntimeError(
+            f"fstar: {still_open.sum()} of {n} brackets still open after the "
+            f"closed-form certificates, the widest {width[still_open].max():.3g} wide"
+        )
     lower[live] = 0.5 - value
     upper[live] = 0.5 + z[:, 0]
     primal[live] = x

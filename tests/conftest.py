@@ -13,7 +13,7 @@ from singletopt.linalg import (
     eigenvalue_clusters,
     partial_transpose,
 )
-from singletopt.locc import GAP_TOLERANCE, _frame_minimum
+from singletopt.locc import _frame_minimum
 
 
 def random_density(rng, rank=4, dim=4):
@@ -130,6 +130,8 @@ def loop_hermitian_eig(m):
 # log det Y = log(z_0^2 - |z_1..3|^2), the Minkowski form _SIGNATURE.
 _DUAL_BASIS = np.array([np.kron(sigma, I2) for sigma in PAULIS])
 _SIGNATURE = np.array([1.0, -1.0, -1.0, -1.0])
+# Widest bracket the barrier reference closes.
+_BARRIER_GAP = 1e-10
 
 
 def reference_fstar_barrier(stack):
@@ -143,9 +145,9 @@ def reference_fstar_barrier(stack):
     centering (squared decrement at most 1e-3).  With M = rho^Gamma + Y (x) I
     and E_k = sigma_k (x) I, the log det M terms of gradient and Hessian are
     -Tr(M^-1 E_k) and Tr(M^-1 E_k M^-1 E_l).  At a centered iterate whose
-    barrier bound 6 / t is within ``GAP_TOLERANCE`` the frame of M's bottom
+    barrier bound 6 / t is within ``_BARRIER_GAP`` the frame of M's bottom
     eigenvector gives a primal value; a state stops once its iterate is
-    strictly feasible and its bracket within ``GAP_TOLERANCE``, and the
+    strictly feasible and its bracket within ``_BARRIER_GAP``, and the
     solve raises if one has not after 200 steps.
     """
     gamma = partial_transpose(stack, "first")
@@ -161,14 +163,14 @@ def reference_fstar_barrier(stack):
     for _ in range(201):
         vals, vecs = np.linalg.eigh(gamma + (z @ _DUAL_BASIS.reshape(4, 16)).reshape(-1, 4, 4))
         done = np.zeros(len(live), dtype=bool)
-        check = np.flatnonzero(centered & (6.0 / t <= GAP_TOLERANCE))
+        check = np.flatnonzero(centered & (6.0 / t <= _BARRIER_GAP))
         if len(check):
             value = _frame_minimum(gamma[check], vecs[check, :, 0])[0]
             best_value[check] = np.minimum(best_value[check], value)
             feasible = (vals[check, 0] > 0.0) & (
                 z[check, 0] > np.linalg.norm(z[check, 1:], axis=1)
             )
-            closed = (0.5 + z[check, 0]) - (0.5 - best_value[check]) <= GAP_TOLERANCE
+            closed = (0.5 + z[check, 0]) - (0.5 - best_value[check]) <= _BARRIER_GAP
             done[check[feasible & closed]] = True
         lower[live[done]] = 0.5 - best_value[done]
         upper[live[done]] = 0.5 + z[done, 0]

@@ -3,6 +3,9 @@ import dataclasses
 import importlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -207,6 +210,24 @@ def test_analyze_malformed_kraus_json_exits_2(capsys, tmp_path):
     path.write_text('{"kraus": [[[[1, 0], [0, 0]], [[0, 0], [NaN, 0]]]]}')
     code, _, err = run(["analyze", "--file", str(path)], capsys)
     assert code == 2 and "finite" in err
+
+
+def test_analyze_deeply_nested_json_exits_2_without_traceback(tmp_path):
+    # json raises RecursionError past the interpreter's nesting limit; the
+    # console entry point must report it as a parse error, in one line.
+    path = tmp_path / "deep.json"
+    path.write_text('{"kraus": ' + "[" * 3000)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "from singletopt.cli import entry; entry()",
+         "analyze", "--file", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
+    assert "Traceback" not in done.stderr
 
 
 def test_sweep_unwritable_out_exits_2(tmp_path, capsys, monkeypatch):

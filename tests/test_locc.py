@@ -129,10 +129,10 @@ def _assert_certifies(rho, cert):
 
 
 def test_fstar_certificate_closes_and_is_feasible():
-    assert GAP_TOLERANCE == 1e-10
+    assert GAP_TOLERANCE == 2e-12
     for rho in _certified_states():
         cert = fstar_certificate(rho)
-        assert cert.upper - cert.lower <= 1e-10
+        assert cert.upper - cert.lower <= GAP_TOLERANCE
         assert fstar_bracket(rho) == (cert.lower, cert.upper)
         _assert_certifies(rho, cert)
 
@@ -192,9 +192,9 @@ def _top_eigenvalues(stack):
     return quotient.real / np.einsum("ni,ni->n", top.conj(), top).real
 
 
-def test_fstar_closes_at_step_zero_on_unital_choi_states():
+def test_fstar_closes_on_lambda_max_on_unital_choi_states():
     # On a unital Choi state the bottom eigenvector of rho^Gamma is maximally
-    # entangled, so the step-0 bracket closes on F* = lambda_max.
+    # entangled, so the rank-2 KKT certificate closes on F* = lambda_max.
     states = [choi(amplitude_damping(0.0)).matrix]
     for name in ("depolarizing", "phase_damping", "bit_flip"):
         states += [
@@ -206,7 +206,7 @@ def test_fstar_closes_at_step_zero_on_unital_choi_states():
     assert entangling[:64].sum() == 1 + 14 + 20 + 20 and entangling[64:].sum() > 280
     stack = stack[entangling]
     cert = fstar_certificate(stack)
-    assert (cert.upper - cert.lower <= 1e-10).all()
+    assert (cert.upper - cert.lower <= GAP_TOLERANCE).all()
     assert np.abs(cert.lower - _top_eigenvalues(stack)).max() <= 1e-15
     # The dual point is strictly feasible: Y > 0 and rho^Gamma + Y (x) I > 0.
     assert np.linalg.eigvalsh(cert.dual)[:, 0].min() > 0.0
@@ -216,8 +216,8 @@ def test_fstar_closes_at_step_zero_on_unital_choi_states():
 
 def test_fstar_closes_in_closed_form_off_maximally_entangled_bottom_vectors():
     # amplitude_damping inside (0, 1) and nonunital random channels of rank
-    # 2-4: the bottom eigenvector of rho^Gamma is not maximally entangled, so
-    # step 0 leaves the bracket open, and a KKT certificate closes it to 2e-12.
+    # 2-4: the bottom eigenvector of rho^Gamma is not maximally entangled,
+    # and a KKT certificate still closes the bracket to 2e-12.
     channels = [amplitude_damping(float(p)) for p in np.linspace(0.0, 1.0, 21)[1:-1]]
     channels += [random_channel(9000 + k, 2 + k % 3) for k in range(60)]
     assert not any(is_unital(c)[0] for c in channels)
@@ -229,11 +229,40 @@ def test_fstar_closes_in_closed_form_off_maximally_entangled_bottom_vectors():
     schmidt = np.linalg.svd(bottom, compute_uv=False)
     assert (schmidt[:, 0] - schmidt[:, 1] > 1e-6).all()
     cert = fstar_certificate(stack)
-    assert (cert.upper - cert.lower <= 2e-12).all()
-    # Strictly feasible, as the step-0 dual point is.
+    assert (cert.upper - cert.lower <= GAP_TOLERANCE).all()
+    # Strictly feasible, as on the unital states.
     assert np.linalg.eigvalsh(cert.dual)[:, 0].min() > 0.0
     for rho in stack:
         _assert_certifies(rho, fstar_certificate(rho))
+
+
+def _near_ppt_choi_states():
+    """Choi states at the separability boundary: seeded random channels'
+    mixed toward I/4 until lambda_min(rho^Gamma) = -10^u, u in [-16, -6],
+    and amplitude_damping at p = 1 - 10^-k, k = 1..16."""
+    for k, u in enumerate(np.linspace(-16.0, -6.0, 400)):
+        rho = choi(random_channel(26000 + k, 1 + k % 4)).matrix
+        lam = np.linalg.eigvalsh(partial_transpose(rho, "first"))[0]
+        if lam < -1e-3:
+            # lambda_min of the mixture's partial transpose is linear in t.
+            t = (-lam - 10.0**u) / (0.25 - lam)
+            yield (1.0 - t) * rho + t * np.eye(4) / 4
+    for k in range(1, 17):
+        yield choi(amplitude_damping(1.0 - 10.0**-k)).matrix
+
+
+def test_fstar_closes_near_ppt_states_to_2e_12():
+    stack = np.array(list(_near_ppt_choi_states()))
+    gamma = partial_transpose(stack, "first")
+    npt = np.linalg.eigvalsh(gamma)[:, 0] < 0.0
+    assert npt.sum() > 350
+    cert = fstar_certificate(stack)
+    assert (cert.upper - cert.lower <= 2e-12).all()
+    assert (cert.lower[~npt] == 0.5).all() and (cert.upper[~npt] == 0.5).all()
+    # Every dual is strictly feasible: Y > 0 and rho^Gamma + Y (x) I > 0.
+    assert np.linalg.eigvalsh(cert.dual[npt])[:, 0].min() > 0.0
+    for g, y in zip(gamma[npt], cert.dual[npt]):
+        assert np.linalg.eigvalsh(g + np.kron(y, I2))[0] > 0.0
 
 
 def test_oracle_bell_state_identity_filter():
@@ -411,21 +440,13 @@ def test_fstar_certificate_stack_matches_per_state_solves():
     n = len(stack)
     assert cert.lower.shape == cert.upper.shape == (n,)
     assert cert.primal.shape == (n, 4) and cert.dual.shape == (n, 2, 2)
-    assert (cert.upper - cert.lower <= 1e-10).all()
+    assert (cert.upper - cert.lower <= GAP_TOLERANCE).all()
     for k, rho in enumerate(stack):
         gamma = partial_transpose(rho, "first")
-        lam_min = np.linalg.eigvalsh(gamma)[0]
-        # Step 0 closes where the bottom eigenvector has equal Schmidt
-        # singular values, and on states PPT up to rounding, whose step-0
-        # bracket is at most 1e-12 + |lambda_min| wide.  A KKT certificate
-        # closes every other state here, to 2e-12.
-        schmidt = np.linalg.svd(np.linalg.eigh(gamma)[1][:, 0].reshape(2, 2), compute_uv=False)
-        step0 = lam_min >= -1e-12 or schmidt[0] - schmidt[1] <= 1e-12
-        kkt = bool(locc._kkt_certificates(gamma[None])[3][0] <= 2e-12)
-        assert step0 or kkt
-        if not step0:
-            assert cert.upper[k] - cert.lower[k] <= 2e-12
-        if lam_min >= 0.0:
+        # A KKT certificate closes every NPT state here on its own.
+        if np.linalg.eigvalsh(gamma)[0] < 0.0:
+            assert locc._kkt_certificates(gamma[None])[3][0] <= GAP_TOLERANCE
+        else:
             assert (cert.lower[k], cert.upper[k]) == (0.5, 0.5)
     lower, upper = fstar_bracket(stack)
     assert np.array_equal(lower, cert.lower) and np.array_equal(upper, cert.upper)
@@ -439,7 +460,7 @@ def test_barrier_fallback_agrees_with_the_closed_form():
     lower, upper = reference_fstar_barrier(stack)
     npt = np.linalg.eigvalsh(partial_transpose(stack, "first"))[:, 0] < 0.0
     assert npt.sum() > 150
-    assert (closed.upper - closed.lower <= 1e-10).all()
+    assert (closed.upper - closed.lower <= GAP_TOLERANCE).all()
     assert (upper - lower <= 1e-10).all()
     assert np.abs(closed.lower - lower).max() <= 1e-12
     # Neither bracket contradicts the other: each lower end is a protocol's
@@ -472,15 +493,13 @@ def test_fstar_certificate_keeps_leading_axes():
 
 
 def test_fstar_stack_raises_when_a_bracket_stays_open(monkeypatch):
-    # Of the states step 0 leaves open, the KKT certificates close none of
-    # those _marginal_below_half picks: the solve reports how many are open.
+    # Of the NPT states, the KKT certificates close none of those
+    # _marginal_below_half picks: the solve reports how many are open.
     stack = _mixed_stack()
     gamma = partial_transpose(stack, "first")
-    lam, vecs = np.linalg.eigh(gamma)
-    schmidt = np.linalg.svd(vecs[:, :, 0].reshape(-1, 2, 2), compute_uv=False)
-    step0_open = (lam[:, 0] < -1e-12) & (schmidt[:, 0] - schmidt[:, 1] > 1e-12)
-    count = (step0_open & _marginal_below_half(gamma)).sum()
-    assert 5 < count < step0_open.sum()
+    npt = np.linalg.eigvalsh(gamma)[:, 0] < 0.0
+    count = (npt & _marginal_below_half(gamma)).sum()
+    assert 5 < count < npt.sum()
     _close_nothing_where(monkeypatch, _marginal_below_half)
     message = (
         f"^fstar: {count} of {len(stack)} brackets still open after the "
