@@ -35,6 +35,7 @@ __all__ = [
     "apply_to_half",
     "choi_matrix",
     "kraus_from_choi",
+    "KRAUS_CUT",
     "identity",
     "unitary",
     "depolarizing",
@@ -132,9 +133,7 @@ def _measure(channels) -> None:
     todo = [c for c in channels if "validation" not in c._states]
     if not todo:
         return
-    ops = np.zeros((len(todo), max(len(c.kraus) for c in todo), 2, 2), dtype=complex)
-    for row, channel in zip(ops, todo):
-        row[: len(channel.kraus)] = channel.kraus
+    ops = _kraus_stack(todo)
     daggers = ops.conj().swapaxes(-1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
         tp_residuals = [float(np.linalg.norm(d)) for d in (daggers @ ops).sum(axis=1) - I2]
@@ -149,6 +148,15 @@ def _measure(channels) -> None:
         channel._states["unitality_deviation"] = unital[k]
         channel._states["choi_matrix"] = matrices[k]
         channel._states["dual_choi_matrix"] = duals[k]
+
+
+def _kraus_stack(channels) -> np.ndarray:
+    """The channels' Kraus lists as one (n, k, 2, 2) stack, zero-padded to
+    the longest list, k."""
+    ops = np.zeros((len(channels), max(len(c.kraus) for c in channels), 2, 2), dtype=complex)
+    for row, channel in zip(ops, channels):
+        row[: len(channel.kraus)] = channel.kraus
+    return ops
 
 
 def dual(channel: KrausChannel) -> KrausChannel:
@@ -210,10 +218,20 @@ def _act_on_second(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """sum_k (I (x) A_k) rho (I (x) A_k)^dag for stacked (k, 2, 2) operators.
 
     Leading axes of ``ops`` before k are batch axes: a (n, k, 2, 2) stack
-    gives the n results as one (n, 4, 4) stack.
+    gives the n results as one (n, 4, 4) stack, of one 4x4 ``rho`` or of
+    each matrix of an (n, 4, 4) stack of them.
     """
-    out = np.einsum("...kyb,ibjd,...kzd->...iyjz", ops, rho.reshape(2, 2, 2, 2), ops.conj())
+    rho = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
+    out = np.einsum("...kyb,...ibjd,...kzd->...iyjz", ops, rho, ops.conj())
     return out.reshape(ops.shape[:-3] + (4, 4))
+
+
+def _apply_to_halves(channels, states: np.ndarray) -> np.ndarray:
+    """:func:`apply_to_half` of each channel on its own pure state, the
+    (n, 4) ``states``, as one (n, 4, 4) stack in one pass over the Kraus
+    lists zero-padded by :func:`_kraus_stack`."""
+    rho = states[:, :, None] * states.conj()[:, None, :]
+    return _act_on_second(_kraus_stack(channels), rho)
 
 
 _BELL_ENTRY = _BELL[0, 0].real  # 1/sqrt(2) squared: 0.4999999999999999
@@ -249,41 +267,59 @@ def choi_matrix(channel: KrausChannel) -> np.ndarray:
 # get the same 1e-8 slack as its Hermiticity check.
 _MARGINAL_TOL = 1e-8
 
+# A Choi eigenvalue below this gives no Kraus operator; every read-back of
+# a Kraus set from a Choi spectrum cuts here.
+KRAUS_CUT = 1e-12
+
 
 def kraus_from_choi(choi) -> KrausChannel:
     """Recover a trace-orthogonal Kraus set from a Choi matrix.
 
-    Each eigenpair (p_k, |v_k>) of the Choi matrix yields an operator
-    A_k = sqrt(2 p_k) * [v_k reshaped column-wise], and the resulting set
-    satisfies Tr(A_k^dag A_l) = 2 sqrt(p_k p_l) delta_kl and reproduces the
-    original Choi matrix.  Requires a maximally mixed first marginal (which
-    is what makes the set trace preserving).  A
+    Each eigenpair (p_k, |v_k>) of the Choi matrix with p_k >= ``KRAUS_CUT``
+    yields an operator A_k = sqrt(2 p_k) * [v_k reshaped column-wise], and
+    the resulting set satisfies Tr(A_k^dag A_l) = 2 p_k delta_kl and
+    reproduces the original Choi matrix.  Requires a maximally mixed first
+    marginal (which is what makes the set trace preserving).  A
     :class:`~singletopt.choi.ChoiState`'s kept spectrum is used as is: the
     bits of a fresh :func:`~singletopt.linalg.hermitian_eig` of its matrix.
     """
     matrix = np.asarray(getattr(choi, "matrix", choi), dtype=complex)
     if matrix.shape != (4, 4):
         raise ValueError(f"expected a 4x4 Choi matrix, got shape {matrix.shape}")
-    if not has_maximally_mixed_marginal(matrix, _MARGINAL_TOL):
-        raise ValueError("Choi matrix does not have a maximally mixed first marginal")
+    _check_marginals(matrix[None])
     return _kraus_set(matrix, getattr(choi, "eig", None))
 
 
+def _check_marginals(matrices: np.ndarray) -> None:
+    """Raise :func:`kraus_from_choi`'s ``ValueError`` if any of the (n, 4, 4)
+    Choi matrices, each judged as alone, lacks a maximally mixed first
+    marginal."""
+    if not all(has_maximally_mixed_marginal(m, _MARGINAL_TOL) for m in matrices):
+        raise ValueError("Choi matrix does not have a maximally mixed first marginal")
+
+
+def _kraus_operators(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> np.ndarray:
+    """sqrt(2 p_k) [v_k reshaped column-wise] for each eigenpair (p_k, |v_k>)
+    of a stack of 4x4 Choi spectra, as a (..., 4, 2, 2) stack: the zero
+    operator where p_k < ``KRAUS_CUT``.  Each operator is bit for bit the
+    one :func:`kraus_from_choi` reads off its matrix's spectrum alone."""
+    vectors = eigenvectors.swapaxes(-1, -2)
+    g = np.sqrt(2.0) * vectors.reshape(vectors.shape[:-1] + (2, 2)).swapaxes(-1, -2)
+    kept = eigenvalues >= KRAUS_CUT
+    scale = np.sqrt(np.where(kept, eigenvalues, 0.0))[..., None, None]
+    return np.ascontiguousarray(np.where(kept[..., None, None], scale * g, 0.0))
+
+
 def _kraus_set(matrix: np.ndarray, eig=None) -> KrausChannel:
-    """One operator sqrt(2 p_k) [v_k reshaped column-wise] per eigenpair
-    (p_k, |v_k>) of the 4x4 Choi matrix with p_k >= 1e-12, or the single zero
-    operator where there is none (a compressed list of tiny operators, left
-    for :func:`validate` to reject); ``eig`` is its eigendecomposition where
-    one is already at hand."""
+    """The nonzero operators of :func:`_kraus_operators` for the 4x4 Choi
+    matrix, or the single zero operator where there is none (a compressed
+    list of tiny operators, left for :func:`validate` to reject); ``eig``
+    is its eigendecomposition where one is already at hand."""
     if eig is None:
         eig = hermitian_eig(matrix, tol=1e-8)
-    ops = []
-    for p, vec in zip(eig.eigenvalues, eig.eigenvectors.T):
-        if p < 1e-12:
-            continue
-        g = np.sqrt(2.0) * np.column_stack([vec[0:2], vec[2:4]])
-        ops.append(np.sqrt(p) * g)
-    return KrausChannel(kraus=tuple(ops) or (np.zeros((2, 2), dtype=complex),), label="from_choi")
+    ops = _kraus_operators(eig.eigenvalues, eig.eigenvectors)
+    kept = ops[eig.eigenvalues >= KRAUS_CUT]
+    return KrausChannel(kraus=tuple(kept) or (np.zeros((2, 2), dtype=complex),), label="from_choi")
 
 
 # ---------------------------------------------------------------------------

@@ -256,7 +256,9 @@ def _cmd_audit(args) -> int:
         channels.append((random_channel(chan_seed, index % 4 + 1), chan_seed))
     worst = {}  # identity -> (residual, channel index)
     counts = {row.name: 0 for row in IDENTITIES}
-    # One pass builds every channel's states; one F* solve and one oracle search cover all.
+    # One pass builds every channel's states; every stacked row (F*, the oracle,
+    # singlet fractions, protocol and dual checks, Kraus read-backs) is one
+    # call over all channels, each value read back per channel.
     for index, values in enumerate(channel_residuals([channel for channel, _ in channels])):
         for name, value in values.items():
             counts[name] += 1

@@ -68,7 +68,7 @@ def as_density_matrix(state: np.ndarray) -> np.ndarray:
     trace = np.trace(state).real
     if abs(trace - 1.0) > _UNIT_TOL:
         raise ValueError(f"density matrix has trace {trace}, expected 1")
-    if np.linalg.eigvalsh(state).min() < -_PSD_TOL:
+    if np.linalg.eigvalsh(state)[0] < -_PSD_TOL:
         raise ValueError("density matrix is not positive semidefinite")
     return state
 
@@ -76,36 +76,47 @@ def as_density_matrix(state: np.ndarray) -> np.ndarray:
 def _as_density_stack(state: np.ndarray) -> np.ndarray:
     """:func:`as_density_matrix` that also takes a (..., 4, 4) stack.
 
-    The stack's matrices are checked together; any that fails is checked
-    again alone, so a bad stack raises what its first bad matrix would.
+    The stack's matrices are screened together; any the screen does not
+    pass is checked again alone, so a bad stack raises what its first bad
+    matrix would.  A stack of one matrix is checked alone.
     """
     state = np.asarray(state, dtype=complex)
     if state.ndim <= 2:
         return as_density_matrix(state)
     if state.shape[-2:] != (4, 4):
         raise ValueError(f"expected a (..., 4, 4) stack, got shape {state.shape}")
-    skew = np.linalg.norm(state - state.conj().swapaxes(-1, -2), axis=(-2, -1))
+    if state.size == 16:
+        as_density_matrix(state.reshape(4, 4))
+        return state
+    # 4 max|entry| bounds a 4x4 Frobenius norm: a matrix within
+    # _HERMITIAN_TOL / 4 of its adjoint entrywise passes the check alone.
+    skew = np.abs(state - state.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     trace = np.trace(state, axis1=-2, axis2=-1).real
     bottom = np.linalg.eigvalsh(state)[..., 0]
-    bad = (skew > _HERMITIAN_TOL) | (np.abs(trace - 1.0) > _UNIT_TOL) | (bottom < -_PSD_TOL)
-    for rho in state[bad]:
-        as_density_matrix(rho)
+    bad = ~(skew <= _HERMITIAN_TOL / 4) | (np.abs(trace - 1.0) > _UNIT_TOL) | (bottom < -_PSD_TOL)
+    if bad.any():
+        for rho in state[bad]:
+            as_density_matrix(rho)
     return state
 
 
-def singlet_fraction(rho: np.ndarray) -> tuple[float, np.ndarray]:
+def singlet_fraction(rho: np.ndarray) -> tuple:
     """Maximum overlap with any maximally entangled state, plus a maximizer.
 
     Returns ``(value, phi)`` where ``phi`` is a maximally entangled
-    4-vector achieving ``<phi| rho |phi> = value``.
+    4-vector achieving ``<phi| rho |phi> = value``.  A (..., 4, 4) stack
+    gives an array of values with its leading axes and a (..., 4) stack of
+    maximizers, each bit for bit its state's own.
     """
-    rho = as_density_matrix(rho)
+    rho = _as_density_stack(rho)
     real_part = to_magic_basis(rho).real
-    sym = (real_part + real_part.T) / 2
+    sym = (real_part + real_part.swapaxes(-1, -2)) / 2
     w, v = np.linalg.eigh(sym)
-    value = float(w[-1])
-    phi = _fix_phase(MAGIC_BASIS @ v[:, -1].astype(complex))
-    return value, phi
+    value = w[..., -1]
+    # The top eigenvector as a one-column matrix: a matrix-vector product
+    # for every state, as for one alone.
+    phi = _fix_phase((MAGIC_BASIS @ v[..., -1:].astype(complex))[..., 0])
+    return (float(value), phi) if value.ndim == 0 else (value, phi)
 
 
 def teleportation_fidelity(fraction, d: int = 2) -> float | np.ndarray:
@@ -179,21 +190,24 @@ def schmidt(psi: np.ndarray) -> SchmidtData:
     return SchmidtData(coefficients=coeffs, local_bases=(ua, ub))
 
 
-def pt_spectrum_identity_residual(sigma: np.ndarray) -> float:
+def pt_spectrum_identity_residual(sigma: np.ndarray) -> float | np.ndarray:
     """Residual of lambda_min(sigma^Gamma) + lambda_max(sigma) = 1/2.
 
     For any two-qubit state whose first marginal is maximally mixed, the
     spectrum of the partial transpose is the reflection {1/2 - lambda} of
     the state's spectrum, so the identity above holds exactly.  Inputs
     violating the marginal condition are rejected: the identity does not
-    apply to them.
+    apply to them.  A (..., 4, 4) stack gives an array with its leading
+    axes, each entry bit for bit its state's own; each state's marginal is
+    checked alone, so a stack raises what its first bad state would.
     """
-    sigma = as_density_matrix(sigma)
-    if not has_maximally_mixed_marginal(sigma, _MARGINAL_TOL):
+    sigma = _as_density_stack(sigma)
+    if not all(has_maximally_mixed_marginal(m, _MARGINAL_TOL) for m in sigma.reshape(-1, 4, 4)):
         raise ValueError("first marginal is not maximally mixed")
-    lam_max = float(np.linalg.eigvalsh(sigma).max())
-    lam_min_pt = float(np.linalg.eigvalsh(partial_transpose(sigma, "first")).min())
-    return lam_min_pt + lam_max - 0.5
+    pt = partial_transpose(sigma, "first")
+    spectra = np.linalg.eigvalsh(np.concatenate([sigma[None], pt[None]]))
+    value = spectra[1, ..., 0] + spectra[0, ..., -1] - 0.5
+    return float(value) if value.ndim == 0 else value
 
 
 # ---------------------------------------------------------------------------

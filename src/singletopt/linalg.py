@@ -71,13 +71,15 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product in computational-basis ordering.
 
     Restricted to results of dimension at most 4 (this package never builds
-    anything larger).
+    anything larger).  Leading axes of a stack of matrices ``a`` are batch
+    axes: each matrix of the stack is multiplied by the matrix ``b``, bit for
+    bit as alone.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.shape[0] * b.shape[0] > 4:
+    if a.shape[-1] * b.shape[-1] > 4:
         raise ValueError(
-            f"tensor product dimension {a.shape[0] * b.shape[0]} exceeds 4"
+            f"tensor product dimension {a.shape[-1] * b.shape[-1]} exceeds 4"
         )
     return np.kron(a, b)
 

@@ -92,6 +92,8 @@ _DUAL_MARGIN = 1e-12
 GAP_TOLERANCE = 2.0 * _DUAL_MARGIN
 
 _S1 = 1.0 / np.sqrt(2.0)
+# J^-1 for J = [[0, 1], [-1, 0]], which turns a primal into its filter.
+_J_INVERSE = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 # Y = sum_k z_k sigma_k with sigma_0 = I, so Y (x) I = sum_k z_k _DUAL_BASIS_FLAT[k].
 _PAULIS = np.array(PAULIS)
@@ -315,17 +317,21 @@ class FstarCertificate:
     dual: np.ndarray
 
     def protocol(self, rho: np.ndarray) -> FilterProtocol:
-        """The filter protocol on ``rho`` that this single state's ``primal`` is.
+        """The filter protocol on ``rho`` that ``primal`` is.
 
         With X = ``primal.reshape(2, 2)`` and J = [[0, 1], [-1, 0]], the filter
         A = (sqrt(2) X J^-1)^T has ||A||_op = sqrt(2) sigma_max(X) <= 1, and
         its value is at least <Phi^+|(A (x) I) rho (A (x) I)^dag|Phi^+> +
         (1 - p)/2 = 1/2 - <x|rho^Gamma|x> = ``lower``.  It is scored as
         :func:`fstar_filter_oracle` scores its filter, apart from the solve.
+        A certificate of a stack of states gives the protocols of the same
+        stack ``rho`` in one :class:`FilterProtocol` with its leading axes,
+        each field bit for bit its state's own.
         """
-        x = np.asarray(self.primal).reshape(2, 2)
-        j_inv = np.array([[0.0, -1.0], [1.0, 0.0]])
-        return _filter_protocol(np.sqrt(2.0) * (x @ j_inv).T, as_density_matrix(rho))
+        x = np.asarray(self.primal)
+        x = x.reshape(x.shape[:-1] + (2, 2))
+        filt = np.sqrt(2.0) * (x @ _J_INVERSE).swapaxes(-1, -2)
+        return _filter_protocol(filt, _as_density_stack(rho))
 
 
 def fstar_certificate(rho: np.ndarray) -> FstarCertificate:
@@ -469,20 +475,31 @@ def fstar_filter_oracle(
 
 
 def _filter_protocol(filt: np.ndarray, rho: np.ndarray) -> FilterProtocol:
-    """Score ``filt`` (x) I on ``rho`` as a :class:`FilterProtocol`."""
+    """Score ``filt`` (x) I on ``rho`` as a :class:`FilterProtocol`.
+
+    Leading axes of ``filt`` and ``rho`` are batch axes: a stack of filters
+    on a stack of states is scored in one pass, the filtered states that
+    fire (p > 0) in one :func:`singlet_fraction` call, and every field
+    carries the stack's leading axes.  One filter gives scalar fields.
+    """
     big = tensor_product(filt, I2)
-    unnormalized = big @ rho @ big.conj().T
-    p = float(np.trace(unnormalized).real)
-    if p <= 0.0:
-        return FilterProtocol(filt, 0.0, unnormalized, 0.5)
-    success = unnormalized / p
-    value, _ = singlet_fraction(success)
-    return FilterProtocol(
-        filter=filt,
-        success_probability=p,
-        success_state=success,
-        fstar_value=max(0.5, p * value + (1.0 - p) / 2.0),
-    )
+    unnormalized = big @ rho @ big.conj().swapaxes(-1, -2)
+    batch = unnormalized.shape[:-2]
+    unnormalized = unnormalized.reshape(-1, 4, 4)
+    p = np.trace(unnormalized, axis1=1, axis2=2).real
+    fired = p > 0.0
+    # A filter that never fires leaves the zero state, worth 1/2.
+    p = np.where(fired, p, 0.0)
+    success = np.divide(unnormalized, p[:, None, None], out=unnormalized.copy(),
+                        where=fired[:, None, None])
+    value = np.full(len(p), 0.5)
+    if fired.any():
+        fraction, _ = singlet_fraction(success[fired])
+        value[fired] = np.maximum(0.5, p[fired] * fraction + (1.0 - p[fired]) / 2.0)
+    if not batch:
+        return FilterProtocol(filt, float(p[0]), success[0], float(value[0]))
+    return FilterProtocol(filt, p.reshape(batch), success.reshape(batch + (4, 4)),
+                          value.reshape(batch))
 
 
 def postprocessing_gap(channel: KrausChannel) -> tuple[float, bool]:

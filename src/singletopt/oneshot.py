@@ -28,11 +28,13 @@ from ._batched import (
     magic_filter_table,
 )
 from .channel import (
+    KRAUS_CUT,
     KrausChannel,
-    apply_to_half,
-    choi_matrix,
+    _apply_to_halves,
+    _bell_products,
+    _check_marginals,
+    _kraus_operators,
     is_unital,
-    kraus_from_choi,
     validate,
 )
 from .choi import (
@@ -190,14 +192,24 @@ class Classification:
     verdict: str
 
 
-def classify(channel: KrausChannel, mes_tol: float = 1e-7) -> Classification:
+# How close to 1/2 the larger squared Schmidt coefficient of a maximally
+# entangled optimal input is.
+_MES_TOL = 1e-7
+
+
+def classify(channel: KrausChannel, mes_tol: float = _MES_TOL) -> Classification:
     """Check that the optimal input is maximally entangled iff unital.
 
     A degenerate dual-Choi top eigenvalue leaves the optimal input
     ambiguous, so the verdict is then "indeterminate".
     """
     unital, deviation = is_unital(channel)
-    inp = optimal_input_state(channel)
+    return _classification(unital, deviation, optimal_input_state(channel), mes_tol)
+
+
+def _classification(unital: bool, deviation: float, inp: OptimalInput,
+                    mes_tol: float) -> Classification:
+    """:func:`classify`'s verdict on a channel's unitality and optimal input."""
     if inp.degenerate:
         return Classification(unital, deviation, None, "indeterminate")
     mes = abs(float(inp.schmidt.coefficients[0]) - 0.5) < mes_tol
@@ -367,10 +379,113 @@ def channel_negativity(channel: KrausChannel) -> NegativitySearch:
     return channel_negativities([channel])[0]
 
 
-class IdentityContext:
-    """What the identity residuals of one channel read, fetched once."""
+class _IdentityStack:
+    """The inputs of the stacked identity rows for the channels of the
+    :class:`IdentityContext` objects that joined it, in joining order.
 
-    def __init__(self, channel: KrausChannel):
+    Each field is computed on first use, so after every context has joined,
+    in one pass over the whole stack: one call on the (n, 4, 4) stack of
+    the contexts' Choi matrices, or on their optimal inputs, gives every
+    channel's value, bit for bit its own.
+    """
+
+    def __init__(self):
+        self.channels, self.states, self.inputs = [], [], []
+
+    def join(self, ctx: IdentityContext) -> int:
+        """Add the context's channel, Choi state and optimal input; its index."""
+        self.channels.append(ctx.channel)
+        self.states.append(ctx.choi_state)
+        self.inputs.append(ctx.optimal_input.state)
+        return len(self.channels) - 1
+
+    @cached_property
+    def matrices(self) -> np.ndarray:
+        return np.array([state.matrix for state in self.states])
+
+    @cached_property
+    def certificate(self) -> FstarCertificate:
+        """F*'s certificates: the one solve every F* row reads."""
+        return fstar_certificate(self.matrices)
+
+    @property
+    def lower(self) -> np.ndarray:
+        return self.certificate.lower
+
+    @property
+    def upper(self) -> np.ndarray:
+        return self.certificate.upper
+
+    @cached_property
+    def oracle_fractions(self) -> np.ndarray:
+        """The singlet-fraction oracle on the Choi states, at 4 degrees."""
+        return singlet_fraction_oracle(self.matrices, resolution_deg=4.0)
+
+    @cached_property
+    def fractions(self) -> np.ndarray:
+        return singlet_fraction(self.matrices)[0]
+
+    @cached_property
+    def pt_spectrum(self) -> np.ndarray:
+        return pt_spectrum_identity_residual(self.matrices)
+
+    @cached_property
+    def achieved(self) -> np.ndarray:
+        """The singlet fraction each channel's optimal input reaches."""
+        return singlet_fraction(_apply_to_halves(self.channels, np.array(self.inputs)))[0]
+
+    @cached_property
+    def kraus(self) -> tuple:
+        """The Kraus sets read back from the kept Choi spectra, as
+        :func:`~singletopt.channel.kraus_from_choi` reads them, each matrix's
+        marginal checked alone, zero-padded to four operators; and the
+        target Gram matrices diag(2 p_k) of their kept eigenvalues p_k."""
+        _check_marginals(self.matrices)
+        values = np.array([state.eig.eigenvalues for state in self.states])
+        ops = _kraus_operators(values, np.array([state.eig.eigenvectors for state in self.states]))
+        return ops, np.where(values >= KRAUS_CUT, 2.0 * values, 0.0)[:, :, None] * np.eye(4)
+
+    @cached_property
+    def kraus_trace_orthogonality(self) -> np.ndarray:
+        ops, target = self.kraus
+        gram = np.trace(ops.conj().swapaxes(-1, -2)[:, :, None] @ ops[:, None], axis1=-2, axis2=-1)
+        return np.abs(gram - target).max(axis=(1, 2))
+
+    @cached_property
+    def choi_roundtrip(self) -> np.ndarray:
+        return np.abs(_bell_products(self.kraus[0]) - self.matrices).max(axis=(1, 2))
+
+    @cached_property
+    def fstar_protocol(self) -> np.ndarray:
+        """The primal's filter is a contraction that reaches ``lower``."""
+        cert = self.certificate
+        protocol = cert.protocol(self.matrices)
+        # ||A||_op, the top singular value, as np.linalg.norm(A, 2) takes it.
+        norm = np.linalg.svd(protocol.filter, compute_uv=False)[:, 0]
+        return np.maximum.reduce([np.zeros(len(self.states)), norm - 1.0,
+                                  np.abs(protocol.fstar_value - cert.lower)])
+
+    @cached_property
+    def fstar_dual_feasible(self) -> np.ndarray:
+        """Y >= 0 and rho^Gamma + Y (x) I >= 0 make ``upper`` = 1/2 + Tr Y / 2
+        an upper bound (weak duality), within ``GAP_TOLERANCE`` of ``lower``."""
+        cert = self.certificate
+        m = partial_transpose(self.matrices, "first") + np.kron(cert.dual, I2)
+        trace = np.trace(cert.dual, axis1=1, axis2=2).real
+        return np.maximum.reduce([np.zeros(len(self.states)),
+                                  -np.linalg.eigvalsh(cert.dual)[:, 0],
+                                  -np.linalg.eigvalsh(m)[:, 0],
+                                  np.abs(cert.upper - (0.5 + trace / 2.0)),
+                                  cert.upper - cert.lower - GAP_TOLERANCE])
+
+
+class IdentityContext:
+    """What the identity residuals of one channel read: its own states,
+    fetched once, and its row ``index`` of ``stack``, the
+    :class:`_IdentityStack` it joins with the channels checked alongside
+    it.  Alone, a channel is a one-channel stack."""
+
+    def __init__(self, channel: KrausChannel, stack: _IdentityStack | None = None):
         self.channel = channel
         self.validation = validate(channel)
         build_states([channel])
@@ -380,21 +495,12 @@ class IdentityContext:
         self.lambda_max = float(self.choi_state.eig.eigenvalues[0])
         self.entanglement_breaking = self.lambda_max <= ENTANGLEMENT_BREAKING_THRESHOLD
         self.unital, self.unitality_deviation = is_unital(channel)
+        self.stack = _IdentityStack() if stack is None else stack
+        self.index = self.stack.join(self)
 
-    @cached_property
-    def extracted(self) -> KrausChannel:
-        """Kraus operators read back from the Choi state, for the audit rows."""
-        return kraus_from_choi(self.choi_state)
-
-    @cached_property
-    def certificate(self) -> FstarCertificate:
-        """F*'s certificate on the Choi state: the one solve every F* row reads."""
-        return fstar_certificate(self.choi_state.matrix)
-
-    @cached_property
-    def oracle_fraction(self) -> float:
-        """The singlet-fraction oracle on the Choi state, at 4 degrees."""
-        return singlet_fraction_oracle(self.choi_state.matrix, resolution_deg=4.0)
+    def stacked(self, field: str) -> float:
+        """This channel's entry of the stack's ``field``."""
+        return float(getattr(self.stack, field)[self.index])
 
 
 @dataclass(frozen=True)
@@ -416,33 +522,23 @@ def _optimal_input_achievement(ctx: IdentityContext) -> float | None:
     # A degenerate top eigenvalue leaves the optimal input undefined.
     if ctx.optimal_input.degenerate:
         return None
-    achieved, _ = singlet_fraction(apply_to_half(ctx.channel, ctx.optimal_input.state))
-    return abs(achieved - ctx.lambda_max)
+    return abs(ctx.stacked("achieved") - ctx.lambda_max)
 
 
-def _kraus_trace_orthogonality(ctx: IdentityContext) -> float:
-    extracted = np.array(ctx.extracted.kraus)
-    weights = [p for p in ctx.choi_state.eig.eigenvalues if p > 1e-12]
-    gram = np.trace(extracted.conj().swapaxes(1, 2)[:, None] @ extracted[None], axis1=2, axis2=3)
-    return float(np.abs(gram - np.diag([2.0 * p for p in weights])).max())
+def _classification_consistent(ctx: IdentityContext) -> float | None:
+    if ctx.optimal_input.degenerate:
+        return None
+    result = _classification(ctx.unital, ctx.unitality_deviation, ctx.optimal_input, _MES_TOL)
+    return float(result.verdict != "consistent")
 
 
-def _fstar_protocol(ctx: IdentityContext) -> float:
-    protocol = ctx.certificate.protocol(ctx.choi_state.matrix)
-    return max(0.0, float(np.linalg.norm(protocol.filter, 2)) - 1.0,
-               abs(protocol.fstar_value - ctx.certificate.lower))
+def _stacked(field: str) -> Callable[[IdentityContext], float]:
+    """The row reading the stack's ``field``."""
+    return lambda ctx: ctx.stacked(field)
 
 
-def _fstar_dual_feasible(ctx: IdentityContext) -> float:
-    cert = ctx.certificate
-    m = partial_transpose(ctx.choi_state.matrix, "first") + np.kron(cert.dual, I2)
-    return max(0.0, -float(np.linalg.eigvalsh(cert.dual)[0]), -float(np.linalg.eigvalsh(m)[0]),
-               abs(cert.upper - (0.5 + float(np.trace(cert.dual).real) / 2.0)),
-               cert.upper - cert.lower - GAP_TOLERANCE)
-
-
-# Rows reach library functions through module globals, so a patched function
-# is what every caller of the table sees.
+# Rows and the stack reach library functions through module globals, so a
+# patched function is what every caller of the table sees.
 IDENTITIES = (
     Identity("tp", 1e-9, True, lambda ctx: ctx.validation.tp_residual),
     Identity("cp", 1e-9, True, lambda ctx: max(0.0, -ctx.validation.cp_min_eigenvalue)),
@@ -450,38 +546,33 @@ IDENTITIES = (
         ctx.dual_state.matrix - swap_conjugate(ctx.choi_state.matrix)).max())),
     Identity("dual_choi_spectrum", 1e-10, True, lambda ctx: float(np.abs(
         ctx.dual_state.eig.eigenvalues - ctx.choi_state.eig.eigenvalues).max())),
-    Identity("pt_spectrum_identity", 1e-10, True, lambda ctx: abs(
-        pt_spectrum_identity_residual(ctx.choi_state.matrix))),
+    Identity("pt_spectrum_identity", 1e-10, True, lambda ctx: abs(ctx.stacked("pt_spectrum"))),
     # lambda_max = (1 + N)/2 fails by design on entanglement-breaking channels.
     Identity("negativity_relation", 1e-10, True, lambda ctx: None
              if ctx.entanglement_breaking else negativity_relation_residual(ctx.channel)),
     Identity("optimal_input_achievement", 1e-9, True, _optimal_input_achievement),
-    Identity("classification_consistent", 0.5, False, lambda ctx: None
-             if ctx.optimal_input.degenerate
-             else float(classify(ctx.channel).verdict != "consistent")),
+    Identity("classification_consistent", 0.5, False, _classification_consistent),
     Identity("eigenvector_correspondence", 1e-9, True,
              lambda ctx: eigenvector_correspondence_check(ctx.channel)),
-    Identity("kraus_trace_orthogonality", 1e-9, False, _kraus_trace_orthogonality),
-    Identity("choi_roundtrip", 1e-9, False, lambda ctx: float(np.abs(
-        choi_matrix(ctx.extracted) - ctx.choi_state.matrix).max())),
+    Identity("kraus_trace_orthogonality", 1e-9, False, _stacked("kraus_trace_orthogonality")),
+    Identity("choi_roundtrip", 1e-9, False, _stacked("choi_roundtrip")),
     # F*, and so the gap, is undefined on entanglement-breaking channels.
     Identity("gap_nonnegative", 1e-9, False, lambda ctx: None
-             if ctx.entanglement_breaking else max(0.0, ctx.certificate.lower - ctx.lambda_max)),
+             if ctx.entanglement_breaking else max(0.0, ctx.stacked("lower") - ctx.lambda_max)),
     Identity("gap_unital", 1e-6, False, lambda ctx: None
              if ctx.entanglement_breaking or not ctx.unital
-             else abs(ctx.lambda_max - ctx.certificate.lower)),
+             else abs(ctx.lambda_max - ctx.stacked("lower"))),
     # The paper's gap > 0, proven from F*'s certified upper end; the 1e-12 is
     # the slack to which fstar_dual_feasible proves that end.
     Identity("gap_nonunital_strict", 0.5, False, lambda ctx: None
              if ctx.entanglement_breaking or ctx.unital or ctx.unitality_deviation <= 1e-2
-             else float(not ctx.lambda_max - ctx.certificate.upper > 1e-12)),
+             else float(not ctx.lambda_max - ctx.stacked("upper") > 1e-12)),
     Identity("singlet_fraction_oracle", 1e-4, False, lambda ctx: abs(
-        singlet_fraction(ctx.choi_state.matrix)[0] - ctx.oracle_fraction)),
-    # F*'s bracket, proven from both ends: the primal's filter is a contraction
-    # that reaches ``lower``, and Y >= 0 with rho^Gamma + Y (x) I >= 0 makes
-    # ``upper`` = 1/2 + Tr Y / 2 an upper bound (weak duality), within 1e-10.
-    Identity("fstar_protocol", 1e-12, False, _fstar_protocol),
-    Identity("fstar_dual_feasible", 1e-12, False, _fstar_dual_feasible),
+        ctx.stacked("fractions") - ctx.stacked("oracle_fractions"))),
+    # F*'s bracket, proven from both ends (see the stack's fields), the
+    # upper end within GAP_TOLERANCE = 2e-12 of the lower.
+    Identity("fstar_protocol", 1e-12, False, _stacked("fstar_protocol")),
+    Identity("fstar_dual_feasible", 1e-12, False, _stacked("fstar_dual_feasible")),
 )
 
 
@@ -499,19 +590,21 @@ def residuals(channel: KrausChannel) -> dict:
 
 
 def channel_residuals(channels) -> list:
-    """:func:`residuals` of each channel, from one stacked F* solve (each certificate
-    bit for bit its own), one stacked Choi negativity solve (kept next to each
-    state, see :func:`choi_negativities`) and one oracle search (each value at
-    least its own)."""
+    """:func:`residuals` of each channel, each bit for bit its own but the
+    oracle row's, with every stacked row computed once over all channels.
+
+    One :class:`_IdentityStack` is shared by every channel's
+    :class:`IdentityContext`: one F* solve, one oracle search (each value
+    at least its own), and one call on the stack for each of the singlet
+    fractions, the protocol scoring, the dual checks, the
+    partial-transpose spectra, the optimal inputs' outputs and the Kraus
+    read-backs.  The Choi negativities are solved once too, kept next to
+    each state (see :func:`choi_negativities`).
+    """
     build_states(channels)
-    contexts = [IdentityContext(channel) for channel in channels]
     choi_negativities(channels)
-    matrices = np.array([ctx.choi_state.matrix for ctx in contexts])
-    cert = fstar_certificate(matrices)
-    oracle = singlet_fraction_oracle(matrices, resolution_deg=4.0)
-    fields = zip(cert.lower.tolist(), cert.upper.tolist(), cert.primal, cert.dual)
-    for ctx, field, value in zip(contexts, fields, oracle.tolist()):
-        ctx.certificate, ctx.oracle_fraction = FstarCertificate(*field), value
+    stack = _IdentityStack()
+    contexts = [IdentityContext(channel, stack) for channel in channels]
     return [_evaluate(ctx, reported_only=False) for ctx in contexts]
 
 

@@ -23,7 +23,15 @@ from singletopt.channel import (
     unitary,
     validate,
 )
-from singletopt.channel import _bell_products, _kraus_set, _measure
+from singletopt.channel import (
+    KRAUS_CUT,
+    _apply_to_halves,
+    _bell_products,
+    _kraus_operators,
+    _kraus_set,
+    _measure,
+)
+from singletopt.choi import choi_states
 from singletopt.linalg import I2, PAULI_X, PAULI_Y, PAULI_Z, PHI_PLUS
 
 from conftest import (
@@ -380,6 +388,33 @@ def test_measured_choi_and_dual_matrices_are_each_channels_einsum():
         assert_bitwise_equal(
             c._states["dual_choi_matrix"], einsum_bell_products(ops.conj().swapaxes(-1, -2))
         )
+
+
+def test_halves_of_a_stack_are_each_channels_apply_to_half():
+    # Mixed Kraus ranks, zero-padded to four: each output is bit for bit
+    # its channel's own, signs of zeros included.
+    channels = random_channels(9650, 60) + _named_family_channels()[::10]
+    rng = np.random.default_rng(9651)
+    states = np.array([random_pure(rng) for _ in channels])
+    states[-1] = PHI_PLUS
+    for c, state, out in zip(channels, states, _apply_to_halves(channels, states)):
+        assert_bitwise_equal(out, apply_to_half(c, state))
+
+
+def test_kraus_operators_of_a_stack_are_each_spectrums_read_back():
+    # Each stacked read-back is the operators kraus_from_choi keeps, bit for
+    # bit, then zero operators for the eigenvalues below KRAUS_CUT.
+    states = choi_states(random_channels(9660, 40) + [
+        identity(), depolarizing(1.0), amplitude_damping(1.0), phase_damping(0.3)])
+    values = np.array([state.eig.eigenvalues for state in states])
+    ops = _kraus_operators(values, np.array([state.eig.eigenvectors for state in states]))
+    assert ops.shape == (len(states), 4, 2, 2) and ops.flags.c_contiguous
+    for state, stack in zip(states, ops):
+        alone = kraus_from_choi(state).kraus
+        assert len(alone) == (state.eig.eigenvalues >= KRAUS_CUT).sum()
+        assert_bitwise_equal(stack[: len(alone)], np.array(alone))
+        assert not np.any(stack[len(alone):])
+    assert KRAUS_CUT == 1e-12
 
 
 def test_bell_products_overflow_as_the_einsum_does():

@@ -608,6 +608,57 @@ def test_audit_solves_fstar_and_runs_the_oracle_once_over_all_channels(capsys, t
     assert searched == [(4, 4, 4)]
 
 
+def test_audit_computes_each_stacked_row_in_one_call(capsys, tmp_path, monkeypatch):
+    # The rows' singlet fractions (of the Choi states and of the optimal
+    # inputs' outputs), the protocol scoring and the partial-transpose
+    # spectra each take the whole (4, 4, 4) stack in one call.
+    monkeypatch.chdir(tmp_path)
+    shapes = {"singlet_fraction": [], "protocol": [], "pt_spectrum": []}
+
+    def recorded(key, real):
+        def call(rho, *args):
+            shapes[key].append(np.shape(rho))
+            return real(rho, *args)
+        return call
+
+    def scored(filt, rho):
+        shapes["protocol"].append(np.shape(rho))
+        return real_scoring(filt, rho)
+
+    real_scoring = locc._filter_protocol
+    monkeypatch.setattr(oneshot, "singlet_fraction",
+                        recorded("singlet_fraction", oneshot.singlet_fraction))
+    monkeypatch.setattr(locc, "_filter_protocol", scored)
+    monkeypatch.setattr(oneshot, "pt_spectrum_identity_residual",
+                        recorded("pt_spectrum", oneshot.pt_spectrum_identity_residual))
+    code, out, _ = run(["audit", "--seed", "42", "--count", "4"], capsys)
+    assert code == 0
+    assert "audit PASSED" in out.splitlines()
+    assert shapes == {"singlet_fraction": [(4, 4, 4)] * 2, "protocol": [(4, 4, 4)],
+                      "pt_spectrum": [(4, 4, 4)]}
+
+
+def test_audit_failure_names_the_one_faulty_channel_of_a_stack(capsys, tmp_path, monkeypatch):
+    # Only channel 2's entry of the stacked row is corrupted: the repro file
+    # must name channel 2, not the stack.
+    monkeypatch.chdir(tmp_path)
+    real = oneshot.pt_spectrum_identity_residual
+
+    def corrupted(sigma):
+        values = real(sigma)
+        return values + np.where(np.arange(len(values)) == 2, 1e-3, 0.0)
+
+    monkeypatch.setattr(oneshot, "pt_spectrum_identity_residual", corrupted)
+    code, out, _ = run(["audit", "--seed", "42", "--count", "4"], capsys)
+    assert code == 1
+    lines = [line for line in out.splitlines() if line.endswith("FAIL")]
+    assert len(lines) == 1 and lines[0].startswith("  pt_spectrum_identity ")
+    data = json.loads((tmp_path / "audit-failure-pt_spectrum_identity.json").read_text())
+    assert data["channel_index"] == 2
+    assert data["channel_seed"] == 42 * 1_000_003 + 2
+    assert data["residual"] > 1e-3 - 1e-10
+
+
 def test_audit_decomposes_every_state_once(capsys, tmp_path, monkeypatch):
     # One batched eigendecomposition of the 4 Choi and 4 dual-Choi matrices;
     # the Kraus sets read back from the Choi states reuse their spectra.

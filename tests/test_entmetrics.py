@@ -69,11 +69,37 @@ def test_singlet_fraction_rejects_invalid():
 
 
 @pytest.mark.parametrize("fn", [singlet_fraction, pt_spectrum_identity_residual])
-def test_single_state_functions_reject_stacks(fn):
-    # A stack here is a shape error; F* and negativity take batch axes.
-    stack = np.array([BELL, np.eye(4) / 4])
-    with pytest.raises(ValueError, match="4x4 matrix"):
-        fn(stack)
+def test_single_state_functions_take_batch_axes(fn):
+    # Choi states, so the marginal condition holds; every entry of a stack
+    # is bit for bit its state's own, as for negativity.
+    states = [choi(c).matrix for c in random_channels(71, 11)] + [BELL]
+    stack = np.array(states).reshape(3, 4, 4, 4)
+    values = fn(stack)
+    values, vectors = values if fn is singlet_fraction else (values, None)
+    assert values.shape == (3, 4)
+    for index in np.ndindex(3, 4):
+        alone = fn(stack[index])
+        alone, vector = alone if fn is singlet_fraction else (alone, None)
+        assert isinstance(alone, float)
+        assert values[index].tobytes() == np.float64(alone).tobytes()
+        if vectors is not None:
+            assert vectors[index].tobytes() == vector.tobytes()
+    with pytest.raises(ValueError, match=r"\(\.\.\., 4, 4\) stack"):
+        fn(np.zeros((2, 3, 3)))
+    # A stack raises what its first bad state raises alone.
+    with pytest.raises(ValueError, match="trace 4"):
+        fn(np.array([BELL, np.eye(4)]))
+
+
+def test_density_stack_judges_each_matrix_as_alone():
+    # ||rho - rho^dag||_F = 2t for an imaginary t on the diagonal: a stack
+    # passes the 1e-8 Hermiticity check exactly where each matrix alone does.
+    near, over = (BELL + 1j * t * np.diag([1.0, 0, 0, 0]) for t in (0.49e-8, 0.51e-8))
+    assert [float(x) for x in negativity(np.array([BELL, near]))] == [
+        negativity(BELL), negativity(near)]
+    for stack in (np.array([BELL, over]), np.array([over, near])):
+        with pytest.raises(ValueError, match="^density matrix is not Hermitian$"):
+            negativity(stack)
 
 
 def test_negativity_takes_batch_axes():
@@ -359,3 +385,6 @@ def test_pt_identity_rejects_bad_marginal():
     state = np.diag([1.0, 0, 0, 0]).astype(complex)  # marginal |0><0|
     with pytest.raises(ValueError):
         pt_spectrum_identity_residual(state)
+    # Each state of a stack is checked alone, with the one-state message.
+    with pytest.raises(ValueError, match="^first marginal is not maximally mixed$"):
+        pt_spectrum_identity_residual(np.array([BELL, state]))

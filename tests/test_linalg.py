@@ -38,6 +38,18 @@ def test_tensor_product_bell_symmetry():
     np.testing.assert_allclose(xx @ PHI_PLUS, PHI_PLUS)
 
 
+def test_tensor_product_takes_a_stack_of_left_factors():
+    rng = np.random.default_rng(41)
+    a = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
+    a[0, 0, 1] = -0.0
+    stacked = tensor_product(a, I2)
+    assert stacked.shape == (5, 4, 4)
+    for k in range(5):
+        assert stacked[k].tobytes() == tensor_product(a[k], I2).tobytes()
+    with pytest.raises(ValueError):
+        tensor_product(np.zeros((5, 4, 4)), I2)
+
+
 def test_tensor_product_rejects_overflow():
     with pytest.raises(ValueError):
         tensor_product(np.eye(4), np.eye(2))

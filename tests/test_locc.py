@@ -151,6 +151,21 @@ def test_certificate_protocol_reaches_lower():
             assert proto.success_probability >= 0.5 - 1e-12
 
 
+def test_certificate_protocol_of_a_stack_is_each_states_own():
+    # One scoring pass over a stack, PPT states (filters that never fire)
+    # among them, gives every field bit for bit as each state alone.
+    rho = np.array(list(_certified_states()))
+    stacked = fstar_certificate(rho).protocol(rho)
+    fields = ("filter", "success_probability", "success_state", "fstar_value")
+    for k in range(len(rho)):
+        alone = fstar_certificate(rho[k]).protocol(rho[k])
+        for field in fields:
+            assert np.asarray(getattr(stacked, field)[k]).tobytes() == np.asarray(
+                getattr(alone, field)).tobytes(), (k, field)
+    assert (stacked.success_probability == 0.0).sum() > 10
+    assert stacked.fstar_value.shape == (len(rho),)
+
+
 def test_certificate_protocol_of_a_ppt_state_never_fires():
     rho = choi(depolarizing(1.0)).matrix
     proto = fstar_certificate(rho).protocol(rho)

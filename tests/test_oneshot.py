@@ -9,15 +9,24 @@ from singletopt.channel import (
     depolarizing,
     identity,
     is_unital,
+    kraus_from_choi,
     named_channel,
     phase_damping,
     random_channel,
     unitary,
 )
 from singletopt import oneshot
-from singletopt.choi import choi
+from singletopt.choi import ChoiState, choi
 from singletopt.entmetrics import negativity, singlet_fraction
-from singletopt.linalg import partial_transpose
+from singletopt.linalg import (
+    PAULIS,
+    PHI_MINUS,
+    PHI_PLUS,
+    PSI_MINUS,
+    PSI_PLUS,
+    EigenDecomposition,
+    partial_transpose,
+)
 from singletopt.locc import fstar_certificate, fstar_filter_oracle
 from singletopt.oneshot import (
     IDENTITIES,
@@ -524,6 +533,13 @@ def test_fstar_rows_hold_where_the_filter_search_falls_short():
     # oracle row rises from 0.0 alone to 2.2e-16, one rounding above the
     # closed form.
     [random_channel(3000196 * 1_000_003 + j, j % 4 + 1) for j in range(4)],
+    # Unital and nonunital channels side by side, entanglement-breaking ones
+    # (depolarizing(0.8), and bit_flip(0.5) and depolarizing(1.0), whose
+    # degenerate optimal inputs leave rows out) and Kraus ranks 1-4.
+    [identity(), depolarizing(0.3), amplitude_damping(0.6), bit_flip(0.5),
+     phase_damping(0.5), depolarizing(0.8), random_channel(41, 1), depolarizing(1.0),
+     unitary(random_unitary(np.random.default_rng(43))), random_channel(42, 3),
+     amplitude_damping(0.0), random_channel(44, 2)],
 ])
 def test_channel_residuals_equal_each_channels_own_rows(channels):
     # One stacked F* solve gives every row reading the certificate bit for
@@ -539,3 +555,21 @@ def test_channel_residuals_equal_each_channels_own_rows(channels):
                 assert rows[name] <= value + 1e-15
             else:
                 assert rows[name] == value, name
+
+
+def test_kraus_rows_keep_an_eigenvalue_at_the_cut():
+    # A Bell-diagonal Choi spectrum with an eigenvalue of exactly KRAUS_CUT:
+    # the read-back keeps its operator, and both Kraus rows judge the same
+    # three operators, the Gram row against the same three weights.
+    weights = np.array([0.5, 0.5 - 1e-12, 1e-12, 0.0])
+    bell = np.column_stack([PHI_PLUS, PSI_PLUS, PSI_MINUS, PHI_MINUS])
+    matrix = (bell * weights) @ bell.conj().T
+    state = ChoiState(matrix=matrix, eig=EigenDecomposition(weights, bell))
+    assert len(kraus_from_choi(state).kraus) == 3
+    channel = KrausChannel(kraus=tuple(np.sqrt(w) * p for w, p in zip(weights, PAULIS)))
+    channel._states["choi"] = state
+    ctx = IdentityContext(channel)
+    assert ctx.choi_state is state
+    rows = {row.name: row for row in IDENTITIES}
+    for name in ("kraus_trace_orthogonality", "choi_roundtrip"):
+        assert 0.0 <= rows[name].residual(ctx) <= 1e-15, name
