@@ -92,7 +92,8 @@ def _as_density_stack(state: np.ndarray) -> np.ndarray:
     # _HERMITIAN_TOL / 4 of its adjoint entrywise passes the check alone.
     skew = np.abs(state - state.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     trace = np.trace(state, axis1=-2, axis2=-1).real
-    bottom = np.linalg.eigvalsh(state)[..., 0]
+    # eigvalsh fails on a non-finite matrix, which the skew screen flags anyway.
+    bottom = np.linalg.eigvalsh(np.where(np.isfinite(state), state, 0.0))[..., 0]
     bad = ~(skew <= _HERMITIAN_TOL / 4) | (np.abs(trace - 1.0) > _UNIT_TOL) | (bottom < -_PSD_TOL)
     if bad.any():
         for rho in state[bad]:
@@ -234,35 +235,54 @@ def pt_spectrum_identity_residual(sigma: np.ndarray) -> float | np.ndarray:
 # chosen angles, so it is a lower bound whatever b* is.
 
 
-def _overlap_terms(rho: np.ndarray, ph, pm):
-    """(A, B, C) of the trigonometric form above, broadcast over ph, pm and rho's stack."""
-    e_ph = np.exp(1j * np.asarray(ph))
-    e_pm = np.exp(1j * np.asarray(pm))
-    a = 0.5 * (rho[..., 0, 0] + rho[..., 3, 3]).real + (rho[..., 0, 3] * e_ph**2).real
-    b = 0.5 * (rho[..., 1, 1] + rho[..., 2, 2]).real - (rho[..., 1, 2] * e_pm**2).real
-    cross = ((rho[..., 0, 2] - rho[..., 1, 3]) * e_ph * e_pm).real
-    cross = cross + ((rho[..., 2, 3] - rho[..., 0, 1]) * e_ph * e_pm.conj()).real
-    return a, b, cross
+def _overlap_coefficients(rho: np.ndarray) -> tuple:
+    """The six numbers of rho the form above reads, each with rho's stack shape."""
+    return (0.5 * (rho[..., 0, 0] + rho[..., 3, 3]).real, rho[..., 0, 3],
+            0.5 * (rho[..., 1, 1] + rho[..., 2, 2]).real, rho[..., 1, 2],
+            rho[..., 0, 2] - rho[..., 1, 3], rho[..., 2, 3] - rho[..., 0, 1])
 
 
-def _overlap_at(terms, beta):
+def _terms(coefficients: tuple, e_ph, e_pm):
+    """(A, B, C) from the coefficients and e^{i ph}, e^{i pm}, broadcast together."""
+    mean_a, r03, mean_b, r12, plus, minus = coefficients
+    cross = (plus * e_ph * e_pm).real + (minus * e_ph * e_pm.conj()).real
+    return mean_a + (r03 * e_ph**2).real, mean_b - (r12 * e_pm**2).real, cross
+
+
+def _overlap_at(terms, beta=None):
+    """The overlap at the angle b, by default at the best b, atan2(C, A-B)."""
     a, b, cross = terms
-    c = np.cos(np.asarray(beta) / 2)
-    s = np.sin(np.asarray(beta) / 2)
+    beta = np.arctan2(cross, a - b) if beta is None else np.asarray(beta)
+    c, s = np.cos(beta / 2), np.sin(beta / 2)
     return c**2 * a + s**2 * b + c * s * cross
 
 
+def _overlap_terms(rho: np.ndarray, ph, pm):
+    """(A, B, C) of the trigonometric form above, broadcast over ph, pm and rho's stack."""
+    e_ph, e_pm = np.exp(1j * np.asarray(ph)), np.exp(1j * np.asarray(pm))
+    return _terms(_overlap_coefficients(rho), e_ph, e_pm)
+
+
 def _mes_overlap(rho: np.ndarray, beta, ph, pm):
-    """Exact overlap of rho with the maximally entangled state at the given
-    angles.  Accepts scalars or broadcastable arrays."""
+    """Exact overlap of rho with the maximally entangled state at the given angles, broadcast."""
     return _overlap_at(_overlap_terms(rho, ph, pm), beta)
 
 
 def _phase_overlap(rho: np.ndarray, ph, pm):
     """:func:`_mes_overlap` at phases (ph, pm) and the best b, atan2(C, A-B)."""
-    terms = _overlap_terms(rho, ph, pm)
-    a, b, cross = terms
-    return _overlap_at(terms, np.arctan2(cross, a - b))
+    return _overlap_at(_overlap_terms(rho, ph, pm))
+
+
+def _polish_objective(rho: np.ndarray):
+    """:func:`_phase_overlap` on compass_search's (probe, restart) layout, restart k on state k."""
+    coefficients, tiled = _overlap_coefficients(rho), {}
+
+    def objective(x):
+        if len(x) not in tiled:
+            tiled[len(x)] = [np.tile(c, len(x) // len(rho)) for c in coefficients]
+        e = np.exp(1j * x)
+        return _overlap_at(_terms(tiled[len(x)], e[:, 0], e[:, 1]))
+    return objective
 
 
 def singlet_fraction_oracle(
@@ -273,32 +293,32 @@ def singlet_fraction_oracle(
     """Brute-force singlet fraction over explicit maximally entangled states.
 
     Solves the Euler angle b in closed form, scans the two phases on a grid
-    at ``resolution_deg`` and, unless ``refine`` is False, polishes the best
-    grid point by compass search over the phases with step halving down to
-    1e-6 rad.  Every probe is an exact overlap with a genuine maximally
-    entangled state, so the result is always a lower bound on the true
-    maximum.  Agreement with :func:`singlet_fraction` is resolution limited
-    before refinement; after it, at 4 degrees, the worst gap on the Choi
-    states of ``random_channel(k, k % 4 + 1)``, k < 3000, was 2.8e-13, and
-    on the 160,000 channels of benchmark audit operations 0-999 for seeds
-    0-39 it was 7.2e-8.  A (..., 4, 4) stack gives an array with its leading
-    axes: each grid is scanned alone, then one search polishes every state,
-    a converged one until the whole stack stops, so an entry only rises
-    above its value alone.
+    at ``resolution_deg`` over [0, pi) each, a period at the best b (a shift
+    by pi flips only the sign of C), and, unless ``refine`` is False,
+    polishes the best grid point by compass search over the phases with step
+    halving down to 1e-6 rad.  Every probe is an exact overlap with a genuine
+    maximally entangled state, so the result is always a lower bound on the
+    true maximum.  Agreement with :func:`singlet_fraction` is resolution
+    limited before refinement; after it, at 4 degrees, the worst gap on the
+    Choi states of ``random_channel(k, k % 4 + 1)``, k < 3000, was 2.7e-13,
+    and on the 160,000 channels of benchmark audit operations 0-999 for
+    seeds 0-39 it was 7.2e-8.  A (..., 4, 4) stack gives an array with its
+    leading axes: each grid is scanned alone, then one search polishes every
+    state, a converged one until the whole stack stops, so an entry only
+    rises above its value alone.
     """
     batch = np.shape(rho)[:-2]
     rho = _as_density_stack(rho).reshape(-1, 4, 4)
     n_phase = max(4, int(round(360.0 / resolution_deg)))
-    phases = np.arange(n_phase) * (2 * np.pi / n_phase)
+    phases = np.arange(-(-n_phase // 2)) * (2 * np.pi / n_phase)
+    e = np.exp(1j * phases)
     starts, values = [], []
-    for state in rho:
-        grid = _phase_overlap(state, phases[:, None], phases)
+    for coefficients in zip(*_overlap_coefficients(rho)):
+        grid = _overlap_at(_terms(coefficients, e[:, None], e))
         ip, im = np.unravel_index(int(grid.argmax()), grid.shape)
         starts.append((phases[ip], phases[im]))
         values.append(grid[ip, im])
     if refine:
-        # compass_search lays out each probe batch as (probe, restart).
-        _, values = compass_search(
-            lambda x: _phase_overlap(rho[np.arange(len(x)) % len(rho)], x[:, 0], x[:, 1]),
-            np.array(starts), SearchSpec.build(2), step0=np.deg2rad(resolution_deg), step_tol=1e-6)
+        _, values = compass_search(_polish_objective(rho), np.array(starts), SearchSpec.build(2),
+                                   step0=np.deg2rad(resolution_deg), step_tol=1e-6)
     return float(values[0]) if not batch else np.array(values, dtype=float).reshape(batch)

@@ -12,8 +12,9 @@ from singletopt.entmetrics import (
     teleportation_fidelity,
 )
 from singletopt.channel import random_channel
-from singletopt.entmetrics import _mes_overlap, _overlap_terms, _phase_overlap
+from singletopt.entmetrics import _mes_overlap, _overlap_terms, _phase_overlap, _polish_objective
 from singletopt.linalg import PHI_PLUS, PSI_MINUS
+from singletopt.locc import fstar_certificate
 
 from conftest import (
     random_channels,
@@ -102,6 +103,19 @@ def test_density_stack_judges_each_matrix_as_alone():
             negativity(stack)
 
 
+@pytest.mark.parametrize("fn", [negativity, singlet_fraction, fstar_certificate,
+                                singlet_fraction_oracle, pt_spectrum_identity_residual])
+@pytest.mark.parametrize("fill", [np.nan, np.inf])
+def test_non_finite_stack_raises_the_bad_matrixs_own_error(fn, fill):
+    # A stacked eigvalsh on a non-finite matrix once raised numpy's
+    # LinAlgError before the matrix was judged alone.
+    bad = np.full((4, 4), fill, dtype=complex)
+    with np.errstate(invalid="ignore"):
+        for state in (bad, np.array([bad, bad]), np.array([BELL, bad])):
+            with pytest.raises(ValueError, match="^density matrix is not Hermitian$"):
+                fn(state)
+
+
 def test_negativity_takes_batch_axes():
     rng = np.random.default_rng(17)
     states = [random_density(rng, rank=1 + k % 4) for k in range(12)]
@@ -179,6 +193,48 @@ def test_exact_beta_is_the_maximum_over_beta():
             assert exact == pytest.approx(closed, abs=4e-15)
             assert dense <= exact + 4e-15
             assert exact - dense < 1e-7
+
+
+def test_phase_overlap_has_period_pi_in_each_phase():
+    # The fact the oracle's half-period grid rests on: a shift by pi keeps
+    # A and flips the sign of C, so the overlap at the best b is unchanged.
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        rho = random_density(rng)
+        ph, pm = rng.uniform(0, 2 * np.pi, (2, 50))
+        value = _phase_overlap(rho, ph, pm)
+        assert np.abs(_phase_overlap(rho, ph + np.pi, pm) - value).max() <= 4e-15
+        assert np.abs(_phase_overlap(rho, ph, pm + np.pi) - value).max() <= 4e-15
+
+
+@pytest.mark.parametrize("resolution", [2.0, 4.0])
+def test_half_period_grid_reaches_the_full_grid_maximum(resolution):
+    states = np.array([choi(random_channel(k, k % 4 + 1)).matrix for k in range(500)])
+    n_phase = round(360.0 / resolution)
+    phases = np.arange(n_phase) * (2 * np.pi / n_phase)
+    full = np.array([_phase_overlap(rho, phases[:, None], phases).max() for rho in states])
+    half = singlet_fraction_oracle(states, resolution, refine=False)
+    assert np.abs(half - full).max() <= 4e-15
+
+
+def test_polish_objective_is_phase_overlap_bit_for_bit():
+    states = np.array([choi(c).matrix for c in random_channels(72, 3)])
+    objective = _polish_objective(states)
+    rng = np.random.default_rng(9)
+    # The first batch has one probe per state, the later ones four.
+    for n in (3, 12, 3, 12):
+        x = rng.uniform(-1.0, 7.0, (n, 2))
+        expected = _phase_overlap(states[np.arange(n) % 3], x[:, 0], x[:, 1])
+        assert objective(x).tobytes() == expected.tobytes()
+
+
+def test_oracle_polish_stall_stays_pinned():
+    # The worst known stall of the axis-only polish: the top two eigenvalues
+    # of the magic-basis real part nearly tie, and the search stops on a
+    # curved ridge 7.2e-8 short (channel 1 of ``audit --seed 2000663``).
+    rho = choi(random_channel(2000669001990, 2)).matrix
+    gap = singlet_fraction(rho)[0] - singlet_fraction_oracle(rho, resolution_deg=4.0)
+    assert -2e-15 <= gap <= 1e-7
 
 
 def test_oracle_reaches_a_unitary_channel():
