@@ -47,6 +47,12 @@ _HERMITIAN_TOL = 1e-8
 _UNIT_TOL = 1e-9
 _PSD_TOL = 1e-9
 
+# How far past [0, 1] a singlet fraction may lie.  A channel that
+# :func:`~singletopt.channel.validate` accepts has sum A^dag A within 1e-9
+# of I in Frobenius norm, so its lambda_max <= Tr J <= 1 + 1e-9 / sqrt(2);
+# rounding adds 1e-12.
+_FRACTION_SLACK = 1e-9 / np.sqrt(2.0) + 1e-12
+
 # How far from I/2 the first marginal of a state handed to
 # :func:`pt_spectrum_identity_residual` may be; the same slack as the
 # Hermiticity check on any state read from outside the package.
@@ -58,7 +64,7 @@ def as_density_matrix(state: np.ndarray) -> np.ndarray:
     state = np.asarray(state, dtype=complex)
     if state.shape == (4,):
         norm = np.linalg.norm(state)
-        if abs(norm - 1.0) > _UNIT_TOL:
+        if not abs(norm - 1.0) <= _UNIT_TOL:
             raise ValueError(f"pure state norm is {norm}, expected 1")
         return np.outer(state, state.conj())
     if state.shape != (4, 4):
@@ -121,8 +127,11 @@ def singlet_fraction(rho: np.ndarray) -> tuple:
 
 
 def teleportation_fidelity(fraction, d: int = 2) -> float | np.ndarray:
-    """Average teleportation fidelity (d*F + 1) / (d + 1), entrywise on an array."""
-    if not all(np.ravel((fraction >= -1e-12) & (fraction <= 1 + 1e-12))):
+    """Average teleportation fidelity (d*F + 1) / (d + 1), entrywise on an array.
+
+    Raises unless every F lies in [0, 1] up to ``_FRACTION_SLACK``.
+    """
+    if not all(np.ravel((fraction >= -_FRACTION_SLACK) & (fraction <= 1 + _FRACTION_SLACK))):
         raise ValueError(f"singlet fraction must lie in [0, 1], got {fraction}")
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
@@ -170,7 +179,7 @@ def schmidt(psi: np.ndarray) -> SchmidtData:
     psi = np.asarray(psi, dtype=complex)
     if psi.shape[-1:] != (4,):
         raise ValueError(f"expected a 4-vector or a (..., 4) stack, got shape {psi.shape}")
-    bad = np.abs(np.linalg.norm(psi, axis=-1) - 1.0) > 1e-9
+    bad = ~(np.abs(np.linalg.norm(psi, axis=-1) - 1.0) <= _UNIT_TOL)
     if bad.any():
         norm = np.linalg.norm(psi.reshape(-1, 4)[bad.reshape(-1)][0])
         raise ValueError(f"pure state norm is {norm}, expected 1")

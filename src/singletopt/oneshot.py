@@ -9,8 +9,10 @@ pure inputs with closed-form certificates that close on every entangling
 channel tried, and an aggregated report.
 
 ``IDENTITIES`` lists every identity the package rests on, each as a
-residual with its tolerance; :func:`report` shows the closed-form ones and
-``singletopt audit`` checks them all, through :func:`channel_residuals`.
+residual with its tolerance, read off one :class:`IdentityContext` over a
+list of channels with one value per channel; :func:`report` shows the
+closed-form ones and ``singletopt audit`` checks them all, through
+:func:`channel_residuals`.
 """
 
 from __future__ import annotations
@@ -379,60 +381,36 @@ def channel_negativity(channel: KrausChannel) -> NegativitySearch:
     return channel_negativities([channel])[0]
 
 
-class _IdentityStack:
-    """The inputs of the stacked identity rows for the channels of the
-    :class:`IdentityContext` objects that joined it, in joining order.
+class IdentityContext:
+    """What the identity rows read for a list of channels.
 
-    Each field is computed on first use, so after every context has joined,
-    in one pass over the whole stack: one call on the (n, 4, 4) stack of
-    the contexts' Choi matrices, or on their optimal inputs, gives every
-    channel's value, bit for bit its own.
+    Each channel's own states are fetched once: its validation, Choi and
+    dual-Choi states, optimal input, lambda_max, unitality and its
+    entanglement-breaking and degeneracy flags.  The fields more than one
+    row reads are computed on first use in one call on the (n, 4, 4) stack
+    of the channels' Choi matrices, each channel's entry bit for bit its own.
     """
 
-    def __init__(self):
-        self.channels, self.states, self.inputs = [], [], []
-
-    def join(self, ctx: IdentityContext) -> int:
-        """Add the context's channel, Choi state and optimal input; its index."""
-        self.channels.append(ctx.channel)
-        self.states.append(ctx.choi_state)
-        self.inputs.append(ctx.optimal_input.state)
-        return len(self.channels) - 1
+    def __init__(self, channels):
+        self.channels = list(channels)
+        build_states(self.channels)
+        self.validations = [validate(c) for c in self.channels]
+        self.choi_states = [choi(c) for c in self.channels]
+        self.dual_states = [dual_choi(c) for c in self.channels]
+        self.optimal_inputs = [optimal_input_state(c) for c in self.channels]
+        self.lambda_max = np.array([state.eig.eigenvalues[0] for state in self.choi_states])
+        self.entanglement_breaking = self.lambda_max <= ENTANGLEMENT_BREAKING_THRESHOLD
+        self.unital, self.unitality_deviation = map(np.array, zip(*map(is_unital, self.channels)))
+        self.degenerate = np.array([inp.degenerate for inp in self.optimal_inputs])
 
     @cached_property
     def matrices(self) -> np.ndarray:
-        return np.array([state.matrix for state in self.states])
+        return np.array([state.matrix for state in self.choi_states])
 
     @cached_property
     def certificate(self) -> FstarCertificate:
         """F*'s certificates: the one solve every F* row reads."""
         return fstar_certificate(self.matrices)
-
-    @property
-    def lower(self) -> np.ndarray:
-        return self.certificate.lower
-
-    @property
-    def upper(self) -> np.ndarray:
-        return self.certificate.upper
-
-    @cached_property
-    def oracle_fractions(self) -> np.ndarray:
-        """The singlet-fraction oracle on the Choi states, at 4 degrees."""
-        return singlet_fraction_oracle(self.matrices, resolution_deg=4.0)
-
-    @cached_property
-    def fractions(self) -> np.ndarray:
-        return singlet_fraction(self.matrices)[0]
-
-    @cached_property
-    def pt_spectrum(self) -> np.ndarray:
-        return pt_spectrum_identity_residual(self.matrices)
-
-    @cached_property
-    def achieved(self) -> np.ndarray:
-        """The singlet fraction each channel's optimal input reaches."""
-        return singlet_fraction(_apply_to_halves(self.channels, np.array(self.inputs)))[0]
 
     @cached_property
     def kraus(self) -> tuple:
@@ -441,144 +419,125 @@ class _IdentityStack:
         marginal checked alone, zero-padded to four operators; and the
         target Gram matrices diag(2 p_k) of their kept eigenvalues p_k."""
         _check_marginals(self.matrices)
-        values = np.array([state.eig.eigenvalues for state in self.states])
-        ops = _kraus_operators(values, np.array([state.eig.eigenvectors for state in self.states]))
+        values = np.array([state.eig.eigenvalues for state in self.choi_states])
+        ops = _kraus_operators(values, np.array([state.eig.eigenvectors for state in self.choi_states]))
         return ops, np.where(values >= KRAUS_CUT, 2.0 * values, 0.0)[:, :, None] * np.eye(4)
-
-    @cached_property
-    def kraus_trace_orthogonality(self) -> np.ndarray:
-        ops, target = self.kraus
-        gram = np.trace(ops.conj().swapaxes(-1, -2)[:, :, None] @ ops[:, None], axis1=-2, axis2=-1)
-        return np.abs(gram - target).max(axis=(1, 2))
-
-    @cached_property
-    def choi_roundtrip(self) -> np.ndarray:
-        return np.abs(_bell_products(self.kraus[0]) - self.matrices).max(axis=(1, 2))
-
-    @cached_property
-    def fstar_protocol(self) -> np.ndarray:
-        """The primal's filter is a contraction that reaches ``lower``."""
-        cert = self.certificate
-        protocol = cert.protocol(self.matrices)
-        # ||A||_op, the top singular value, as np.linalg.norm(A, 2) takes it.
-        norm = np.linalg.svd(protocol.filter, compute_uv=False)[:, 0]
-        return np.maximum.reduce([np.zeros(len(self.states)), norm - 1.0,
-                                  np.abs(protocol.fstar_value - cert.lower)])
-
-    @cached_property
-    def fstar_dual_feasible(self) -> np.ndarray:
-        """Y >= 0 and rho^Gamma + Y (x) I >= 0 make ``upper`` = 1/2 + Tr Y / 2
-        an upper bound (weak duality), within ``GAP_TOLERANCE`` of ``lower``."""
-        cert = self.certificate
-        m = partial_transpose(self.matrices, "first") + np.kron(cert.dual, I2)
-        trace = np.trace(cert.dual, axis1=1, axis2=2).real
-        return np.maximum.reduce([np.zeros(len(self.states)),
-                                  -np.linalg.eigvalsh(cert.dual)[:, 0],
-                                  -np.linalg.eigvalsh(m)[:, 0],
-                                  np.abs(cert.upper - (0.5 + trace / 2.0)),
-                                  cert.upper - cert.lower - GAP_TOLERANCE])
-
-
-class IdentityContext:
-    """What the identity residuals of one channel read: its own states,
-    fetched once, and its row ``index`` of ``stack``, the
-    :class:`_IdentityStack` it joins with the channels checked alongside
-    it.  Alone, a channel is a one-channel stack."""
-
-    def __init__(self, channel: KrausChannel, stack: _IdentityStack | None = None):
-        self.channel = channel
-        self.validation = validate(channel)
-        build_states([channel])
-        self.choi_state = choi(channel)
-        self.dual_state = dual_choi(channel)
-        self.optimal_input = optimal_input_state(channel)
-        self.lambda_max = float(self.choi_state.eig.eigenvalues[0])
-        self.entanglement_breaking = self.lambda_max <= ENTANGLEMENT_BREAKING_THRESHOLD
-        self.unital, self.unitality_deviation = is_unital(channel)
-        self.stack = _IdentityStack() if stack is None else stack
-        self.index = self.stack.join(self)
-
-    def stacked(self, field: str) -> float:
-        """This channel's entry of the stack's ``field``."""
-        return float(getattr(self.stack, field)[self.index])
 
 
 @dataclass(frozen=True)
 class Identity:
     """One identity, checked as a residual against its tolerance.
 
-    ``residual`` returns None where the identity does not apply to the
-    channel.  ``reported`` rows are closed forms that :func:`report` shows;
-    the others need F* or an oracle and run only in the audit.
+    ``residual`` returns one value per channel of its context, None where
+    the identity does not apply to the channel.  ``reported`` rows are
+    closed forms that :func:`report` shows; the others need F* or an oracle
+    and run only in the audit.
     """
 
     name: str
     tolerance: float
     reported: bool
-    residual: Callable[[IdentityContext], float | None]
+    residual: Callable[[IdentityContext], list | np.ndarray]
 
 
-def _optimal_input_achievement(ctx: IdentityContext) -> float | None:
-    # A degenerate top eigenvalue leaves the optimal input undefined.
-    if ctx.optimal_input.degenerate:
-        return None
-    return abs(ctx.stacked("achieved") - ctx.lambda_max)
+def _where(applies, values) -> list:
+    """Each channel's value where its row ``applies``, None elsewhere."""
+    return [value if ok else None for ok, value in zip(applies, values)]
 
 
-def _classification_consistent(ctx: IdentityContext) -> float | None:
-    if ctx.optimal_input.degenerate:
-        return None
-    result = _classification(ctx.unital, ctx.unitality_deviation, ctx.optimal_input, _MES_TOL)
-    return float(result.verdict != "consistent")
+def _negativity_relation(ctx: IdentityContext) -> list:
+    # lambda_max = (1 + N)/2 fails by design on entanglement-breaking channels.
+    choi_negativities(ctx.channels)  # one solve for the stack, read back per channel
+    return [None if breaking else negativity_relation_residual(c)
+            for c, breaking in zip(ctx.channels, ctx.entanglement_breaking)]
 
 
-def _stacked(field: str) -> Callable[[IdentityContext], float]:
-    """The row reading the stack's ``field``."""
-    return lambda ctx: ctx.stacked(field)
+def _classification_consistent(ctx: IdentityContext) -> list:
+    verdicts = [_classification(*args, _MES_TOL).verdict for args in zip(
+        ctx.unital, ctx.unitality_deviation, ctx.optimal_inputs)]
+    return _where(~ctx.degenerate, [float(v != "consistent") for v in verdicts])
 
 
-# Rows and the stack reach library functions through module globals, so a
+def _kraus_trace_orthogonality(ctx: IdentityContext) -> np.ndarray:
+    ops, target = ctx.kraus
+    gram = np.trace(ops.conj().swapaxes(-1, -2)[:, :, None] @ ops[:, None], axis1=-2, axis2=-1)
+    return np.abs(gram - target).max(axis=(1, 2))
+
+
+def _fstar_protocol(ctx: IdentityContext) -> np.ndarray:
+    """The primal's filter is a contraction that reaches ``lower``."""
+    cert = ctx.certificate
+    protocol = cert.protocol(ctx.matrices)
+    # ||A||_op, the top singular value, as np.linalg.norm(A, 2) takes it.
+    norm = np.linalg.svd(protocol.filter, compute_uv=False)[:, 0]
+    return np.maximum.reduce([np.zeros(len(ctx.channels)), norm - 1.0,
+                              np.abs(protocol.fstar_value - cert.lower)])
+
+
+def _fstar_dual_feasible(ctx: IdentityContext) -> np.ndarray:
+    """Y >= 0 and rho^Gamma + Y (x) I >= 0 make ``upper`` = 1/2 + Tr Y / 2
+    an upper bound (weak duality), within ``GAP_TOLERANCE`` of ``lower``."""
+    cert = ctx.certificate
+    m = partial_transpose(ctx.matrices, "first") + np.kron(cert.dual, I2)
+    trace = np.trace(cert.dual, axis1=1, axis2=2).real
+    return np.maximum.reduce([np.zeros(len(ctx.channels)),
+                              -np.linalg.eigvalsh(cert.dual)[:, 0],
+                              -np.linalg.eigvalsh(m)[:, 0],
+                              np.abs(cert.upper - (0.5 + trace / 2.0)),
+                              cert.upper - cert.lower - GAP_TOLERANCE])
+
+
+# Rows and the context reach library functions through module globals, so a
 # patched function is what every caller of the table sees.
 IDENTITIES = (
-    Identity("tp", 1e-9, True, lambda ctx: ctx.validation.tp_residual),
-    Identity("cp", 1e-9, True, lambda ctx: max(0.0, -ctx.validation.cp_min_eigenvalue)),
-    Identity("dual_choi_entrywise", 1e-12, True, lambda ctx: float(np.abs(
-        ctx.dual_state.matrix - swap_conjugate(ctx.choi_state.matrix)).max())),
-    Identity("dual_choi_spectrum", 1e-10, True, lambda ctx: float(np.abs(
-        ctx.dual_state.eig.eigenvalues - ctx.choi_state.eig.eigenvalues).max())),
-    Identity("pt_spectrum_identity", 1e-10, True, lambda ctx: abs(ctx.stacked("pt_spectrum"))),
-    # lambda_max = (1 + N)/2 fails by design on entanglement-breaking channels.
-    Identity("negativity_relation", 1e-10, True, lambda ctx: None
-             if ctx.entanglement_breaking else negativity_relation_residual(ctx.channel)),
-    Identity("optimal_input_achievement", 1e-9, True, _optimal_input_achievement),
+    Identity("tp", 1e-9, True, lambda ctx: [v.tp_residual for v in ctx.validations]),
+    Identity("cp", 1e-9, True,
+             lambda ctx: [max(0.0, -v.cp_min_eigenvalue) for v in ctx.validations]),
+    Identity("dual_choi_entrywise", 1e-12, True, lambda ctx: [
+        np.abs(dual.matrix - swap_conjugate(state.matrix)).max()
+        for state, dual in zip(ctx.choi_states, ctx.dual_states)]),
+    Identity("dual_choi_spectrum", 1e-10, True, lambda ctx: [
+        np.abs(dual.eig.eigenvalues - state.eig.eigenvalues).max()
+        for state, dual in zip(ctx.choi_states, ctx.dual_states)]),
+    Identity("pt_spectrum_identity", 1e-10, True,
+             lambda ctx: np.abs(pt_spectrum_identity_residual(ctx.matrices))),
+    Identity("negativity_relation", 1e-10, True, _negativity_relation),
+    # A degenerate top eigenvalue leaves the optimal input undefined.
+    Identity("optimal_input_achievement", 1e-9, True, lambda ctx: _where(
+        ~ctx.degenerate, np.abs(singlet_fraction(_apply_to_halves(ctx.channels, np.array(
+            [inp.state for inp in ctx.optimal_inputs])))[0] - ctx.lambda_max))),
     Identity("classification_consistent", 0.5, False, _classification_consistent),
     Identity("eigenvector_correspondence", 1e-9, True,
-             lambda ctx: eigenvector_correspondence_check(ctx.channel)),
-    Identity("kraus_trace_orthogonality", 1e-9, False, _stacked("kraus_trace_orthogonality")),
-    Identity("choi_roundtrip", 1e-9, False, _stacked("choi_roundtrip")),
+             lambda ctx: [eigenvector_correspondence_check(c) for c in ctx.channels]),
+    Identity("kraus_trace_orthogonality", 1e-9, False, _kraus_trace_orthogonality),
+    Identity("choi_roundtrip", 1e-9, False, lambda ctx: np.abs(
+        _bell_products(ctx.kraus[0]) - ctx.matrices).max(axis=(1, 2))),
     # F*, and so the gap, is undefined on entanglement-breaking channels.
-    Identity("gap_nonnegative", 1e-9, False, lambda ctx: None
-             if ctx.entanglement_breaking else max(0.0, ctx.stacked("lower") - ctx.lambda_max)),
-    Identity("gap_unital", 1e-6, False, lambda ctx: None
-             if ctx.entanglement_breaking or not ctx.unital
-             else abs(ctx.lambda_max - ctx.stacked("lower"))),
+    Identity("gap_nonnegative", 1e-9, False, lambda ctx: _where(
+        ~ctx.entanglement_breaking, np.maximum(0.0, ctx.certificate.lower - ctx.lambda_max))),
+    Identity("gap_unital", 1e-6, False, lambda ctx: _where(
+        ~ctx.entanglement_breaking & ctx.unital,
+        np.abs(ctx.lambda_max - ctx.certificate.lower))),
     # The paper's gap > 0, proven from F*'s certified upper end; the 1e-12 is
     # the slack to which fstar_dual_feasible proves that end.
-    Identity("gap_nonunital_strict", 0.5, False, lambda ctx: None
-             if ctx.entanglement_breaking or ctx.unital or ctx.unitality_deviation <= 1e-2
-             else float(not ctx.lambda_max - ctx.stacked("upper") > 1e-12)),
-    Identity("singlet_fraction_oracle", 1e-4, False, lambda ctx: abs(
-        ctx.stacked("fractions") - ctx.stacked("oracle_fractions"))),
-    # F*'s bracket, proven from both ends (see the stack's fields), the
+    Identity("gap_nonunital_strict", 0.5, False, lambda ctx: _where(
+        ~ctx.entanglement_breaking & ~ctx.unital & ~(ctx.unitality_deviation <= 1e-2),
+        ~(ctx.lambda_max - ctx.certificate.upper > 1e-12))),
+    Identity("singlet_fraction_oracle", 1e-4, False, lambda ctx: np.abs(
+        singlet_fraction(ctx.matrices)[0]
+        - singlet_fraction_oracle(ctx.matrices, resolution_deg=4.0))),
+    # F*'s bracket, proven from both ends (see the two functions above), the
     # upper end within GAP_TOLERANCE = 2e-12 of the lower.
-    Identity("fstar_protocol", 1e-12, False, _stacked("fstar_protocol")),
-    Identity("fstar_dual_feasible", 1e-12, False, _stacked("fstar_dual_feasible")),
+    Identity("fstar_protocol", 1e-12, False, _fstar_protocol),
+    Identity("fstar_dual_feasible", 1e-12, False, _fstar_dual_feasible),
 )
 
 
-def _evaluate(ctx: IdentityContext, reported_only: bool) -> dict:
-    values = {r.name: r.residual(ctx) for r in IDENTITIES if r.reported or not reported_only}
-    return {name: value for name, value in values.items() if value is not None}
+def _evaluate(ctx: IdentityContext, reported_only: bool) -> list:
+    """Each channel's residuals of the rows that apply to it."""
+    columns = [(r.name, r.residual(ctx)) for r in IDENTITIES if r.reported or not reported_only]
+    return [{name: float(values[k]) for name, values in columns if values[k] is not None}
+            for k in range(len(ctx.channels))]
 
 
 def residuals(channel: KrausChannel) -> dict:
@@ -586,26 +545,22 @@ def residuals(channel: KrausChannel) -> dict:
 
     Rows that do not apply are left out.
     """
-    return _evaluate(IdentityContext(channel), reported_only=False)
+    return channel_residuals([channel])[0]
 
 
 def channel_residuals(channels) -> list:
     """:func:`residuals` of each channel, each bit for bit its own but the
-    oracle row's, with every stacked row computed once over all channels.
+    oracle row's, with every row computed once over all channels.
 
-    One :class:`_IdentityStack` is shared by every channel's
-    :class:`IdentityContext`: one F* solve, one oracle search (each value
-    at least its own), and one call on the stack for each of the singlet
-    fractions, the protocol scoring, the dual checks, the
-    partial-transpose spectra, the optimal inputs' outputs and the Kraus
-    read-backs.  The Choi negativities are solved once too, kept next to
-    each state (see :func:`choi_negativities`).
+    One :class:`IdentityContext` holds every channel: one F* solve, one
+    oracle search (each value at least its own), and one call on the stack
+    for each of the singlet fractions, the protocol scoring, the dual
+    checks, the partial-transpose spectra, the optimal inputs' outputs and
+    the Kraus read-backs.  The Choi negativities are solved once too, kept
+    next to each state (see :func:`choi_negativities`).  No channels give
+    an empty list.
     """
-    build_states(channels)
-    choi_negativities(channels)
-    stack = _IdentityStack()
-    contexts = [IdentityContext(channel, stack) for channel in channels]
-    return [_evaluate(ctx, reported_only=False) for ctx in contexts]
+    return _evaluate(IdentityContext(channels), reported_only=False) if len(channels) else []
 
 
 @dataclass(frozen=True)
@@ -653,20 +608,20 @@ def report(channel: KrausChannel) -> ChannelReport:
     :func:`~singletopt.channel.validate` raises the ``ValueError`` of
     :func:`~singletopt.choi.choi`.
     """
-    ctx = IdentityContext(channel)
+    ctx = IdentityContext([channel])
     frac = optimal_singlet_fraction(channel)
     return ChannelReport(
         label=channel.describe(),
         F_lambda=frac.value,
         lambda_max=frac.lambda_max,
         entanglement_breaking=frac.entanglement_breaking,
-        psi0=ctx.optimal_input.state,
-        psi0_schmidt=ctx.optimal_input.schmidt.coefficients,
-        psi0_degenerate=ctx.optimal_input.degenerate,
-        unital=ctx.unital,
-        unitality_deviation=ctx.unitality_deviation,
+        psi0=ctx.optimal_inputs[0].state,
+        psi0_schmidt=ctx.optimal_inputs[0].schmidt.coefficients,
+        psi0_degenerate=ctx.optimal_inputs[0].degenerate,
+        unital=bool(ctx.unital[0]),
+        unitality_deviation=float(ctx.unitality_deviation[0]),
         f_tel=teleportation_fidelity(frac.value),
         N_choi=float(choi_negativities([channel])[0]),
         F1=preprocessed_fidelity(channel),
-        residuals=_evaluate(ctx, reported_only=True),
+        residuals=_evaluate(ctx, reported_only=True)[0],
     )

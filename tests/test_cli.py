@@ -146,11 +146,16 @@ def test_analyze_overflowing_kraus_lists_exit_3_quietly(capsys, tmp_path, copies
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("eps, expected", [(5e-10, 0), (1e-7, 3)])
-def test_analyze_near_tp_channel_exits_by_validate(capsys, tmp_path, eps, expected):
-    # sum A^dag A = I + eps Z: tp_residual sqrt(2) eps, either side of 1e-9.
-    # Accepted channels are analyzed in full; rejected ones end in exit 3.
-    diagonal = np.sqrt([1 + eps, 1 - eps])
+@pytest.mark.parametrize("eps, expected, sign", [
+    pytest.param(5e-10, 0, -1, id="5e-10-0"), pytest.param(1e-7, 3, -1, id="1e-07-3"),
+    pytest.param(5e-10, 0, 1, id="scaled-5e-10-0"), pytest.param(7e-10, 0, 1, id="scaled-7e-10-0"),
+])
+def test_analyze_near_tp_channel_exits_by_validate(capsys, tmp_path, eps, expected, sign):
+    # sum A^dag A = I + eps Z (sign -1) or (1 + eps) I (sign 1): tp_residual
+    # sqrt(2) eps, either side of 1e-9.  Accepted channels are analyzed in
+    # full, (1 + eps) I with lambda_max = 1 + eps above 1; rejected ones end
+    # in exit 3.
+    diagonal = np.sqrt([1 + eps, 1 + sign * eps])
     spec = {"kraus": [[[[diagonal[0], 0.0], [0.0, 0.0]], [[0.0, 0.0], [diagonal[1], 0.0]]]]}
     path = tmp_path / "near_tp.json"
     path.write_text(json.dumps(spec))
@@ -159,6 +164,10 @@ def test_analyze_near_tp_channel_exits_by_validate(capsys, tmp_path, eps, expect
     if expected == 0:
         assert err == ""
         assert "\n  tp: " in out
+        fraction = _text_value(out, "F_lambda")
+        assert _text_value(out, "f_tel") == (2 * fraction + 1) / 3
+        if sign == 1:
+            assert fraction == pytest.approx(1 + eps, rel=0, abs=1e-15)
     else:
         assert out == ""
         assert err.startswith("error: channel failed CPTP validation: tp_residual=")

@@ -4,6 +4,7 @@ import pytest
 from singletopt.channel import amplitude_damping, apply_to_half
 from singletopt.choi import choi
 from singletopt.entmetrics import (
+    as_density_matrix,
     negativity,
     pt_spectrum_identity_residual,
     schmidt,
@@ -14,7 +15,7 @@ from singletopt.entmetrics import (
 from singletopt.channel import random_channel
 from singletopt.entmetrics import _mes_overlap, _overlap_terms, _phase_overlap, _polish_objective
 from singletopt.linalg import PHI_PLUS, PSI_MINUS
-from singletopt.locc import fstar_certificate
+from singletopt.locc import fstar, fstar_certificate
 
 from conftest import (
     random_channels,
@@ -423,6 +424,19 @@ def test_schmidt_stack_raises_the_bad_vectors_own_error():
     with pytest.raises(ValueError) as stacked:
         schmidt(stack)
     assert str(stacked.value) == str(alone.value) == "pure state norm is 1.1, expected 1"
+
+
+@pytest.mark.parametrize("fn", [as_density_matrix, singlet_fraction, negativity, fstar, schmidt])
+def test_nan_vector_fails_the_unit_norm_check(fn):
+    # |norm - 1| > tol is False for a NaN norm: the check once let it through.
+    with pytest.raises(ValueError, match="^pure state norm is nan, expected 1$"):
+        fn(np.full(4, np.nan))
+
+
+def test_schmidt_stack_with_a_nan_row_raises():
+    stack = np.array([PHI_PLUS, np.full(4, np.nan), [0, 1, 0, 0]], dtype=complex)
+    with pytest.raises(ValueError, match="^pure state norm is nan, expected 1$"):
+        schmidt(stack)
 
 
 def test_pt_identity_simple_cases():

@@ -488,8 +488,8 @@ FSTAR_ROWS = {row.name: row for row in IDENTITIES if row.name.startswith("fstar_
 
 
 def _fstar_rows(channel) -> dict:
-    ctx = IdentityContext(channel)
-    return {name: row.residual(ctx) for name, row in FSTAR_ROWS.items()}
+    ctx = IdentityContext([channel])
+    return {name: row.residual(ctx)[0] for name, row in FSTAR_ROWS.items()}
 
 
 def test_fstar_rows_check_the_certificate_at_1e_12():
@@ -525,6 +525,17 @@ def test_fstar_rows_hold_where_the_filter_search_falls_short():
     assert fstar_certificate(rho).lower - found > 1e-7
 
 
+def _mixed_stack() -> list:
+    """Unital and nonunital channels side by side, entanglement-breaking ones
+    (depolarizing(0.8), and bit_flip(0.5) and depolarizing(1.0), whose
+    degenerate optimal inputs leave rows out), a nonunital channel within
+    1e-2 of unital (amplitude_damping(0.005)) and Kraus ranks 1-4."""
+    return [identity(), depolarizing(0.3), amplitude_damping(0.6), bit_flip(0.5),
+            phase_damping(0.5), depolarizing(0.8), random_channel(41, 1), depolarizing(1.0),
+            unitary(random_unitary(np.random.default_rng(43))), random_channel(42, 3),
+            amplitude_damping(0.0), random_channel(44, 2), amplitude_damping(0.005)]
+
+
 @pytest.mark.parametrize("channels", [
     [random_channel(k, k % 4 + 1) for k in range(12)] + [
         random_channel(2800534401581, 4), random_channel(1400635201893, 1),
@@ -533,13 +544,7 @@ def test_fstar_rows_hold_where_the_filter_search_falls_short():
     # oracle row rises from 0.0 alone to 2.2e-16, one rounding above the
     # closed form.
     [random_channel(3000196 * 1_000_003 + j, j % 4 + 1) for j in range(4)],
-    # Unital and nonunital channels side by side, entanglement-breaking ones
-    # (depolarizing(0.8), and bit_flip(0.5) and depolarizing(1.0), whose
-    # degenerate optimal inputs leave rows out) and Kraus ranks 1-4.
-    [identity(), depolarizing(0.3), amplitude_damping(0.6), bit_flip(0.5),
-     phase_damping(0.5), depolarizing(0.8), random_channel(41, 1), depolarizing(1.0),
-     unitary(random_unitary(np.random.default_rng(43))), random_channel(42, 3),
-     amplitude_damping(0.0), random_channel(44, 2)],
+    _mixed_stack(),
 ])
 def test_channel_residuals_equal_each_channels_own_rows(channels):
     # One stacked F* solve gives every row reading the certificate bit for
@@ -557,6 +562,39 @@ def test_channel_residuals_equal_each_channels_own_rows(channels):
                 assert rows[name] == value, name
 
 
+def test_every_row_gives_one_value_per_channel_and_none_where_it_does_not_apply():
+    channels = _mixed_stack()
+    ctx = IdentityContext(channels)
+    breaking = [optimal_singlet_fraction(c).entanglement_breaking for c in channels]
+    degenerate = [optimal_input_state(c).degenerate for c in channels]
+    unital, deviation = zip(*map(is_unital, channels))
+    assert {len(c.kraus) for c in channels} == {1, 2, 3, 4}
+    assert any(breaking) and any(degenerate) and any(unital)
+    assert any(d <= 1e-2 and not u for u, d in zip(unital, deviation))
+    # The rules of the row comments: F* and the negativity relation need an
+    # entangling channel, the optimal input a nondegenerate top eigenvalue.
+    skipped = {
+        "negativity_relation": breaking,
+        "optimal_input_achievement": degenerate,
+        "classification_consistent": degenerate,
+        "gap_nonnegative": breaking,
+        "gap_unital": [b or not u for b, u in zip(breaking, unital)],
+        "gap_nonunital_strict": [b or u or d <= 1e-2
+                                 for b, u, d in zip(breaking, unital, deviation)],
+    }
+    assert set(skipped) < {row.name for row in IDENTITIES}
+    for row in IDENTITIES:
+        values = row.residual(ctx)
+        assert len(values) == len(channels), row.name
+        assert [value is None for value in values] == skipped.get(
+            row.name, [False] * len(channels)), row.name
+        assert all(np.isfinite(value) for value in values if value is not None), row.name
+
+
+def test_channel_residuals_of_no_channels_is_empty():
+    assert channel_residuals([]) == []
+
+
 def test_kraus_rows_keep_an_eigenvalue_at_the_cut():
     # A Bell-diagonal Choi spectrum with an eigenvalue of exactly KRAUS_CUT:
     # the read-back keeps its operator, and both Kraus rows judge the same
@@ -568,8 +606,8 @@ def test_kraus_rows_keep_an_eigenvalue_at_the_cut():
     assert len(kraus_from_choi(state).kraus) == 3
     channel = KrausChannel(kraus=tuple(np.sqrt(w) * p for w, p in zip(weights, PAULIS)))
     channel._states["choi"] = state
-    ctx = IdentityContext(channel)
-    assert ctx.choi_state is state
+    ctx = IdentityContext([channel])
+    assert ctx.choi_states[0] is state
     rows = {row.name: row for row in IDENTITIES}
     for name in ("kraus_trace_orthogonality", "choi_roundtrip"):
-        assert 0.0 <= rows[name].residual(ctx) <= 1e-15, name
+        assert 0.0 <= rows[name].residual(ctx)[0] <= 1e-15, name
