@@ -286,16 +286,9 @@ def kraus_from_choi(choi) -> KrausChannel:
     matrix = np.asarray(getattr(choi, "matrix", choi), dtype=complex)
     if matrix.shape != (4, 4):
         raise ValueError(f"expected a 4x4 Choi matrix, got shape {matrix.shape}")
-    _check_marginals(matrix[None])
-    return _kraus_set(matrix, getattr(choi, "eig", None))
-
-
-def _check_marginals(matrices: np.ndarray) -> None:
-    """Raise :func:`kraus_from_choi`'s ``ValueError`` if any of the (n, 4, 4)
-    Choi matrices, each judged as alone, lacks a maximally mixed first
-    marginal."""
-    if not all(has_maximally_mixed_marginal(m, _MARGINAL_TOL) for m in matrices):
+    if not has_maximally_mixed_marginal(matrix, _MARGINAL_TOL):
         raise ValueError("Choi matrix does not have a maximally mixed first marginal")
+    return _kraus_set(matrix, getattr(choi, "eig", None))
 
 
 def _kraus_operators(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> np.ndarray:

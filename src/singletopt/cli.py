@@ -223,7 +223,7 @@ def _cmd_sweep(args) -> int:
         # Every row's Choi and dual-Choi states, in one batched pass.
         build_states(channels)
         table = [SWEEP_COLUMNS[c](channels) for c in columns]
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # a MemoryError: more --steps than fit
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

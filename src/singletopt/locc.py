@@ -65,7 +65,7 @@ from ._batched import (
 )
 from .channel import KrausChannel
 from .choi import ENTANGLEMENT_BREAKING_THRESHOLD, choi, choi_values
-from .entmetrics import _as_density_stack, as_density_matrix, singlet_fraction
+from .entmetrics import _as_density_stack, _singlet_fraction, as_density_matrix
 from .linalg import I2, MAGIC_BASIS, PAULIS, partial_transpose, tensor_product, to_magic_basis
 from .optimize import compass_search
 
@@ -328,10 +328,12 @@ class FstarCertificate:
         stack ``rho`` in one :class:`FilterProtocol` with its leading axes,
         each field bit for bit its state's own.
         """
-        x = np.asarray(self.primal)
-        x = x.reshape(x.shape[:-1] + (2, 2))
-        filt = np.sqrt(2.0) * (x @ _J_INVERSE).swapaxes(-1, -2)
-        return _filter_protocol(filt, _as_density_stack(rho))
+        return self._protocol(_as_density_stack(rho))
+
+    def _protocol(self, rho: np.ndarray) -> FilterProtocol:
+        """:meth:`protocol` on a state or stack the package built or checked."""
+        x = np.reshape(self.primal, np.shape(self.primal)[:-1] + (2, 2))
+        return _filter_protocol(np.sqrt(2.0) * (x @ _J_INVERSE).swapaxes(-1, -2), rho)
 
 
 def fstar_certificate(rho: np.ndarray) -> FstarCertificate:
@@ -353,7 +355,11 @@ def fstar_certificate(rho: np.ndarray) -> FstarCertificate:
     with the stack's leading axes.  A single state gives scalar ``lower``
     and ``upper``.
     """
-    rho = _as_density_stack(rho)
+    return _fstar_certificate(_as_density_stack(rho))
+
+
+def _fstar_certificate(rho: np.ndarray) -> FstarCertificate:
+    """:func:`fstar_certificate` of a state or stack the package built or checked."""
     batch = rho.shape[:-2]
     gamma = partial_transpose(rho, "first").reshape(-1, 4, 4)
     n = len(gamma)
@@ -376,12 +382,8 @@ def fstar_certificate(rho: np.ndarray) -> FstarCertificate:
 
     if not batch:
         return FstarCertificate(float(lower[0]), float(upper[0]), primal[0], dual[0])
-    return FstarCertificate(
-        lower.reshape(batch),
-        upper.reshape(batch),
-        primal.reshape(batch + (4,)),
-        dual.reshape(batch + (2, 2)),
-    )
+    return FstarCertificate(lower.reshape(batch), upper.reshape(batch),
+                            primal.reshape(batch + (4,)), dual.reshape(batch + (2, 2)))
 
 
 def fstar_bracket(rho: np.ndarray) -> tuple:
@@ -479,8 +481,9 @@ def _filter_protocol(filt: np.ndarray, rho: np.ndarray) -> FilterProtocol:
 
     Leading axes of ``filt`` and ``rho`` are batch axes: a stack of filters
     on a stack of states is scored in one pass, the filtered states that
-    fire (p > 0) in one :func:`singlet_fraction` call, and every field
-    carries the stack's leading axes.  One filter gives scalar fields.
+    fire (p > 0) in one unchecked singlet-fraction call (the audit's
+    ``fstar_protocol`` row checks the value), and every field carries the
+    stack's leading axes.  One filter gives scalar fields.
     """
     big = tensor_product(filt, I2)
     unnormalized = big @ rho @ big.conj().swapaxes(-1, -2)
@@ -494,7 +497,7 @@ def _filter_protocol(filt: np.ndarray, rho: np.ndarray) -> FilterProtocol:
                         where=fired[:, None, None])
     value = np.full(len(p), 0.5)
     if fired.any():
-        fraction, _ = singlet_fraction(success[fired])
+        fraction, _ = _singlet_fraction(success[fired])
         value[fired] = np.maximum(0.5, p[fired] * fraction + (1.0 - p[fired]) / 2.0)
     if not batch:
         return FilterProtocol(filt, float(p[0]), success[0], float(value[0]))

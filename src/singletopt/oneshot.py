@@ -34,7 +34,6 @@ from .channel import (
     KrausChannel,
     _apply_to_halves,
     _bell_products,
-    _check_marginals,
     _kraus_operators,
     is_unital,
     validate,
@@ -51,15 +50,15 @@ from .choi import (
 )
 from .entmetrics import (
     SchmidtData,
-    negativity,
-    pt_spectrum_identity_residual,
+    _negativity,
+    _pt_spectrum_identity_residual,
+    _singlet_fraction,
     schmidt,
-    singlet_fraction,
     singlet_fraction_oracle,
     teleportation_fidelity,
 )
 from .linalg import I2, MAGIC_BASIS, partial_transpose, swap_conjugate, to_magic_basis
-from .locc import GAP_TOLERANCE, FstarCertificate, fstar_certificate
+from .locc import GAP_TOLERANCE, FstarCertificate, _fstar_certificate
 from .optimize import compass_search
 
 __all__ = [
@@ -74,6 +73,7 @@ __all__ = [
     "ChannelReport",
     "optimal_singlet_fraction",
     "optimal_input_state",
+    "optimal_input_states",
     "preprocessed_fidelity",
     "preprocessed_fidelity_oracle",
     "classify",
@@ -121,18 +121,19 @@ class OptimalInput:
 
 
 def optimal_input_state(channel: KrausChannel) -> OptimalInput:
-    """Pure input whose channel output attains the optimal singlet fraction.
+    """Pure input whose channel output attains the optimal singlet fraction:
+    where the dual Choi top eigenvalue is degenerate it is not unique, and
+    the deterministic tie-broken eigenvector comes with ``degenerate`` set."""
+    return optimal_input_states([channel])[0]
 
-    When the dual Choi top eigenvalue is degenerate the optimizing input is
-    not unique; the deterministic tie-broken eigenvector is returned with
-    ``degenerate`` set.
-    """
-    eig = dual_choi(channel).eig
-    gap = float(eig.eigenvalues[0] - eig.eigenvalues[1])
-    state = eig.eigenvectors[:, 0]
-    return OptimalInput(
-        state=state, schmidt=schmidt(state), degenerate=gap < DEGENERACY_GAP
-    )
+
+def optimal_input_states(channels) -> list:
+    """Each channel's :func:`optimal_input_state`, bit for bit, from one stacked :func:`schmidt`."""
+    eigs = [dual_choi(c).eig for c in channels]
+    forms = schmidt(np.array([eig.eigenvectors[:, 0] for eig in eigs]).reshape(-1, 4))
+    return [OptimalInput(eig.eigenvectors[:, 0], SchmidtData(weights, (ua, ub)),
+                         float(eig.eigenvalues[0] - eig.eigenvalues[1]) < DEGENERACY_GAP)
+            for eig, weights, ua, ub in zip(eigs, forms.coefficients, *forms.local_bases)]
 
 
 def preprocessed_fidelity(channel: KrausChannel) -> float:
@@ -222,7 +223,7 @@ def _classification(unital: bool, deviation: float, inp: OptimalInput,
 def choi_negativities(channels) -> np.ndarray:
     """:func:`negativity` of each channel's Choi state, each channel solved
     once and the missing ones together (see :func:`choi.choi_values`)."""
-    return np.array(choi_values(channels, "negativity", negativity))
+    return np.array(choi_values(channels, "negativity", _negativity))
 
 
 def negativity_relation_residuals(channels) -> np.ndarray:
@@ -397,7 +398,7 @@ class IdentityContext:
         self.validations = [validate(c) for c in self.channels]
         self.choi_states = [choi(c) for c in self.channels]
         self.dual_states = [dual_choi(c) for c in self.channels]
-        self.optimal_inputs = [optimal_input_state(c) for c in self.channels]
+        self.optimal_inputs = optimal_input_states(self.channels)
         self.lambda_max = np.array([state.eig.eigenvalues[0] for state in self.choi_states])
         self.entanglement_breaking = self.lambda_max <= ENTANGLEMENT_BREAKING_THRESHOLD
         self.unital, self.unitality_deviation = map(np.array, zip(*map(is_unital, self.channels)))
@@ -410,15 +411,13 @@ class IdentityContext:
     @cached_property
     def certificate(self) -> FstarCertificate:
         """F*'s certificates: the one solve every F* row reads."""
-        return fstar_certificate(self.matrices)
+        return _fstar_certificate(self.matrices)
 
     @cached_property
     def kraus(self) -> tuple:
-        """The Kraus sets read back from the kept Choi spectra, as
-        :func:`~singletopt.channel.kraus_from_choi` reads them, each matrix's
-        marginal checked alone, zero-padded to four operators; and the
+        """The Kraus sets :func:`~singletopt.channel.kraus_from_choi` reads
+        from the kept Choi spectra, zero-padded to four operators, and the
         target Gram matrices diag(2 p_k) of their kept eigenvalues p_k."""
-        _check_marginals(self.matrices)
         values = np.array([state.eig.eigenvalues for state in self.choi_states])
         ops = _kraus_operators(values, np.array([state.eig.eigenvectors for state in self.choi_states]))
         return ops, np.where(values >= KRAUS_CUT, 2.0 * values, 0.0)[:, :, None] * np.eye(4)
@@ -467,7 +466,7 @@ def _kraus_trace_orthogonality(ctx: IdentityContext) -> np.ndarray:
 def _fstar_protocol(ctx: IdentityContext) -> np.ndarray:
     """The primal's filter is a contraction that reaches ``lower``."""
     cert = ctx.certificate
-    protocol = cert.protocol(ctx.matrices)
+    protocol = cert._protocol(ctx.matrices)
     # ||A||_op, the top singular value, as np.linalg.norm(A, 2) takes it.
     norm = np.linalg.svd(protocol.filter, compute_uv=False)[:, 0]
     return np.maximum.reduce([np.zeros(len(ctx.channels)), norm - 1.0,
@@ -500,11 +499,11 @@ IDENTITIES = (
         np.abs(dual.eig.eigenvalues - state.eig.eigenvalues).max()
         for state, dual in zip(ctx.choi_states, ctx.dual_states)]),
     Identity("pt_spectrum_identity", 1e-10, True,
-             lambda ctx: np.abs(pt_spectrum_identity_residual(ctx.matrices))),
+             lambda ctx: np.abs(_pt_spectrum_identity_residual(ctx.matrices))),
     Identity("negativity_relation", 1e-10, True, _negativity_relation),
     # A degenerate top eigenvalue leaves the optimal input undefined.
     Identity("optimal_input_achievement", 1e-9, True, lambda ctx: _where(
-        ~ctx.degenerate, np.abs(singlet_fraction(_apply_to_halves(ctx.channels, np.array(
+        ~ctx.degenerate, np.abs(_singlet_fraction(_apply_to_halves(ctx.channels, np.array(
             [inp.state for inp in ctx.optimal_inputs])))[0] - ctx.lambda_max))),
     Identity("classification_consistent", 0.5, False, _classification_consistent),
     Identity("eigenvector_correspondence", 1e-9, True,
@@ -524,7 +523,7 @@ IDENTITIES = (
         ~ctx.entanglement_breaking & ~ctx.unital & ~(ctx.unitality_deviation <= 1e-2),
         ~(ctx.lambda_max - ctx.certificate.upper > 1e-12))),
     Identity("singlet_fraction_oracle", 1e-4, False, lambda ctx: np.abs(
-        singlet_fraction(ctx.matrices)[0]
+        _singlet_fraction(ctx.matrices)[0]
         - singlet_fraction_oracle(ctx.matrices, resolution_deg=4.0))),
     # F*'s bracket, proven from both ends (see the two functions above), the
     # upper end within GAP_TOLERANCE = 2e-12 of the lower.

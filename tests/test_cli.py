@@ -360,6 +360,24 @@ def test_sweep_non_finite_bound_exits_2(bounds, flag, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_too_many_steps_to_allocate_exits_2(tmp_path, capsys, monkeypatch):
+    # numpy raises a MemoryError subclass for --steps 100000000000; the
+    # allocation is faked here so that no large array is ever requested.
+    def unallocatable(start, stop, steps):
+        raise MemoryError(f"Unable to allocate {8 * steps / 2**30:.0f}. GiB for an array")
+
+    monkeypatch.setattr(np, "linspace", unallocatable)
+    out = tmp_path / "s.csv"
+    code, stdout, err = run(
+        ["sweep", "--name", "depolarizing", "--from", "0", "--to", "1",
+         "--steps", "100000000000", "--columns", "F_lambda", "--out", str(out)],
+        capsys,
+    )
+    assert code == 2 and stdout == ""
+    assert err == "error: Unable to allocate 745. GiB for an array\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("family, column", [
     ("amplitude_damping", "N_channel"), ("depolarizing", "N_channel"),
     ("amplitude_damping", "F_lambda"), ("depolarizing", "F_lambda"),
@@ -537,9 +555,9 @@ def test_audit_detects_injected_fault(capsys, tmp_path, monkeypatch):
     # Sanity of the harness: corrupt one identity and the audit must fail
     # and write a reproduction file.
     monkeypatch.chdir(tmp_path)
-    real = oneshot.pt_spectrum_identity_residual
+    real = oneshot._pt_spectrum_identity_residual
     monkeypatch.setattr(
-        oneshot, "pt_spectrum_identity_residual", lambda m: real(m) + 1e-3
+        oneshot, "_pt_spectrum_identity_residual", lambda m: real(m) + 1e-3
     )
     code, out, err = run(["audit", "--seed", "42", "--count", "4"], capsys)
     assert code == 1
@@ -552,9 +570,9 @@ def test_audit_detects_injected_fault(capsys, tmp_path, monkeypatch):
 
 def test_audit_unwritable_repro_exits_1_without_traceback(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    real = oneshot.pt_spectrum_identity_residual
+    real = oneshot._pt_spectrum_identity_residual
     monkeypatch.setattr(
-        oneshot, "pt_spectrum_identity_residual", lambda m: real(m) + 1e-3
+        oneshot, "_pt_spectrum_identity_residual", lambda m: real(m) + 1e-3
     )
     (tmp_path / "audit-failure-pt_spectrum_identity.json").mkdir()
     code, out, err = run(["audit", "--seed", "42", "--count", "4"], capsys)
@@ -565,13 +583,13 @@ def test_audit_unwritable_repro_exits_1_without_traceback(capsys, tmp_path, monk
 
 def test_audit_fails_on_a_lower_end_the_protocol_does_not_reach(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    real = oneshot.fstar_certificate
+    real = oneshot._fstar_certificate
 
     def raised(rho):
         cert = real(rho)
         return dataclasses.replace(cert, lower=cert.lower + 1e-9)
 
-    monkeypatch.setattr(oneshot, "fstar_certificate", raised)
+    monkeypatch.setattr(oneshot, "_fstar_certificate", raised)
     code, out, _ = run(["audit", "--seed", "42", "--count", "4"], capsys)
     assert code == 1
     line = next(line for line in out.splitlines() if line.startswith("  fstar_protocol "))
@@ -582,14 +600,14 @@ def test_audit_fails_on_a_lower_end_the_protocol_does_not_reach(capsys, tmp_path
 def test_audit_solves_fstar_once_per_channel(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     solved = []
-    real = locc.fstar_certificate
+    real = locc._fstar_certificate
 
     def counted(rho):
         solved.extend(np.asarray(rho).reshape(-1, 16).tolist())
         return real(rho)
 
-    monkeypatch.setattr(locc, "fstar_certificate", counted)
-    monkeypatch.setattr(oneshot, "fstar_certificate", counted)
+    monkeypatch.setattr(locc, "_fstar_certificate", counted)
+    monkeypatch.setattr(oneshot, "_fstar_certificate", counted)
     code, out, _ = run(["audit", "--seed", "42", "--count", "4"], capsys)
     assert code == 0
     assert len(solved) <= 4
@@ -598,7 +616,7 @@ def test_audit_solves_fstar_once_per_channel(capsys, tmp_path, monkeypatch):
 def test_audit_solves_fstar_and_runs_the_oracle_once_over_all_channels(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     solved, searched = [], []
-    real_solve, real_search = oneshot.fstar_certificate, oneshot.singlet_fraction_oracle
+    real_solve, real_search = oneshot._fstar_certificate, oneshot.singlet_fraction_oracle
 
     def solve(rho):
         solved.append(np.shape(rho))
@@ -608,7 +626,7 @@ def test_audit_solves_fstar_and_runs_the_oracle_once_over_all_channels(capsys, t
         searched.append(np.shape(rho))
         return real_search(rho, *args, **kwargs)
 
-    monkeypatch.setattr(oneshot, "fstar_certificate", solve)
+    monkeypatch.setattr(oneshot, "_fstar_certificate", solve)
     monkeypatch.setattr(oneshot, "singlet_fraction_oracle", search)
     code, out, _ = run(["audit", "--seed", "42", "--count", "4"], capsys)
     assert code == 0
@@ -635,11 +653,11 @@ def test_audit_computes_each_stacked_row_in_one_call(capsys, tmp_path, monkeypat
         return real_scoring(filt, rho)
 
     real_scoring = locc._filter_protocol
-    monkeypatch.setattr(oneshot, "singlet_fraction",
-                        recorded("singlet_fraction", oneshot.singlet_fraction))
+    monkeypatch.setattr(oneshot, "_singlet_fraction",
+                        recorded("singlet_fraction", oneshot._singlet_fraction))
     monkeypatch.setattr(locc, "_filter_protocol", scored)
-    monkeypatch.setattr(oneshot, "pt_spectrum_identity_residual",
-                        recorded("pt_spectrum", oneshot.pt_spectrum_identity_residual))
+    monkeypatch.setattr(oneshot, "_pt_spectrum_identity_residual",
+                        recorded("pt_spectrum", oneshot._pt_spectrum_identity_residual))
     code, out, _ = run(["audit", "--seed", "42", "--count", "4"], capsys)
     assert code == 0
     assert "audit PASSED" in out.splitlines()
@@ -651,13 +669,13 @@ def test_audit_failure_names_the_one_faulty_channel_of_a_stack(capsys, tmp_path,
     # Only channel 2's entry of the stacked row is corrupted: the repro file
     # must name channel 2, not the stack.
     monkeypatch.chdir(tmp_path)
-    real = oneshot.pt_spectrum_identity_residual
+    real = oneshot._pt_spectrum_identity_residual
 
     def corrupted(sigma):
         values = real(sigma)
         return values + np.where(np.arange(len(values)) == 2, 1e-3, 0.0)
 
-    monkeypatch.setattr(oneshot, "pt_spectrum_identity_residual", corrupted)
+    monkeypatch.setattr(oneshot, "_pt_spectrum_identity_residual", corrupted)
     code, out, _ = run(["audit", "--seed", "42", "--count", "4"], capsys)
     assert code == 1
     lines = [line for line in out.splitlines() if line.endswith("FAIL")]

@@ -13,7 +13,13 @@ from singletopt.entmetrics import (
     teleportation_fidelity,
 )
 from singletopt.channel import random_channel
-from singletopt.entmetrics import _mes_overlap, _overlap_terms, _phase_overlap, _polish_objective
+from singletopt.entmetrics import (
+    _mes_overlap,
+    _overlap_terms,
+    _phase_overlap,
+    _polish_objective,
+    _polish_starts,
+)
 from singletopt.linalg import PHI_PLUS, PSI_MINUS
 from singletopt.locc import fstar, fstar_certificate
 
@@ -230,12 +236,42 @@ def test_polish_objective_is_phase_overlap_bit_for_bit():
 
 
 def test_oracle_polish_stall_stays_pinned():
-    # The worst known stall of the axis-only polish: the top two eigenvalues
-    # of the magic-basis real part nearly tie, and the search stops on a
-    # curved ridge 7.2e-8 short (channel 1 of ``audit --seed 2000663``).
+    # The worst stall of the polish along the phase axes from the best grid
+    # cell, 7.2e-8 short (channel 1 of ``audit --seed 2000663``): the top two
+    # eigenvalues of the magic-basis real part nearly tie, and the ridge is
+    # narrow and curved.  Along the fitted quadratic's axes from its vertex
+    # the polish reaches the closed form to rounding.
     rho = choi(random_channel(2000669001990, 2)).matrix
     gap = singlet_fraction(rho)[0] - singlet_fraction_oracle(rho, resolution_deg=4.0)
-    assert -2e-15 <= gap <= 1e-7
+    assert -2e-15 <= gap <= 1e-12
+
+
+def test_oracle_follows_a_ridge_along_a_phase_axis():
+    # The best b is near pi, where the overlap hardly depends on ph: the
+    # maximum lies 20 cells from the best grid cell along a narrow ridge
+    # tilted off the ph axis.  Along the phase axes from the fitted vertex
+    # the polish stopped 1.2e-7 short (channel 2 of ``audit --seed 1800644``).
+    rho = choi(random_channel(1800649401934, 3)).matrix
+    gap = singlet_fraction(rho)[0] - singlet_fraction_oracle(rho, resolution_deg=4.0)
+    assert -2e-15 <= gap <= 1e-12
+
+
+def test_polish_starts_lie_within_a_cell_and_score_at_least_the_cell():
+    states = np.array([choi(random_channel(k, k % 4 + 1)).matrix for k in range(200)])
+    cell = 2 * np.pi / 90  # the audit's 4 degrees: 45 x 45 cells over [0, pi)
+    phases = np.arange(45) * cell
+    grids = np.array([_phase_overlap(rho, phases[:, None], phases) for rho in states])
+    objective = _polish_objective(states)
+    starts, _ = _polish_starts(objective, grids, cell)
+    best = grids.reshape(len(states), -1).max(axis=1)
+    cells = phases[np.column_stack(np.unravel_index(grids.reshape(len(states), -1).argmax(axis=1),
+                                                    (45, 45)))]
+    assert np.all(np.abs(starts - cells) <= cell * (1 + 1e-12))
+    # A start off its cell is a fitted vertex, kept only where it scores at
+    # least the cell; the fit is taken on most states.
+    moved = (starts != cells).any(axis=1)
+    assert moved.mean() > 0.9
+    assert np.all(objective(starts)[moved] >= best[moved])
 
 
 def test_oracle_reaches_a_unitary_channel():

@@ -1,3 +1,6 @@
+import dataclasses
+import importlib
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,14 @@ from singletopt.channel import (
 )
 from singletopt import oneshot
 from singletopt.choi import ChoiState, choi
-from singletopt.entmetrics import negativity, singlet_fraction
+from singletopt.entmetrics import (
+    _negativity,
+    _pt_spectrum_identity_residual,
+    _singlet_fraction,
+    negativity,
+    pt_spectrum_identity_residual,
+    singlet_fraction,
+)
 from singletopt.linalg import (
     PAULIS,
     PHI_MINUS,
@@ -27,7 +37,13 @@ from singletopt.linalg import (
     EigenDecomposition,
     partial_transpose,
 )
-from singletopt.locc import fstar_certificate, fstar_filter_oracle
+from singletopt.locc import (
+    FilterProtocol,
+    FstarCertificate,
+    _fstar_certificate,
+    fstar_certificate,
+    fstar_filter_oracle,
+)
 from singletopt.oneshot import (
     IDENTITIES,
     IdentityContext,
@@ -45,12 +61,16 @@ from singletopt.oneshot import (
 )
 
 from conftest import (
+    assert_bitwise_equal,
     random_channels,
     random_pauli_mixture,
     random_pure,
     random_unitary,
     reference_channel_negativity,
 )
+
+entmetrics_module = importlib.import_module("singletopt.entmetrics")
+locc_module = importlib.import_module("singletopt.locc")
 
 
 def test_optimal_fraction_identity():
@@ -611,3 +631,56 @@ def test_kraus_rows_keep_an_eigenvalue_at_the_cut():
     rows = {row.name: row for row in IDENTITIES}
     for name in ("kraus_trace_orthogonality", "choi_roundtrip"):
         assert 0.0 <= rows[name].residual(ctx)[0] <= 1e-15, name
+
+
+_RANDOM_STACK = [random_channel(k, k % 4 + 1) for k in range(200)]
+_BOUNDARY_STACK = [family(p) for family in (amplitude_damping, depolarizing, phase_damping, bit_flip)
+                   for p in (0.0, 2 / 3, 1.0)]
+
+
+@pytest.mark.parametrize("channels", [_RANDOM_STACK, _BOUNDARY_STACK], ids=["random", "boundary"])
+def test_kernels_equal_the_checked_functions_on_package_built_stacks(channels):
+    # Rows pass the Choi stacks the CPTP gate accepted straight to the
+    # kernels; the public functions check first and must give the same bits.
+    matrices = np.array([choi(c).matrix for c in channels])
+    assert_bitwise_equal(_negativity(matrices), negativity(matrices))
+    for trusted, checked in zip(_singlet_fraction(matrices), singlet_fraction(matrices)):
+        assert_bitwise_equal(trusted, checked)
+    assert_bitwise_equal(_pt_spectrum_identity_residual(matrices),
+                         pt_spectrum_identity_residual(matrices))
+    trusted, checked = _fstar_certificate(matrices), fstar_certificate(matrices)
+    for field in dataclasses.fields(FstarCertificate):
+        assert_bitwise_equal(getattr(trusted, field.name), getattr(checked, field.name))
+    trusted, checked = checked._protocol(matrices), checked.protocol(matrices)
+    for field in dataclasses.fields(FilterProtocol):
+        assert_bitwise_equal(getattr(trusted, field.name), getattr(checked, field.name))
+
+
+def test_package_built_stacks_skip_the_density_checks(monkeypatch):
+    # The audit checks no state it built itself; the one check left is the
+    # oracle's, on the stack it is handed like any caller's.
+    checked = []
+    real = entmetrics_module._as_density_stack
+
+    def counted(state):
+        checked.append(np.shape(state))
+        return real(state)
+
+    monkeypatch.setattr(entmetrics_module, "_as_density_stack", counted)
+    monkeypatch.setattr(locc_module, "_as_density_stack", counted)
+    channel_residuals([random_channel(300 + k, k % 4 + 1) for k in range(8)])
+    assert checked == [(8, 4, 4)]
+    checked.clear()
+    report(random_channel(308, 2))
+    assert checked == []
+
+
+def test_optimal_input_states_are_each_channels_own():
+    channels = _RANDOM_STACK[:40] + _BOUNDARY_STACK
+    for channel, stacked in zip(channels, oneshot.optimal_input_states(channels)):
+        alone = optimal_input_state(channel)
+        assert stacked.degenerate == alone.degenerate
+        assert_bitwise_equal(stacked.state, alone.state)
+        assert_bitwise_equal(stacked.schmidt.coefficients, alone.schmidt.coefficients)
+        for a, b in zip(stacked.schmidt.local_bases, alone.schmidt.local_bases):
+            assert_bitwise_equal(a, b)
