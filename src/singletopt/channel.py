@@ -3,6 +3,12 @@
 Construction, CPTP validation, duals, unitality and extraction of a
 trace-orthogonal Kraus set from a Choi matrix.  Channels are immutable and
 all operations are pure functions.
+
+:func:`validate` is the one CPTP gate, decided once per channel.  An
+accepted channel off TP by more than rounding is analyzed as its exact TP
+projection A_k S^(-1/2), S = sum A^dag A; ``kraus``, :func:`apply`,
+:func:`apply_to_half`, :func:`channel_to_dict` and the report's two numbers
+keep the operators as given.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .linalg import (
 __all__ = [
     "KrausChannel",
     "ValidationReport",
+    "CPTP_TOLERANCE",
     "validate",
     "dual",
     "is_unital",
@@ -69,9 +76,8 @@ class KrausChannel:
     kraus: tuple
     label: str = ""
     params: Mapping[str, float] = field(default_factory=dict)
-    # What :func:`validate`'s pass measures (its two numbers, the unitality
-    # deviation, the Choi and dual-Choi matrices), and the states that
-    # :mod:`singletopt.choi` builds once from there and shares read-only.
+    # What :func:`validate`'s pass measures (see :func:`_measure`), and the
+    # states that :mod:`singletopt.choi` builds once from there and shares.
     _states: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -93,50 +99,58 @@ class ValidationReport:
     cp_min_eigenvalue: float
     ok: bool
 
+    def numbers(self) -> str:
+        """The two measurements, as every rejection message quotes them."""
+        return f"tp_residual={self.tp_residual!r}, cp_min_eigenvalue={self.cp_min_eigenvalue!r}"
+
+
+# The one CPTP rule: sum A^dag A within this of I (Frobenius norm), Choi
+# eigenvalues at least its negative.  A channel is unital where its dual
+# map is TP to the same width.
+CPTP_TOLERANCE = 1e-9
+
+# The tp_residual above which an accepted channel is analyzed as its
+# exact TP projection; below it the input is TP to rounding.
+_TP_ROUNDING = 1e-14
 
 # |Phi+><Phi+|: a Choi matrix sends its second half through the channel.
 _BELL = np.outer(PHI_PLUS, PHI_PLUS.conj())
 
 
-def validate(channel: KrausChannel, tol: float = 1e-9) -> ValidationReport:
+def validate(channel: KrausChannel) -> ValidationReport:
     """Check trace preservation and complete positivity.
 
     ``tp_residual`` is the Frobenius distance of sum A_i^dag A_i from the
     identity; ``cp_min_eigenvalue`` is the smallest eigenvalue of the Choi
-    matrix, NaN if that overflows.  ``ok`` requires both within ``tol``.  The
-    two measurements are taken once per channel object, by
-    :func:`_measure`, and kept on it with the Choi and dual-Choi matrices,
-    which :mod:`singletopt.choi` builds from; ``ok`` is decided per call.  At
-    the default ``tol`` this is the package's one CPTP acceptance rule:
-    :mod:`singletopt.choi` builds states only for channels it accepts.
+    matrix, NaN if that overflows, both of the operators as given.  ``ok``
+    requires both within ``CPTP_TOLERANCE``.  Decided once per channel
+    object, by :func:`_measure`.
     """
-    if "validation" not in channel._states:
-        _measure([channel])
-    tp_residual, cp_min = channel._states["validation"]
-    ok = tp_residual <= tol and cp_min >= -tol
-    return ValidationReport(tp_residual=tp_residual, cp_min_eigenvalue=cp_min, ok=ok)
+    _measure([channel])
+    return channel._states["validation"]
 
 
 def _measure(channels) -> None:
-    """Take :func:`validate`'s measurements, and the unitality deviation,
-    of the (distinct) channels that lack them.
+    """Decide :func:`validate`'s report, and take the unitality deviation,
+    Choi and dual-Choi matrices, of the (distinct) channels that lack them.
 
     One stacked pass over their Kraus lists, zero-padded to the longest,
     gives every sum A^dag A, sum A A^dag, Choi and dual-Choi matrix (that of
     the daggered list) and Choi lambda_min; the zero operators add exact
-    zeros, so each value is bit for bit the channel's own.  The Choi and
-    dual-Choi matrices come from one :func:`_bell_products` call on the
-    Kraus and dagger stacks together.  Frobenius norms are taken matrix by
-    matrix: ``np.linalg.norm`` of a stack sums in an order one matrix alone
-    does not reproduce.
+    zeros, so each value is bit for bit the channel's own.  Frobenius norms
+    are taken matrix by matrix: ``np.linalg.norm`` of a stack sums in an
+    order one matrix alone does not reproduce.  An accepted channel with
+    tp_residual above ``_TP_ROUNDING`` takes its three values from its exact
+    TP projection A_k S^(-1/2), S = sum A^dag A, kept under ``"kraus"``.
     """
     todo = [c for c in channels if "validation" not in c._states]
     if not todo:
         return
-    ops = _kraus_stack(todo)
+    ops = _kraus_stack([c.kraus for c in todo])
     daggers = ops.conj().swapaxes(-1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
-        tp_residuals = [float(np.linalg.norm(d)) for d in (daggers @ ops).sum(axis=1) - I2]
+        gram = (daggers @ ops).sum(axis=1)
+        tp_residuals = [float(np.linalg.norm(d)) for d in gram - I2]
         unital = [float(np.linalg.norm(d)) for d in (ops @ daggers).sum(axis=1) - I2]
         matrices, duals = np.split(_bell_products(np.concatenate([ops, daggers])), 2)
     finite = np.isfinite(matrices).all(axis=(1, 2))
@@ -144,18 +158,24 @@ def _measure(channels) -> None:
     if finite.any():
         cp_min[finite] = np.linalg.eigvalsh(matrices[finite])[:, 0]
     for k, channel in enumerate(todo):
-        channel._states["validation"] = (tp_residuals[k], float(cp_min[k]))
-        channel._states["unitality_deviation"] = unital[k]
-        channel._states["choi_matrix"] = matrices[k]
-        channel._states["dual_choi_matrix"] = duals[k]
+        tp, cp = tp_residuals[k], float(cp_min[k])
+        report = ValidationReport(tp, cp, tp <= CPTP_TOLERANCE and cp >= -CPTP_TOLERANCE)
+        channel._states.update(validation=report, unitality_deviation=unital[k],
+                               choi_matrix=matrices[k], dual_choi_matrix=duals[k])
+        if report.ok and tp > _TP_ROUNDING:
+            w, v = np.linalg.eigh(gram[k])  # S^(-1/2) = v diag(w^(-1/2)) v^dag
+            root = (v / np.sqrt(w)) @ v.conj().T
+            projected = KrausChannel(kraus=tuple(ops[k, : len(channel.kraus)] @ root))
+            _measure([projected])  # TP to rounding, so measured as given
+            channel._states.update(projected._states, validation=report, kraus=projected.kraus)
 
 
-def _kraus_stack(channels) -> np.ndarray:
-    """The channels' Kraus lists as one (n, k, 2, 2) stack, zero-padded to
-    the longest list, k."""
-    ops = np.zeros((len(channels), max(len(c.kraus) for c in channels), 2, 2), dtype=complex)
-    for row, channel in zip(ops, channels):
-        row[: len(channel.kraus)] = channel.kraus
+def _kraus_stack(kraus_lists) -> np.ndarray:
+    """The Kraus lists as one (n, k, 2, 2) stack, zero-padded to the
+    longest list, k."""
+    ops = np.zeros((len(kraus_lists), max(map(len, kraus_lists)), 2, 2), dtype=complex)
+    for row, kraus in zip(ops, kraus_lists):
+        row[: len(kraus)] = kraus
     return ops
 
 
@@ -179,10 +199,10 @@ def unitality_deviations(channels) -> list:
     return [c._states["unitality_deviation"] for c in channels]
 
 
-def is_unital(channel: KrausChannel, tol: float = 1e-9) -> tuple[bool, float]:
+def is_unital(channel: KrausChannel) -> tuple[bool, float]:
     """Whether the channel preserves the identity, plus ||L(I) - I||_F."""
     deviation = unitality_deviations([channel])[0]
-    return deviation < tol, deviation
+    return deviation < CPTP_TOLERANCE, deviation
 
 
 def apply(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
@@ -227,11 +247,11 @@ def _act_on_second(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def _apply_to_halves(channels, states: np.ndarray) -> np.ndarray:
-    """:func:`apply_to_half` of each channel on its own pure state, the
-    (n, 4) ``states``, as one (n, 4, 4) stack in one pass over the Kraus
-    lists zero-padded by :func:`_kraus_stack`."""
+    """:func:`apply_to_half` of each channel's analyzed Kraus list (see
+    :func:`_measure`) on its own pure state, the (n, 4) ``states``, as one
+    (n, 4, 4) stack in one pass over the zero-padded lists."""
     rho = states[:, :, None] * states.conj()[:, None, :]
-    return _act_on_second(_kraus_stack(channels), rho)
+    return _act_on_second(_kraus_stack([c._states.get("kraus", c.kraus) for c in channels]), rho)
 
 
 _BELL_ENTRY = _BELL[0, 0].real  # 1/sqrt(2) squared: 0.4999999999999999
@@ -489,7 +509,7 @@ def _compressed(ops: np.ndarray) -> KrausChannel:
 
 
 def channel_from_dict(data: Mapping) -> KrausChannel:
-    """Parse either {"name": ..., "params": {...}} or {"kraus": [...]}, not both.
+    """Parse either {"name": ..., "params": {...}} or {"kraus": [...]}, no other key.
 
     Kraus lists longer than four operators are compressed through the Choi
     matrix back to a trace-orthogonal set of at most four.  The Choi matrix
@@ -501,6 +521,11 @@ def channel_from_dict(data: Mapping) -> KrausChannel:
         raise ValueError("channel spec must be a JSON object")
     if "name" in data and "kraus" in data:
         raise ValueError("give either 'name' or 'kraus', not both")
+    if "name" not in data and "kraus" not in data:
+        raise ValueError("channel spec needs a 'name' or 'kraus' field")
+    unknown = set(data) - ({"name", "params"} if "name" in data else {"kraus"})
+    if unknown:
+        raise ValueError(f"unknown channel spec key(s) {reprlib.repr(sorted(unknown, key=repr))}")
     if "name" in data:
         name, params = data["name"], data.get("params")
         if not isinstance(name, str):
@@ -511,13 +536,11 @@ def channel_from_dict(data: Mapping) -> KrausChannel:
             )
         params = {k: _json_real(v, f"parameter {k}") for k, v in (params or {}).items()}
         return named_channel(name, params)
-    if "kraus" in data:
-        if not isinstance(data["kraus"], list):
-            raise ValueError("'kraus' must be a list of 2x2 matrices")
-        ops = [_matrix_from_pairs(rows) for rows in data["kraus"]]
-        if not ops:
-            raise ValueError("empty Kraus list")
-        if len(ops) > 4:
-            return _compressed(np.array(ops))
-        return KrausChannel(kraus=tuple(ops), label="custom")
-    raise ValueError("channel spec needs a 'name' or 'kraus' field")
+    if not isinstance(data["kraus"], list):
+        raise ValueError("'kraus' must be a list of 2x2 matrices")
+    ops = [_matrix_from_pairs(rows) for rows in data["kraus"]]
+    if not ops:
+        raise ValueError("empty Kraus list")
+    if len(ops) > 4:
+        return _compressed(np.array(ops))
+    return KrausChannel(kraus=tuple(ops), label="custom")

@@ -10,12 +10,13 @@ is checked by the ``dual_choi_entrywise`` row of ``oneshot.IDENTITIES``,
 not here.
 
 Both states are built only for channels that pass
-:func:`singletopt.channel.validate`, the package's one CPTP acceptance rule
-(sum A^dag A within 1e-9 of I, Choi eigenvalues at least -1e-9); a
-channel that fails it raises ``ValueError``.  :func:`build_states` is the
-one build path: many channels' states come from one stacked measurement
-and one batched eigendecomposition, and :func:`choi` and :func:`dual_choi`
-are its one-channel case.
+:func:`singletopt.channel.validate`, the package's one CPTP gate; a channel
+that fails it raises ``ValueError``.  They are built from the matrices its
+measurement took, those of the exact TP projection of an accepted channel
+that misses TP by more than rounding.  :func:`build_states` is the one
+build path: many channels' states come from one stacked measurement and
+one batched eigendecomposition, and :func:`choi` and :func:`dual_choi` are
+its one-channel case.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import KrausChannel, _measure, validate
+from .channel import KrausChannel, _measure
 from .linalg import SWAP, EigenDecomposition, eigenvalue_clusters, hermitian_eig
 
 __all__ = [
@@ -61,20 +62,8 @@ class ChoiState:
     source: str = ""
 
 
-def _require_cptp(channel: KrausChannel) -> None:
-    """The one CPTP gate: raise unless :func:`validate` accepts ``channel``."""
-    check = validate(channel)
-    if not check.ok:
-        raise ValueError(
-            "channel is not CPTP: "
-            f"tp_residual={check.tp_residual:.3e}, "
-            f"cp_min_eigenvalue={check.cp_min_eigenvalue:.3e}"
-        )
-
-
-# Each kind of state's source label.  Its matrix is the one
-# :func:`~singletopt.channel.validate`'s stacked pass measured: the Choi
-# matrix, or that of the map with the daggered Kraus list.
+# Each kind of state's source label; its matrix is the one the stacked
+# measurement took of the analyzed Kraus list, or of its daggers.
 _SOURCES = {"choi": "{}", "dual_choi": "dual({})"}
 
 
@@ -82,20 +71,19 @@ def build_states(channels, kinds=("choi", "dual_choi")) -> None:
     """Build every missing state of ``kinds`` for ``channels`` in one pass.
 
     The distinct channels that need a state are measured together by
-    :func:`~singletopt.channel.validate`'s stacked pass; each is gated once
-    by its ``ok`` and, if accepted, labelled once.  The Choi and dual-Choi
-    matrices it measured of the accepted channels are then eigendecomposed
-    in one batched :func:`~singletopt.linalg.hermitian_eig` call, and each
-    state is kept on its channel object, read-only.  After building what it
-    can, raises the gate's ``ValueError`` for the first rejected channel,
-    which stores no state.
+    :func:`~singletopt.channel.validate`'s stacked pass, gated by the report
+    it stored and, if accepted, labelled once.  Their matrices are
+    eigendecomposed in one batched :func:`~singletopt.linalg.hermitian_eig`
+    call, and each state is kept on its channel object, read-only.  Then
+    raises ``ValueError`` for the first rejected channel, which stores no
+    state.
     """
     unique = {id(c): c for c in channels}.values()
     todo = [c for c in unique if any(kind not in c._states for kind in kinds)]
     if not todo:
         return
     _measure(todo)
-    accepted = {id(c): c.describe() for c in todo if validate(c).ok}
+    accepted = {id(c): c.describe() for c in todo if c._states["validation"].ok}
     owners = [(kind, c) for kind in kinds for c in todo
               if id(c) in accepted and kind not in c._states]
     if owners:
@@ -108,7 +96,7 @@ def build_states(channels, kinds=("choi", "dual_choi")) -> None:
             c._states[kind] = ChoiState(matrix=matrices[k], eig=spectrum, source=source)
     for channel in todo:
         if id(channel) not in accepted:
-            _require_cptp(channel)
+            raise ValueError(f"channel is not CPTP: {channel._states['validation'].numbers()}")
 
 
 def choi_states(channels) -> list:
@@ -140,10 +128,9 @@ def choi(channel: KrausChannel) -> ChoiState:
     """Choi state of a channel: send half of |Phi+> through it.
 
     The one-channel case of :func:`choi_states`: built on the first call for
-    a channel object from the Choi matrix that
-    :func:`~singletopt.channel.validate` measured; later calls return the
-    same read-only state.  A channel that fails ``validate`` raises
-    ``ValueError`` on every call, and no state is built for it.
+    a channel object, later calls return the same read-only state.  A
+    channel that fails ``validate`` raises ``ValueError`` on every call, and
+    no state is built for it.
     """
     state = channel._states.get("choi")
     return state if state is not None else choi_states([channel])[0]

@@ -110,12 +110,7 @@ def _cmd_analyze(args) -> int:
         return EXIT_USAGE
     check = validate(channel)
     if not check.ok:
-        print(
-            "error: channel failed CPTP validation: "
-            f"tp_residual={check.tp_residual!r}, "
-            f"cp_min_eigenvalue={check.cp_min_eigenvalue!r}",
-            file=sys.stderr,
-        )
+        print(f"error: channel failed CPTP validation: {check.numbers()}", file=sys.stderr)
         return EXIT_INVALID
     rep = report(channel)
     if args.format == "json":
@@ -197,8 +192,8 @@ def _cmd_sweep(args) -> int:
     if args.steps < 2:
         print("error: --steps must be at least 2", file=sys.stderr)
         return EXIT_USAGE
-    # --seed changes no output (every column is closed form or certified); it
-    # stays accepted and validated so existing command lines keep working.
+    # --seed is deprecated: it changes no output, but stays accepted and
+    # validated so existing command lines keep working.
     if args.seed < 0:
         print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
         return EXIT_USAGE
@@ -337,7 +332,7 @@ def _parser() -> argparse.ArgumentParser:
         "--columns", required=True, help="comma separated column names"
     )
     sweep.add_argument("--out", required=True, help="output CSV path")
-    sweep.add_argument("--seed", type=int, default=0, help="accepted; changes no output")
+    sweep.add_argument("--seed", type=int, default=0, help="deprecated; changes no output")
     sweep.set_defaults(func=_cmd_sweep)
 
     audit = sub.add_parser("audit", help="randomized identity audit")

@@ -47,12 +47,6 @@ _HERMITIAN_TOL = 1e-8
 _UNIT_TOL = 1e-9
 _PSD_TOL = 1e-9
 
-# How far past [0, 1] a singlet fraction may lie.  A channel that
-# :func:`~singletopt.channel.validate` accepts has sum A^dag A within 1e-9
-# of I in Frobenius norm, so its lambda_max <= Tr J <= 1 + 1e-9 / sqrt(2);
-# rounding adds 1e-12.
-_FRACTION_SLACK = 1e-9 / np.sqrt(2.0) + 1e-12
-
 # How far from I/2 the first marginal of a state handed to
 # :func:`pt_spectrum_identity_residual` may be; the same slack as the
 # Hermiticity check on any state read from outside the package.
@@ -131,11 +125,9 @@ def _singlet_fraction(rho: np.ndarray) -> tuple:
 
 
 def teleportation_fidelity(fraction, d: int = 2) -> float | np.ndarray:
-    """Average teleportation fidelity (d*F + 1) / (d + 1), entrywise on an array.
-
-    Raises unless every F lies in [0, 1] up to ``_FRACTION_SLACK``.
-    """
-    if not all(np.ravel((fraction >= -_FRACTION_SLACK) & (fraction <= 1 + _FRACTION_SLACK))):
+    """Average teleportation fidelity (d*F + 1) / (d + 1), entrywise on an
+    array; raises unless every F lies in [0, 1] up to 1e-12 of rounding."""
+    if not all(np.ravel((fraction >= -1e-12) & (fraction <= 1 + 1e-12))):
         raise ValueError(f"singlet fraction must lie in [0, 1], got {fraction}")
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")

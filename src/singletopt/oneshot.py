@@ -30,13 +30,13 @@ from ._batched import (
     magic_filter_table,
 )
 from .channel import (
+    CPTP_TOLERANCE,
     KRAUS_CUT,
     KrausChannel,
     _apply_to_halves,
     _bell_products,
     _kraus_operators,
     is_unital,
-    validate,
 )
 from .choi import (
     DEGENERACY_GAP,
@@ -200,22 +200,20 @@ class Classification:
 _MES_TOL = 1e-7
 
 
-def classify(channel: KrausChannel, mes_tol: float = _MES_TOL) -> Classification:
+def classify(channel: KrausChannel) -> Classification:
     """Check that the optimal input is maximally entangled iff unital.
 
     A degenerate dual-Choi top eigenvalue leaves the optimal input
     ambiguous, so the verdict is then "indeterminate".
     """
-    unital, deviation = is_unital(channel)
-    return _classification(unital, deviation, optimal_input_state(channel), mes_tol)
+    return _classification(*is_unital(channel), optimal_input_state(channel))
 
 
-def _classification(unital: bool, deviation: float, inp: OptimalInput,
-                    mes_tol: float) -> Classification:
+def _classification(unital: bool, deviation: float, inp: OptimalInput) -> Classification:
     """:func:`classify`'s verdict on a channel's unitality and optimal input."""
     if inp.degenerate:
         return Classification(unital, deviation, None, "indeterminate")
-    mes = abs(float(inp.schmidt.coefficients[0]) - 0.5) < mes_tol
+    mes = abs(float(inp.schmidt.coefficients[0]) - 0.5) < _MES_TOL
     verdict = "consistent" if mes == unital else "inconsistent"
     return Classification(unital, deviation, mes, verdict)
 
@@ -395,7 +393,7 @@ class IdentityContext:
     def __init__(self, channels):
         self.channels = list(channels)
         build_states(self.channels)
-        self.validations = [validate(c) for c in self.channels]
+        self.validations = [c._states["validation"] for c in self.channels]
         self.choi_states = [choi(c) for c in self.channels]
         self.dual_states = [dual_choi(c) for c in self.channels]
         self.optimal_inputs = optimal_input_states(self.channels)
@@ -452,7 +450,7 @@ def _negativity_relation(ctx: IdentityContext) -> list:
 
 
 def _classification_consistent(ctx: IdentityContext) -> list:
-    verdicts = [_classification(*args, _MES_TOL).verdict for args in zip(
+    verdicts = [_classification(*args).verdict for args in zip(
         ctx.unital, ctx.unitality_deviation, ctx.optimal_inputs)]
     return _where(~ctx.degenerate, [float(v != "consistent") for v in verdicts])
 
@@ -489,8 +487,8 @@ def _fstar_dual_feasible(ctx: IdentityContext) -> np.ndarray:
 # Rows and the context reach library functions through module globals, so a
 # patched function is what every caller of the table sees.
 IDENTITIES = (
-    Identity("tp", 1e-9, True, lambda ctx: [v.tp_residual for v in ctx.validations]),
-    Identity("cp", 1e-9, True,
+    Identity("tp", CPTP_TOLERANCE, True, lambda ctx: [v.tp_residual for v in ctx.validations]),
+    Identity("cp", CPTP_TOLERANCE, True,
              lambda ctx: [max(0.0, -v.cp_min_eigenvalue) for v in ctx.validations]),
     Identity("dual_choi_entrywise", 1e-12, True, lambda ctx: [
         np.abs(dual.matrix - swap_conjugate(state.matrix)).max()

@@ -54,6 +54,20 @@ def random_pauli_mixture(rng, min_gap=1e-6):
     return KrausChannel(kraus=ops, label="pauli_mixture")
 
 
+def near_tp_channels():
+    """Three channels that pass validation with sum A^dag A off I by
+    8.5e-10, 8.9e-10 and 7.1e-10 (Frobenius): the scaled identity, a scaled
+    amplitude-damping pair and a scaled real rotation."""
+    half = np.sqrt(0.5)
+    a0 = (1 + 4e-10) * np.diag([1.0, half])
+    a1 = np.array([[0.0, half], [0.0, 0.0]])
+    c, s = np.cos(0.3), np.sin(0.3)
+    rotation = (1 + 2.5e-10) * np.array([[c, -s], [s, c]])
+    return [KrausChannel(kraus=(1.0000000003 * I2,), label="scaled_identity"),
+            KrausChannel(kraus=(a0, a1), label="scaled_damping"),
+            KrausChannel(kraus=(rotation,), label="scaled_rotation")]
+
+
 def random_channels(seed, count, ranks=(1, 2, 3, 4)):
     """Deterministic stream of random channels with cycling Kraus rank."""
     return [

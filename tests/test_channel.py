@@ -55,13 +55,13 @@ def test_validate_amplitude_damping():
     assert validate(amplitude_damping(0.5)).ok
 
 
-def test_validate_decides_ok_per_call():
-    # Measured once per channel object; the verdict still follows each tol.
+def test_validate_decides_once_per_channel():
+    # Measured and decided once per channel object: every call returns the
+    # stored report.
     c = KrausChannel(kraus=(np.sqrt(1.0 + 1e-6) * I2,))
-    strict, loose, again = validate(c), validate(c, tol=1e-5), validate(c)
-    assert not strict.ok and loose.ok and not again.ok
-    assert strict.tp_residual == loose.tp_residual == again.tp_residual
-    assert strict.tp_residual == pytest.approx(np.sqrt(2.0) * 1e-6, rel=1e-6)
+    first, again = validate(c), validate(c)
+    assert first is again and not first.ok
+    assert first.tp_residual == pytest.approx(np.sqrt(2.0) * 1e-6, rel=1e-6)
 
 
 def test_validate_rejects_double_identity():
@@ -341,6 +341,20 @@ def test_json_rejects_name_and_kraus_together():
             channel_from_dict(spec)
 
 
+def test_json_rejects_keys_it_does_not_read():
+    kraus = channel_to_dict(identity())["kraus"]
+    for spec, key in (
+        ({"kraus": kraus, "params": {"p": 2}}, "'params'"),
+        ({"name": "identity", "paramz": {"p": 1}}, "'paramz'"),
+        ({"name": "depolarizing", "params": {"p": 0.5}, "label": "x"}, "'label'"),
+    ):
+        with pytest.raises(ValueError, match=rf"^unknown channel spec key\(s\) \[{key}\]$"):
+            channel_from_dict(spec)
+    # Both fields at once keeps its own message, whatever else is there.
+    with pytest.raises(ValueError, match="^give either 'name' or 'kraus', not both$"):
+        channel_from_dict({"name": "identity", "kraus": kraus, "paramz": {}})
+
+
 # ---------------------------------------------------------------------------
 # Choi matrices by broadcast, against the einsum bit for bit
 # ---------------------------------------------------------------------------
@@ -388,6 +402,23 @@ def test_measured_choi_and_dual_matrices_are_each_channels_einsum():
         assert_bitwise_equal(
             c._states["dual_choi_matrix"], einsum_bell_products(ops.conj().swapaxes(-1, -2))
         )
+
+
+def test_channel_within_rounding_of_tp_keeps_its_input_choi_matrix():
+    # At tp_residual <= 1e-14 the input is analyzed as given, bit for bit;
+    # above it the analyzed list is the exact TP projection, kept apart.
+    kept = random_channels(9610, 8) + [KrausChannel(kraus=(np.sqrt(1 + 5e-15) * I2,))]
+    moved = KrausChannel(kraus=(np.sqrt(1 + 1e-13) * I2,))
+    _measure(kept + [moved])
+    assert 0 < validate(kept[-1]).tp_residual <= 1e-14 < validate(moved).tp_residual
+    for c in kept:
+        assert validate(c).tp_residual <= 1e-14 and "kraus" not in c._states
+        assert_bitwise_equal(c._states["choi_matrix"], einsum_bell_products(np.array(c.kraus)))
+    projected = np.array(moved._states["kraus"])
+    assert np.linalg.norm((projected.conj().swapaxes(-1, -2) @ projected).sum(axis=0) - I2) <= 1e-15
+    np.testing.assert_allclose(moved._states["choi_matrix"], einsum_bell_products(projected),
+                               rtol=0, atol=1e-16)
+    assert moved.kraus[0][0, 0] == np.sqrt(1 + 1e-13)
 
 
 def test_halves_of_a_stack_are_each_channels_apply_to_half():

@@ -228,29 +228,32 @@ def test_choi_states_build_accepted_channels_and_raise_for_rejected(builds):
 
 
 def test_build_states_gates_and_labels_each_channel_once(monkeypatch):
-    checked, labelled = [], []
-    real_validate, real_describe = choi_module.validate, KrausChannel.describe
+    measured, labelled = [], []
+    real_measure, real_describe = choi_module._measure, KrausChannel.describe
 
-    def counting_validate(channel, *args):
-        checked.append(channel)
-        return real_validate(channel, *args)
+    def counting_measure(channels):
+        measured.extend(c for c in channels if "validation" not in c._states)
+        return real_measure(channels)
 
     def counting_describe(channel):
         labelled.append(channel)
         return real_describe(channel)
 
-    monkeypatch.setattr(choi_module, "validate", counting_validate)
+    monkeypatch.setattr(choi_module, "_measure", counting_measure)
     monkeypatch.setattr(KrausChannel, "describe", counting_describe)
     rows = [amplitude_damping(p) for p in np.linspace(0.0, 1.0, 21)]
     build_states(rows + rows[:5])
-    assert len(checked) == len(labelled) == 21
-    assert {id(c) for c in checked} == {id(c) for c in rows}
-    # A rejected channel is gated once more, to raise its own message.
+    assert len(measured) == len(labelled) == 21
+    assert {id(c) for c in measured} == {id(c) for c in rows}
+    # A rejected channel is measured once with the others and raises the
+    # report it stored; no state is built for it.
     bad = KrausChannel(kraus=(2 * I2,))
-    checked.clear()
-    with pytest.raises(ValueError, match="not CPTP"):
+    measured.clear()
+    with pytest.raises(ValueError, match="not CPTP") as rejected:
         build_states([depolarizing(0.1), bad, depolarizing(0.2)])
-    assert [c is bad for c in checked] == [False, True, False, True]
+    assert [c is bad for c in measured] == [False, True, False]
+    assert str(rejected.value) == f"channel is not CPTP: {bad._states['validation'].numbers()}"
+    assert "choi" not in bad._states
 
 
 def test_kraus_from_choi_state_reads_its_kept_spectrum(monkeypatch):

@@ -19,11 +19,14 @@ from singletopt.channel import (
     is_unital,
     named_channel,
     random_channel,
+    validate,
 )
 from singletopt.choi import build_states, choi
 from singletopt.linalg import I2
 from singletopt.entmetrics import negativity, teleportation_fidelity
 from singletopt.locc import fstar
+
+from conftest import near_tp_channels
 
 # The package re-exports the function ``choi``, which shadows the module.
 choi_module = importlib.import_module("singletopt.choi")
@@ -153,8 +156,8 @@ def test_analyze_overflowing_kraus_lists_exit_3_quietly(capsys, tmp_path, copies
 def test_analyze_near_tp_channel_exits_by_validate(capsys, tmp_path, eps, expected, sign):
     # sum A^dag A = I + eps Z (sign -1) or (1 + eps) I (sign 1): tp_residual
     # sqrt(2) eps, either side of 1e-9.  Accepted channels are analyzed in
-    # full, (1 + eps) I with lambda_max = 1 + eps above 1; rejected ones end
-    # in exit 3.
+    # full, as their exact TP projection, so (1 + eps) I reads F_lambda <= 1
+    # while its tp row reads the input's residual; rejected ones end in exit 3.
     diagonal = np.sqrt([1 + eps, 1 + sign * eps])
     spec = {"kraus": [[[[diagonal[0], 0.0], [0.0, 0.0]], [[0.0, 0.0], [diagonal[1], 0.0]]]]}
     path = tmp_path / "near_tp.json"
@@ -166,8 +169,8 @@ def test_analyze_near_tp_channel_exits_by_validate(capsys, tmp_path, eps, expect
         assert "\n  tp: " in out
         fraction = _text_value(out, "F_lambda")
         assert _text_value(out, "f_tel") == (2 * fraction + 1) / 3
-        if sign == 1:
-            assert fraction == pytest.approx(1 + eps, rel=0, abs=1e-15)
+        assert fraction <= 1
+        assert _text_value(out, "  tp") == pytest.approx(np.sqrt(2.0) * eps, rel=1e-3)
     else:
         assert out == ""
         assert err.startswith("error: channel failed CPTP validation: tp_residual=")
@@ -189,6 +192,63 @@ def test_analyze_validates_each_channel_once(capsys, monkeypatch):
     code, _, _ = run(["analyze", "--name", "amplitude_damping", "--param", "p=0.3"], capsys)
     assert code == 0
     assert builds == ["amplitude_damping(p=0.3)"]
+
+
+def test_analyze_calls_validate_once(capsys, monkeypatch, tmp_path):
+    # The CLI's gate is the one call; every later layer reads its report.
+    calls = []
+    real = channel_module.validate
+
+    def counting(channel):
+        calls.append(channel)
+        return real(channel)
+
+    # Every module of the package that holds ``validate`` by name.
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "singletopt" and getattr(module, "validate", None) is real:
+            monkeypatch.setattr(module, "validate", counting)
+    path = tmp_path / "near_tp.json"
+    path.write_text(json.dumps(channel_to_dict(near_tp_channels()[0])))
+    for argv in (["--name", "amplitude_damping", "--param", "p=0.3"], ["--file", str(path)]):
+        for fmt in ("text", "json"):
+            calls.clear()
+            code, _, _ = run(["analyze", *argv, "--format", fmt], capsys)
+            assert code == 0 and len(calls) == 1
+
+
+@pytest.mark.parametrize("index", [0, 1, 2], ids=["scaled_identity", "scaled_damping", "scaled_rotation"])
+def test_analyze_near_tp_file_passes_every_row(capsys, tmp_path, index):
+    # The file holds the operators as given; analyze reports their tp
+    # residual and every other number from their exact TP projection.
+    channel = near_tp_channels()[index]
+    path = tmp_path / "near_tp.json"
+    path.write_text(json.dumps(channel_to_dict(channel)))
+    code, out, err = run(["analyze", "--file", str(path)], capsys)
+    assert code == 0 and err == ""
+    assert _text_value(out, "F_lambda") <= 1
+    tolerance = {row.name: row.tolerance for row in oneshot.IDENTITIES}
+    rows = out.split("residuals:\n")[1].splitlines()
+    assert {line.split(":")[0].strip() for line in rows} >= {"pt_spectrum_identity", "negativity_relation"}
+    for line in rows:
+        name, value = line.strip().split(": ")
+        assert float(value) <= tolerance[name], line
+    assert _text_value(out, "  tp") == float(f"{validate(channel).tp_residual:.3e}")
+    code, out, _ = run(["analyze", "--file", str(path), "--format", "json"], capsys)
+    payload = json.loads(out)
+    assert payload["channel"] == channel_to_dict(channel)
+    assert payload["report"]["F_lambda"] <= 1
+
+
+@pytest.mark.parametrize("spec, key", [
+    ({"kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]], "params": {"p": 2}}, "params"),
+    ({"name": "identity", "paramz": {"p": 1}}, "paramz"),
+], ids=["kraus-params", "name-paramz"])
+def test_analyze_unknown_spec_key_exits_2(capsys, tmp_path, spec, key):
+    path = tmp_path / "unknown.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(["analyze", "--file", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown channel spec key(s) ['{key}']\n"
 
 
 def test_analyze_parse_failure_exits_2(capsys, tmp_path):

@@ -62,6 +62,7 @@ from singletopt.oneshot import (
 
 from conftest import (
     assert_bitwise_equal,
+    near_tp_channels,
     random_channels,
     random_pauli_mixture,
     random_pure,
@@ -455,6 +456,26 @@ def test_report_rejects_invalid_channel():
 
     with pytest.raises(ValueError):
         report(KrausChannel(kraus=(I2, I2)))
+
+
+@pytest.mark.parametrize("index, tp_residual", [(0, 8.5e-10), (1, 8.9e-10), (2, 7.1e-10)],
+                         ids=["scaled_identity", "scaled_damping", "scaled_rotation"])
+def test_near_tp_channels_pass_every_row_as_their_projection(index, tp_residual):
+    # Accepted with sum A^dag A up to 8.9e-10 off I, each is analyzed as its
+    # exact TP projection: every row holds at its own tolerance, no singlet
+    # fraction exceeds 1, and the tp row still reads the input's residual.
+    tolerance = {row.name: row.tolerance for row in IDENTITIES}
+    values = channel_residuals([near_tp_channels()[index]])[0]
+    assert set(values) >= {"pt_spectrum_identity", "negativity_relation",
+                           "optimal_input_achievement", "fstar_protocol"}
+    for name, value in values.items():
+        assert value <= tolerance[name], name
+    # Every row but the input's own two reads the projection, TP to rounding.
+    assert max(v for name, v in values.items() if name not in ("tp", "cp")) <= 1e-12
+    assert values["tp"] == pytest.approx(tp_residual, abs=5e-12)
+    rep = report(near_tp_channels()[index])
+    assert rep.F_lambda <= 1 and rep.f_tel <= 1
+    assert rep.residuals["tp"] == values["tp"]
 
 
 def test_report_roundtrips_to_dict():
