@@ -5,7 +5,10 @@ attainable with a single channel use and trace-preserving local operations,
 the pure input state achieving it, the associated teleportation fidelity
 and negativity quantities, and the strictly smaller value reachable by
 post-processing a maximally entangled transmission.  Every closed form is
-paired with an independent brute-force oracle.
+checked against an independent route: a certificate, an identity, or a
+brute-force search.  The package ships one search, the singlet-fraction
+oracle; the filter searches for F* and for the optimal input are references
+in the test suite.
 """
 
 from .channel import (
@@ -54,7 +57,6 @@ from .locc import (
     fstar,
     fstar_bracket,
     fstar_certificate,
-    fstar_filter_oracle,
     postprocessing_gap,
 )
 from .oneshot import (
@@ -71,7 +73,6 @@ from .oneshot import (
     optimal_input_state,
     optimal_singlet_fraction,
     preprocessed_fidelity,
-    preprocessed_fidelity_oracle,
     report,
     residuals,
 )

@@ -8,7 +8,8 @@ Three subcommands:
   seeded random channels and fails loudly on any violation.
 
 Exit codes: 0 ok, 1 identity violation, 2 usage or parse error, 3 channel
-failed CPTP validation.
+failed CPTP validation.  The console script ends on a closed stdout as
+``cat`` does, by SIGPIPE, where the platform has it.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import errno
 import functools
 import json
 import os
+import signal
 import sys
 
 import numpy as np
@@ -352,6 +354,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # Python ignores SIGPIPE, so a write to a closed stdout would raise
+    # BrokenPipeError and exit 1, the code of an identity violation.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -263,33 +263,15 @@ def _terms(coefficients: tuple, e_ph, e_pm):
     return mean_a + (r03 * e_ph**2).real, mean_b - (r12 * e_pm**2).real, cross
 
 
-def _overlap_at(terms, beta=None):
-    """The overlap at the angle b; by default its peak over b, (A+B)/2 + hypot(A-B, C)/2."""
+def _overlap_at(terms):
+    """The peak over b of the overlap, (A+B)/2 + hypot(A-B, C)/2."""
     a, b, cross = terms
-    if beta is None:
-        return 0.5 * (a + b) + 0.5 * np.hypot(a - b, cross)
-    c, s = np.cos(np.asarray(beta) / 2), np.sin(np.asarray(beta) / 2)
-    return c**2 * a + s**2 * b + c * s * cross
-
-
-def _overlap_terms(rho: np.ndarray, ph, pm):
-    """(A, B, C) of the trigonometric form above, broadcast over ph, pm and rho's stack."""
-    e_ph, e_pm = np.exp(1j * np.asarray(ph)), np.exp(1j * np.asarray(pm))
-    return _terms(_overlap_coefficients(rho), e_ph, e_pm)
-
-
-def _mes_overlap(rho: np.ndarray, beta, ph, pm):
-    """Exact overlap of rho with the maximally entangled state at the given angles, broadcast."""
-    return _overlap_at(_overlap_terms(rho, ph, pm), beta)
-
-
-def _phase_overlap(rho: np.ndarray, ph, pm):
-    """The peak over b of :func:`_mes_overlap` at phases (ph, pm)."""
-    return _overlap_at(_overlap_terms(rho, ph, pm))
+    return 0.5 * (a + b) + 0.5 * np.hypot(a - b, cross)
 
 
 def _polish_objective(rho: np.ndarray):
-    """:func:`_phase_overlap` on compass_search's (probe, restart) layout, restart k on state k."""
+    """The peak overlap at phases (ph, pm), in compass_search's (probe, restart)
+    layout, restart k on state k."""
     coefficients, tiled = _overlap_coefficients(rho), {}
 
     def objective(x):

@@ -46,8 +46,9 @@ stack of states, each on its own rule, and :func:`channel_fstars` solves
 many channels' Choi states in one such call, as the audit does for its
 certificates, each bit for bit its state's own.
 :meth:`FstarCertificate.protocol` is the primal's explicit
-filter.  The filter protocol oracle, a test reference the audit does not
-run, maximizes the primal protocol value directly, by an independent route.
+filter.  The filter-protocol search that maximizes the primal protocol
+value directly, by an independent route, is a reference in the test suite
+(``tests/conftest.py``), not part of the package.
 """
 
 from __future__ import annotations
@@ -56,18 +57,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._batched import (
-    FILTER_SPEC,
-    apply_filter_table,
-    filter_batch,
-    magic_filter_table,
-    random_filter_params,
-)
 from .channel import KrausChannel
 from .choi import ENTANGLEMENT_BREAKING_THRESHOLD, choi, choi_values
-from .entmetrics import _as_density_stack, _singlet_fraction, as_density_matrix
+from .entmetrics import _as_density_stack, _singlet_fraction
 from .linalg import I2, MAGIC_BASIS, PAULIS, partial_transpose, tensor_product, to_magic_basis
-from .optimize import compass_search
 
 __all__ = [
     "GAP_TOLERANCE",
@@ -78,7 +71,6 @@ __all__ = [
     "fstar",
     "fstar_bracket",
     "fstar_certificate",
-    "fstar_filter_oracle",
     "postprocessing_gap",
 ]
 
@@ -322,8 +314,9 @@ class FstarCertificate:
         With X = ``primal.reshape(2, 2)`` and J = [[0, 1], [-1, 0]], the filter
         A = (sqrt(2) X J^-1)^T has ||A||_op = sqrt(2) sigma_max(X) <= 1, and
         its value is at least <Phi^+|(A (x) I) rho (A (x) I)^dag|Phi^+> +
-        (1 - p)/2 = 1/2 - <x|rho^Gamma|x> = ``lower``.  It is scored as
-        :func:`fstar_filter_oracle` scores its filter, apart from the solve.
+        (1 - p)/2 = 1/2 - <x|rho^Gamma|x> = ``lower``.  It is scored as the
+        test suite's filter-search reference scores its filter, apart from
+        the solve.
         A certificate of a stack of states gives the protocols of the same
         stack ``rho`` in one :class:`FilterProtocol` with its leading axes,
         each field bit for bit its state's own.
@@ -433,47 +426,6 @@ class FilterProtocol:
     success_probability: float
     success_state: np.ndarray
     fstar_value: float
-
-
-def fstar_filter_oracle(
-    rho: np.ndarray, restarts: int = 32, seed: int = 0
-) -> FilterProtocol:
-    """Maximize the filter-protocol value directly (primal oracle for fstar).
-
-    Filters are parameterized as A = diag(1, s) V^dag with s in [0, 1] and
-    V = Rz(alpha) Ry(beta).  This is fully general: a left unitary factor
-    only conjugates the success state locally, leaving both the success
-    probability and its singlet fraction unchanged (so a third Euler angle
-    would cancel), and pinning the top singular value to 1 loses nothing
-    whenever filtering helps at all (the trivial separable preparation,
-    worth exactly 1/2, covers the remaining states).  The search includes
-    the identity filter, so the result never falls below the plain singlet
-    fraction of ``rho``.
-    """
-    rho = as_density_matrix(rho)
-    table = magic_filter_table(rho)
-
-    def objective(x: np.ndarray) -> np.ndarray:
-        scale = np.stack([np.ones(len(x)), x[:, 0]], axis=-1)
-        filters = filter_batch(scale, x[:, 1], x[:, 2]).conj()
-        states, trace = apply_filter_table(table, filters)
-        # p F(m/p) folds into the unnormalized top overlap of m itself.
-        return np.linalg.eigvalsh(states)[:, -1] + (1.0 - trace) / 2.0
-
-    # Coarse deterministic grid to locate the right basin.  The landscape
-    # has a flat plateau of unitary filters at s = 1 worth exactly the
-    # plain singlet fraction; genuine optima typically hug that plateau
-    # from below, so the s axis is sampled densely near 1.
-    s_axis = np.array([0.15, 0.35, 0.55, 0.7, 0.8, 0.87, 0.92, 0.96, 0.99])
-    axes = (s_axis, np.arange(10) * (np.pi / 5), np.linspace(0.0, np.pi, 6))
-    grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    top = grid[np.argsort(objective(grid))[-24:]]
-
-    random_starts = random_filter_params(np.random.default_rng(seed), restarts)
-    starts = np.vstack([[(1.0, 0, 0)], top, random_starts])
-    x, f = compass_search(objective, starts, FILTER_SPEC, step0=0.4, step_tol=1e-7)
-    x = x[f.argmax()]
-    return _filter_protocol(filter_batch([(1.0, x[0])], [x[1]], [x[2]])[0].conj(), rho)
 
 
 def _filter_protocol(filt: np.ndarray, rho: np.ndarray) -> FilterProtocol:

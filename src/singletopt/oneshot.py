@@ -23,12 +23,6 @@ from typing import Callable
 
 import numpy as np
 
-from ._batched import (
-    FILTER_SPEC,
-    apply_filter_table,
-    filter_batch,
-    magic_filter_table,
-)
 from .channel import (
     CPTP_TOLERANCE,
     KRAUS_CUT,
@@ -59,7 +53,6 @@ from .entmetrics import (
 )
 from .linalg import I2, MAGIC_BASIS, partial_transpose, swap_conjugate, to_magic_basis
 from .locc import GAP_TOLERANCE, FstarCertificate, _fstar_certificate
-from .optimize import compass_search
 
 __all__ = [
     "ENTANGLEMENT_BREAKING_THRESHOLD",
@@ -75,7 +68,6 @@ __all__ = [
     "optimal_input_state",
     "optimal_input_states",
     "preprocessed_fidelity",
-    "preprocessed_fidelity_oracle",
     "classify",
     "choi_negativities",
     "negativity_relation_residual",
@@ -143,46 +135,6 @@ def preprocessed_fidelity(channel: KrausChannel) -> float:
     conjugation identity coincides with the top Choi eigenvalue.
     """
     return float(dual_choi(channel).eig.eigenvalues[0])
-
-
-# Grid of the pure-input oracle: Schmidt weights and alpha values.
-_SCHMIDT_POINTS = 17
-_ANGLE_POINTS = 12
-
-
-def preprocessed_fidelity_oracle(channel: KrausChannel, refine: bool = True) -> float:
-    """Grid maximization of the output singlet fraction over pure inputs.
-
-    Inputs are swept in Schmidt form: weight lam and a local unitary
-    V = Rz(alpha) Ry(beta) on the transmitted qubit.  A local unitary on the
-    kept qubit cannot change the singlet fraction, and a third Euler angle
-    on V would act as one (its Rz factor commutes with the Schmidt
-    weights), so two angles reach every input that matters.  The input
-    with amplitude matrix A = diag(sqrt(lam), sqrt(1 - lam)) V^T, the vector
-    ``A.reshape(4)``, is sent to 2 (A (x) I) J (A (x) I)^dag with J the
-    Choi state, so each probe is scored on the Choi state's magic filter
-    table.  The best grid cells are polished by coordinate search unless
-    ``refine`` is False.  A lower bound on :func:`preprocessed_fidelity`
-    up to rounding.
-    """
-    lam = np.linspace(0.0, 1.0, _SCHMIDT_POINTS)
-    alpha = np.arange(_ANGLE_POINTS) * (2 * np.pi / _ANGLE_POINTS)
-    beta = np.linspace(0.0, np.pi, _ANGLE_POINTS // 2 + 1)
-    grids = np.meshgrid(lam, alpha, beta, indexing="ij")
-    params = np.stack([g.ravel() for g in grids], axis=-1)
-    table = magic_filter_table(choi(channel).matrix)
-
-    def objective(x: np.ndarray) -> np.ndarray:
-        scale = np.sqrt(np.stack([x[:, 0], 1.0 - x[:, 0]], axis=-1))
-        states, _ = apply_filter_table(table, filter_batch(scale, x[:, 1], x[:, 2]))
-        return 2.0 * np.linalg.eigvalsh(states)[:, -1]
-
-    values = objective(params)
-    if not refine:
-        return float(values.max())
-    top = np.argsort(values)[-6:]
-    _, best = compass_search(objective, params[top], FILTER_SPEC, step0=0.3, step_tol=1e-7)
-    return float(max(best.max(), values.max()))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Derivative-free coordinate search with random restarts.
 
-One small engine serves all three oracle searches: all restarts are advanced
-together as one batch, each iteration probes every coordinate
-direction for every restart in a single vectorized objective call, the best
-improving probe per restart is accepted, and a restart's step is halved
-whenever none of its probes improve.  The search is deterministic given its
+One small engine serves every derivative-free search: the package's
+singlet-fraction oracle and the two filter searches that the test suite
+keeps as references.  All restarts are advanced together as one batch,
+each iteration probes every coordinate direction for every restart in a
+single vectorized objective call, the best improving probe per restart is
+accepted, and a restart's step is halved whenever none of its probes
+improve.  The search is deterministic given its
 starts, and returns every restart's result.
 """
 

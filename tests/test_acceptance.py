@@ -25,15 +25,20 @@ from singletopt.entmetrics import (
     singlet_fraction_oracle,
 )
 from singletopt.linalg import PHI_PLUS, swap_conjugate
-from singletopt.locc import fstar, fstar_filter_oracle, postprocessing_gap
+from singletopt.locc import fstar, postprocessing_gap
 from singletopt.oneshot import (
     ENTANGLEMENT_BREAKING_THRESHOLD,
     channel_negativity,
     optimal_input_state,
-    preprocessed_fidelity_oracle,
 )
 
-from conftest import random_channels, random_density, random_pauli_mixture
+from conftest import (
+    fstar_filter_oracle,
+    preprocessed_fidelity_oracle,
+    random_channels,
+    random_density,
+    random_pauli_mixture,
+)
 
 
 def _criterion(num, description, ok, detail=""):

@@ -1,23 +1,21 @@
-"""Filter picture shared by the two oracle searches: the builder, the filter
-basis and the magic table built on it."""
+"""Filter picture shared by the two filter-search references in conftest:
+the builder and the magic table."""
 
 import numpy as np
 import pytest
 
-from singletopt._batched import (
-    apply_filter_table,
-    filter_basis,
-    filter_batch,
-    filter_coefficients,
-    magic_filter_table,
-)
 from singletopt.channel import apply_to_half
 from singletopt.choi import choi
-from singletopt.entmetrics import negativity, schmidt, singlet_fraction
+from singletopt.entmetrics import singlet_fraction
 from singletopt.linalg import I2, to_magic_basis
-from singletopt.oneshot import channel_negativity
 
-from conftest import random_channels, random_density
+from conftest import (
+    apply_filter_table,
+    filter_batch,
+    magic_filter_table,
+    random_channels,
+    random_density,
+)
 
 
 def _explicit(filters, rho):
@@ -51,16 +49,6 @@ def _cases():
         s[:2] = (0.0, 1.0)
         protocols = filter_batch(np.stack([np.ones(8), s], -1), alpha, beta).conj()
         yield rank, rho, np.concatenate([generic, inputs, protocols])
-
-
-@pytest.mark.parametrize("rank, rho, filters", list(_cases()))
-def test_filter_basis_reproduces_filtered_states(rank, rho, filters):
-    basis = filter_basis(rho)
-    assert basis.shape == (16, 4, 4)
-    flat = filter_coefficients(filters) @ basis.reshape(16, 16)
-    np.testing.assert_allclose(
-        flat.reshape(-1, 4, 4), _explicit(filters, rho), rtol=0, atol=1e-14
-    )
 
 
 @pytest.mark.parametrize("rank, rho, filters", list(_cases()))
@@ -136,11 +124,3 @@ def test_left_rz_factor_cancels_in_every_objective(rank):
     plain, turned = _objectives(rho, filters), _objectives(rho, rotated)
     for name in plain:
         np.testing.assert_allclose(turned[name], plain[name], rtol=0, atol=1e-14)
-
-
-def test_channel_negativity_value_is_its_input_negativity():
-    for c in random_channels(303, 8):
-        search = channel_negativity(c)
-        assert abs(search.schmidt_weight - schmidt(search.input_state).coefficients[0]) <= 1e-12
-        out = apply_to_half(c, search.input_state)
-        assert abs(search.value - negativity(out)) <= 1e-12

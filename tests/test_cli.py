@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 
@@ -297,6 +298,26 @@ def test_analyze_deeply_nested_json_exits_2_without_traceback(tmp_path):
     assert done.stdout == ""
     assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="platform has no SIGPIPE")
+def test_closed_stdout_ends_by_sigpipe_without_traceback():
+    # A reader that has gone away (``| head``, a closed pipe) must not turn
+    # into exit 1, the code of an identity violation, with a traceback.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "singletopt.cli", "analyze",
+             "--name", "amplitude_damping", "--param", "p=0.5"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.stderr == b""
+    assert done.returncode == -signal.SIGPIPE
 
 
 def test_sweep_unwritable_out_exits_2(tmp_path, capsys, monkeypatch):

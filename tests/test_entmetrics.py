@@ -14,11 +14,11 @@ from singletopt.entmetrics import (
 )
 from singletopt.channel import random_channel
 from singletopt.entmetrics import (
-    _mes_overlap,
-    _overlap_terms,
-    _phase_overlap,
+    _overlap_at,
+    _overlap_coefficients,
     _polish_objective,
     _polish_starts,
+    _terms,
 )
 from singletopt.linalg import PHI_PLUS, PSI_MINUS
 from singletopt.locc import fstar, fstar_certificate
@@ -32,6 +32,24 @@ from conftest import (
 
 
 BELL = np.outer(PHI_PLUS, PHI_PLUS.conj())
+
+
+def _overlap_terms(rho, ph, pm):
+    """(A, B, C) of the oracle's trigonometric form, broadcast over ph, pm and rho's stack."""
+    e_ph, e_pm = np.exp(1j * np.asarray(ph)), np.exp(1j * np.asarray(pm))
+    return _terms(_overlap_coefficients(rho), e_ph, e_pm)
+
+
+def _mes_overlap(rho, beta, ph, pm):
+    """Overlap of rho with the maximally entangled state at the angles (beta, ph, pm)."""
+    a, b, cross = _overlap_terms(rho, ph, pm)
+    c, s = np.cos(np.asarray(beta) / 2), np.sin(np.asarray(beta) / 2)
+    return c**2 * a + s**2 * b + c * s * cross
+
+
+def _phase_overlap(rho, ph, pm):
+    """The peak over beta of :func:`_mes_overlap` at the phases (ph, pm)."""
+    return _overlap_at(_overlap_terms(rho, ph, pm))
 
 
 def test_singlet_fraction_bell_state():

@@ -20,13 +20,14 @@ from singletopt.locc import (
     fstar,
     fstar_bracket,
     fstar_certificate,
-    fstar_filter_oracle,
     postprocessing_gap,
 )
 from singletopt.oneshot import optimal_input_state
 from singletopt.channel import apply_to_half
 
+import conftest
 from conftest import (
+    fstar_filter_oracle,
     random_channels,
     random_density,
     random_product_state,
@@ -320,7 +321,7 @@ def test_oracle_search_ends_before_iteration_cap(monkeypatch):
     # the starts.  Elsewhere a losing restart can still reach the cap; see
     # the next test.
     batches = []
-    search = locc.compass_search
+    search = conftest.compass_search
 
     def counting_search(objective, *args, **kwargs):
         calls = [0]
@@ -334,7 +335,7 @@ def test_oracle_search_ends_before_iteration_cap(monkeypatch):
         finally:
             batches.append(calls[0])
 
-    monkeypatch.setattr(locc, "compass_search", counting_search)
+    monkeypatch.setattr(conftest, "compass_search", counting_search)
     for k in range(20):
         fstar_filter_oracle(choi(random_channel(5000 + k, 1 + k % 4)).matrix, seed=k)
     assert len(batches) == 20

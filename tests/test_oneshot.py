@@ -26,6 +26,7 @@ from singletopt.entmetrics import (
     _singlet_fraction,
     negativity,
     pt_spectrum_identity_residual,
+    schmidt,
     singlet_fraction,
 )
 from singletopt.linalg import (
@@ -42,7 +43,6 @@ from singletopt.locc import (
     FstarCertificate,
     _fstar_certificate,
     fstar_certificate,
-    fstar_filter_oracle,
 )
 from singletopt.oneshot import (
     IDENTITIES,
@@ -55,14 +55,15 @@ from singletopt.oneshot import (
     optimal_input_state,
     optimal_singlet_fraction,
     preprocessed_fidelity,
-    preprocessed_fidelity_oracle,
     report,
     residuals,
 )
 
 from conftest import (
     assert_bitwise_equal,
+    fstar_filter_oracle,
     near_tp_channels,
+    preprocessed_fidelity_oracle,
     random_channels,
     random_pauli_mixture,
     random_pure,
@@ -256,6 +257,14 @@ def test_channel_negativity_beats_random_inputs():
         search = channel_negativity(c)
         best = max(negativity(apply_to_half(c, random_pure(rng))) for _ in range(500))
         assert best <= search.value + 1e-12
+
+
+def test_channel_negativity_value_is_its_input_negativity():
+    for c in random_channels(303, 8):
+        search = channel_negativity(c)
+        assert abs(search.schmidt_weight - schmidt(search.input_state).coefficients[0]) <= 1e-12
+        out = apply_to_half(c, search.input_state)
+        assert abs(search.value - negativity(out)) <= 1e-12
 
 
 @pytest.mark.parametrize(
