@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 

@@ -97,15 +97,17 @@ _PAULI_COORDS = _PAULIS.transpose(0, 2, 1).reshape(4, 4).T / 2.0
 _PRODUCT_COORDS = np.array(
     [np.kron(a, b).T.ravel() for a in _PAULIS for b in _PAULIS]
 ).T / 4.0
-# Starts of the alternating product-minimum steps: the six axis points.
-_AXIS_POINTS = np.concatenate([np.eye(3), -np.eye(3)])
-# A start stops once a round lowers its value by at most this fraction of
-# it, or after _PRODUCT_ROUNDS rounds; Newton steps then polish the best
-# start, and the bracket check decides.
-_PRODUCT_TOL = 1e-9
-_PRODUCT_ROUNDS = 100
-# Newton steps on the sphere after the alternating steps, each kept only
-# if it does not raise the value.
+# The starts of the product minimum: the rows (1, r) for the Bloch vectors
+# r of a 256-point Fibonacci sphere, so that one product with each column
+# of K values them all.
+_SPHERE_Z = (np.arange(256) + 0.5) / 128.0 - 1.0
+_SPHERE_PHI = np.pi * (3.0 - np.sqrt(5.0)) * np.arange(256)
+_SPHERE = np.stack([np.ones(256), np.sqrt(1.0 - _SPHERE_Z**2) * np.cos(_SPHERE_PHI),
+                    np.sqrt(1.0 - _SPHERE_Z**2) * np.sin(_SPHERE_PHI), _SPHERE_Z], axis=1)
+# Newton steps from each of a state's _PRODUCT_STARTS best sphere points,
+# each step kept only if it does not raise the value; the lowest end wins,
+# and the bracket check decides.
+_PRODUCT_STARTS = 4
 _PRODUCT_NEWTON = 4
 
 
@@ -143,96 +145,89 @@ def _frame_minimum(gamma: np.ndarray, v: np.ndarray):
     return value, _S1 * w[:, 0] + (best_t * phase)[:, None] * w[:, 1]
 
 
-def _descent(v: np.ndarray):
-    """Minimum of v . s over unit 3-vectors s, and its minimizer, per row of
-    ``v``: -|v| at s = -v / |v| (s = z where v = 0)."""
-    norm = np.linalg.norm(v, axis=1)
-    s = np.zeros_like(v)
-    s[:, 2] = 1.0
-    np.divide(-v, norm[:, None], out=s, where=norm[:, None] > 0.0)
-    return -norm, s
-
-
-def _sphere_value(k: np.ndarray, r: np.ndarray):
-    """min over unit s of (1, r) K (1, s)^T, per K and Bloch vector r:
-    a_0 - |a_1..3| with a = (1, r) K.  Returns the values and a_1..3."""
-    a = (r[:, None, :] @ k[:, 1:])[:, 0] + k[:, 0]
-    return a[:, 0] - np.linalg.norm(a[:, 1:], axis=1), a[:, 1:]
-
-
 def _product_minimum(h: np.ndarray):
     """Minimum of <u (x) w|h|u (x) w> over unit u, w, per Hermitian 4x4 h.
 
     With u u^dag = (I + r.sigma)/2 and w w^dag = (I + s.sigma)/2 the value is
-    (1, r) K (1, s)^T, K[nu, mu] = Tr[h (sigma_nu (x) sigma_mu)] / 4 real, so
-    each half-step is exact: s = -unit(K[0, 1:] + r K[1:, 1:]) for fixed r,
-    and r likewise for fixed s.  The steps run from the six axis points r.
-    A start stops once a round lowers its value by at most ``_PRODUCT_TOL``
-    of it, or once it is no lower than a stopped start of its own state; on
-    X-shaped h (Z (x) Z symmetric) a pole is optimal and stops the rest in
-    the second round.  Each state's best start then takes Newton steps on
-    the sphere for f(r) = min over s of the value, kept while they move r
-    without raising f: the alternating steps converge only linearly, and f
-    is flat to rounding well before r settles.  Returns f, which is
-    lambda_min of (<u| (x) I) h (|u> (x) I), and r.
+    (1, r) K (1, s)^T, K[nu, mu] = Tr[h (sigma_nu (x) sigma_mu)] / 4 real,
+    whose minimum over s is f(r) = K00 + k.r - |p| with p = c + M^T r
+    (k = K[1:, 0], c = K[0, 1:], M = K[1:, 1:]): lambda_min of
+    (<u| (x) I) h (|u> (x) I).  One product values f on the 256 points of
+    ``_SPHERE``, and each state starts from its ``_PRODUCT_STARTS`` best:
+    f can have two local minima whose basins the sample resolves at a few
+    points only (one start alone ends 1.1e-3 high on
+    ``random_channel(2802, 3)``).  Each start takes up to ``_PRODUCT_NEWTON``
+    Newton steps on the KKT system of min f on |r| = 1, the bordered
+    [[H - mu I, -r], [r^T, 0]] with H the Hessian of f and mu = r.grad f,
+    solved on the tangent plane of r.  A step is kept only if it does not
+    raise f, and a start takes none where p = 0 or the system is singular.
+    For a fixed r, -1/f is the smallest feasible rank-one dual along u, so
+    an error e in r widens the bracket by O(e^2) only.  Returns each state's
+    lowest f and its r.
     """
-    k = (h.reshape(-1, 1, 16) @ _PRODUCT_COORDS)[:, 0].real.reshape(-1, 1, 4, 4)
-    k = np.broadcast_to(k, (len(h), 6, 4, 4)).reshape(-1, 4, 4)
-    r = np.tile(_AXIS_POINTS, (len(h), 1))
-    value = np.full(len(r), np.inf)
-    moving = np.arange(len(r))
-    for _ in range(_PRODUCT_ROUNDS):
-        km = k[moving]
-        _, s = _descent((r[moving, None, :] @ km[:, 1:, 1:])[:, 0] + km[:, 0, 1:])
-        b = (km[:, :, 1:] @ s[:, :, None])[:, :, 0] + km[:, :, 0]
-        lowered, r[moving] = _descent(b[:, 1:])
-        lowered += b[:, 0]
-        still = value[moving] - lowered > _PRODUCT_TOL * np.abs(lowered)
-        value[moving] = lowered
-        stopped = np.ones(len(r), dtype=bool)
-        stopped[moving[still]] = False
-        bar = np.where(stopped, value, np.inf).reshape(-1, 6).min(axis=1)
-        moving = moving[still & (lowered < bar[moving // 6])]
-        if not len(moving):
-            break
-    value = _sphere_value(k, r)[0].reshape(-1, 6)
-    best = value.argmin(axis=1) + 6 * np.arange(len(h))
-    k, r, value = k[best], r[best], value.ravel()[best]
-    moving = np.arange(len(h))
+    n = len(h)
+    k = (h.reshape(-1, 1, 16) @ _PRODUCT_COORDS)[:, 0].real.reshape(-1, 4, 4)
+    # a[:, :, j] = (1, r_j) K.  This and the products below are
+    # matrix-vector products or elementwise: a real matrix-matrix product,
+    # a batched 3x3 one among them, reaches BLAS kernels nothing else here
+    # runs, about 0.1 MB of resident code each.
+    a = (_SPHERE @ k.swapaxes(1, 2)[:, :, :, None])[:, :, :, 0]
+    values = a[:, 0] - np.linalg.norm(a[:, 1:], axis=1)
+    # Each state's _PRODUCT_STARTS best points, start-major.
+    rows, best = np.arange(n), []
+    for _ in range(_PRODUCT_STARTS):
+        best.append(values.argmin(axis=1))
+        values[rows, best[-1]] = np.inf
+    best = np.concatenate(best)
+    states = np.tile(rows, _PRODUCT_STARTS)
+    k, r, p = k[states], _SPHERE[best, 1:], a[states, 1:, best]
+    value = a[states, 0, best] - np.linalg.norm(p, axis=1)
+    m, frame = k[:, 1:, 1:], np.empty((len(r), 3, 3))
     for _ in range(_PRODUCT_NEWTON):
-        _, a = _sphere_value(k[moving], r[moving])
-        norm = np.linalg.norm(a, axis=1)
-        # f is not smooth where a = 0; such a state takes no step.
-        moving, a, norm = moving[norm > 0.0], a[norm > 0.0], norm[norm > 0.0]
-        km, rm = k[moving], r[moving]
-        m = km[:, 1:, 1:]
-        ma = (m @ (a / norm[:, None])[:, :, None])[:, :, 0]
-        # Euclidean gradient and Hessian of f = K00 + K[1:, 0].r - |a|, then
-        # the Riemannian Newton system in the tangent plane, made regular by
-        # r r^T: (P (hess - (r.grad) I) P + r r^T) step = -(grad - (r.grad) r).
-        # The 3x3 products are einsums: a batched 3x3 matmul reaches BLAS
-        # kernels nothing else here runs, about 0.1 MB of resident code each.
-        grad = km[:, 1:, 0] - ma
-        hess = ma[:, :, None] * ma[:, None, :] - np.einsum("nik,njk->nij", m, m)
-        radial = (rm * grad).sum(axis=1)
-        proj = np.eye(3) - rm[:, :, None] * rm[:, None, :]
-        shifted = hess / norm[:, None, None] - radial[:, None, None] * np.eye(3)
-        system = np.einsum("nij,njk,nkl->nil", proj, shifted, proj)
-        system += rm[:, :, None] * rm[:, None, :]
-        rhs = radial[:, None] * rm - grad
-        # The symmetric 3x3 system by its adjugate: rows' cross products.
-        adjugate = np.cross(system[:, [1, 2, 0]], system[:, [2, 0, 1]])
-        det = (system[:, 0] * adjugate[:, 0]).sum(axis=1)
-        step = (adjugate @ rhs[:, :, None])[:, :, 0]
-        step = np.divide(step, det[:, None], out=np.zeros_like(step), where=det[:, None] != 0.0)
-        trial = (rm + step) / np.linalg.norm(rm + step, axis=1)[:, None]
-        lowered = _sphere_value(km, trial)[0]
-        better = (lowered <= value[moving]) & (trial != rm).any(axis=1)
-        r[moving[better]], value[moving[better]] = trial[better], lowered[better]
-        moving = moving[better]
-        if not len(moving):
+        # f is not smooth where p = 0: there the norm reads infinite, and
+        # the determinant too, as where the system is singular, so that the
+        # step is zero.
+        norm = np.linalg.norm(p, axis=1)
+        smooth = norm > 0.0
+        norm[~smooth] = np.inf
+        # The bordered system on the tangent plane of r, in the orthonormal
+        # frame r, t1, t2 (t1, t2 as in Duff et al., JCGT 6, 1 (2017), up to
+        # sign): the 2x2 (t (H - mu I) t^T) x = -t grad f, solved by its
+        # adjugate, with H = (M p^ p^T M^T - M M^T) / |p| (p^ = p / |p|);
+        # the step is t^T x.
+        sign = np.copysign(1.0, r[:, 2])
+        v = r.copy()
+        v[:, 2] += sign
+        frame[:, 0] = r
+        frame[:, 1:] = (r[:, :2] / -v[:, 2:])[:, :, None] * v[:, None, :]
+        frame[:, 1, 0] += sign
+        frame[:, 2, 1] += sign
+        # Rows M^T r, M^T t1, M^T t2, and the frame's components of M p^
+        # and of grad f = k - M p^, whose first is mu.
+        mf = (m.swapaxes(1, 2)[:, None] @ frame[:, :, :, None])[:, :, :, 0]
+        mp = (mf @ p[:, :, None])[:, :, 0] / norm[:, None]
+        grad = (frame @ k[:, 1:, :1])[:, :, 0] - mp
+        block = mp[:, 1:, None] * mp[:, None, 1:] - (mf[:, 1:, None] * mf[:, None, 1:]).sum(axis=3)
+        block = block / norm[:, None, None] - grad[:, :1, None] * np.eye(2)
+        # x = -adj(block) g / det, for the symmetric block and g = grad[:, 1:].
+        diagonal = block.diagonal(axis1=1, axis2=2)
+        det = diagonal[:, 0] * diagonal[:, 1] - block[:, 0, 1] ** 2
+        det[~smooth | (det == 0.0)] = np.inf
+        x = (block[:, 0, 1, None] * grad[:, :0:-1] - diagonal[:, ::-1] * grad[:, 1:]) / det[:, None]
+        trial = r + (x[:, None, :] @ frame[:, 1:])[:, 0]
+        trial /= np.linalg.norm(trial, axis=1)[:, None]
+        a = (trial[:, None, :] @ k[:, 1:])[:, 0] + k[:, 0]
+        lowered = a[:, 0] - np.linalg.norm(a[:, 1:], axis=1)
+        # A step that raises f, or does not move r, ends its start's
+        # descent: from the same r the same step follows.
+        better = (lowered <= value) & (trial != r).any(axis=1)
+        if not better.any():
             break
-    return value, r
+        np.copyto(r, trial, where=better[:, None])
+        np.copyto(value, lowered, where=better)
+        np.copyto(p, a[:, 1:], where=better[:, None])
+    best = value.reshape(_PRODUCT_STARTS, n).argmin(axis=0) * n + rows
+    return value[best], r[best]
 
 
 def _scored(gamma: np.ndarray, z: np.ndarray):

@@ -15,7 +15,7 @@ from singletopt.linalg import (
     partial_transpose,
     to_magic_basis,
 )
-from singletopt.locc import FilterProtocol, _filter_protocol, _frame_minimum
+from singletopt.locc import _PRODUCT_COORDS, FilterProtocol, _filter_protocol, _frame_minimum
 from singletopt.optimize import SearchSpec, compass_search
 
 
@@ -213,6 +213,115 @@ def reference_fstar_barrier(stack):
         z = z + delta / (1.0 + np.sqrt(decrement2))[:, None]
         centered = decrement2 <= 1e-3
     raise RuntimeError(f"reference barrier: {len(live)} brackets open after 200 steps")
+
+
+# ---------------------------------------------------------------------------
+# The alternating product minimum: reference for F*'s rank-one certificate
+# ---------------------------------------------------------------------------
+
+# Starts of the alternating steps: the six axis points.
+_AXIS_POINTS = np.concatenate([np.eye(3), -np.eye(3)])
+# A start stops once a round lowers its value by at most this fraction of
+# it, or after _PRODUCT_ROUNDS rounds; Newton steps then polish the best
+# start, and the bracket check decides.
+_PRODUCT_TOL = 1e-9
+_PRODUCT_ROUNDS = 100
+# Newton steps on the sphere after the alternating steps, each kept only
+# if it does not raise the value.
+_PRODUCT_NEWTON = 4
+
+
+def _descent(v: np.ndarray):
+    """Minimum of v . s over unit 3-vectors s, and its minimizer, per row of
+    ``v``: -|v| at s = -v / |v| (s = z where v = 0)."""
+    norm = np.linalg.norm(v, axis=1)
+    s = np.zeros_like(v)
+    s[:, 2] = 1.0
+    np.divide(-v, norm[:, None], out=s, where=norm[:, None] > 0.0)
+    return -norm, s
+
+
+def _sphere_value(k: np.ndarray, r: np.ndarray):
+    """min over unit s of (1, r) K (1, s)^T, per K and Bloch vector r:
+    a_0 - |a_1..3| with a = (1, r) K.  Returns the values and a_1..3."""
+    a = (r[:, None, :] @ k[:, 1:])[:, 0] + k[:, 0]
+    return a[:, 0] - np.linalg.norm(a[:, 1:], axis=1), a[:, 1:]
+
+
+def reference_product_minimum(h: np.ndarray):
+    """Minimum of <u (x) w|h|u (x) w> over unit u, w, per Hermitian 4x4 h,
+    by alternating exact steps: the reference for ``locc._product_minimum``.
+
+    With u u^dag = (I + r.sigma)/2 and w w^dag = (I + s.sigma)/2 the value is
+    (1, r) K (1, s)^T, K[nu, mu] = Tr[h (sigma_nu (x) sigma_mu)] / 4 real, so
+    each half-step is exact: s = -unit(K[0, 1:] + r K[1:, 1:]) for fixed r,
+    and r likewise for fixed s.  The steps run from the six axis points r.
+    A start stops once a round lowers its value by at most ``_PRODUCT_TOL``
+    of it, or once it is no lower than a stopped start of its own state; on
+    X-shaped h (Z (x) Z symmetric) a pole is optimal and stops the rest in
+    the second round.  Each state's best start then takes Newton steps on
+    the sphere for f(r) = min over s of the value, kept while they move r
+    without raising f: the alternating steps converge only linearly, and f
+    is flat to rounding well before r settles.  Returns f, which is
+    lambda_min of (<u| (x) I) h (|u> (x) I), and r.
+    """
+    k = (h.reshape(-1, 1, 16) @ _PRODUCT_COORDS)[:, 0].real.reshape(-1, 1, 4, 4)
+    k = np.broadcast_to(k, (len(h), 6, 4, 4)).reshape(-1, 4, 4)
+    r = np.tile(_AXIS_POINTS, (len(h), 1))
+    value = np.full(len(r), np.inf)
+    moving = np.arange(len(r))
+    for _ in range(_PRODUCT_ROUNDS):
+        km = k[moving]
+        _, s = _descent((r[moving, None, :] @ km[:, 1:, 1:])[:, 0] + km[:, 0, 1:])
+        b = (km[:, :, 1:] @ s[:, :, None])[:, :, 0] + km[:, :, 0]
+        lowered, r[moving] = _descent(b[:, 1:])
+        lowered += b[:, 0]
+        still = value[moving] - lowered > _PRODUCT_TOL * np.abs(lowered)
+        value[moving] = lowered
+        stopped = np.ones(len(r), dtype=bool)
+        stopped[moving[still]] = False
+        bar = np.where(stopped, value, np.inf).reshape(-1, 6).min(axis=1)
+        moving = moving[still & (lowered < bar[moving // 6])]
+        if not len(moving):
+            break
+    value = _sphere_value(k, r)[0].reshape(-1, 6)
+    best = value.argmin(axis=1) + 6 * np.arange(len(h))
+    k, r, value = k[best], r[best], value.ravel()[best]
+    moving = np.arange(len(h))
+    for _ in range(_PRODUCT_NEWTON):
+        _, a = _sphere_value(k[moving], r[moving])
+        norm = np.linalg.norm(a, axis=1)
+        # f is not smooth where a = 0; such a state takes no step.
+        moving, a, norm = moving[norm > 0.0], a[norm > 0.0], norm[norm > 0.0]
+        km, rm = k[moving], r[moving]
+        m = km[:, 1:, 1:]
+        ma = (m @ (a / norm[:, None])[:, :, None])[:, :, 0]
+        # Euclidean gradient and Hessian of f = K00 + K[1:, 0].r - |a|, then
+        # the Riemannian Newton system in the tangent plane, made regular by
+        # r r^T: (P (hess - (r.grad) I) P + r r^T) step = -(grad - (r.grad) r).
+        # The 3x3 products are einsums: a batched 3x3 matmul reaches BLAS
+        # kernels nothing else here runs, about 0.1 MB of resident code each.
+        grad = km[:, 1:, 0] - ma
+        hess = ma[:, :, None] * ma[:, None, :] - np.einsum("nik,njk->nij", m, m)
+        radial = (rm * grad).sum(axis=1)
+        proj = np.eye(3) - rm[:, :, None] * rm[:, None, :]
+        shifted = hess / norm[:, None, None] - radial[:, None, None] * np.eye(3)
+        system = np.einsum("nij,njk,nkl->nil", proj, shifted, proj)
+        system += rm[:, :, None] * rm[:, None, :]
+        rhs = radial[:, None] * rm - grad
+        # The symmetric 3x3 system by its adjugate: rows' cross products.
+        adjugate = np.cross(system[:, [1, 2, 0]], system[:, [2, 0, 1]])
+        det = (system[:, 0] * adjugate[:, 0]).sum(axis=1)
+        step = (adjugate @ rhs[:, :, None])[:, :, 0]
+        step = np.divide(step, det[:, None], out=np.zeros_like(step), where=det[:, None] != 0.0)
+        trial = (rm + step) / np.linalg.norm(rm + step, axis=1)[:, None]
+        lowered = _sphere_value(km, trial)[0]
+        better = (lowered <= value[moving]) & (trial != rm).any(axis=1)
+        r[moving[better]], value[moving[better]] = trial[better], lowered[better]
+        moving = moving[better]
+        if not len(moving):
+            break
+    return value, r
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from singletopt.channel import (
 )
 from singletopt.choi import choi
 from singletopt.entmetrics import negativity, singlet_fraction
-from singletopt.linalg import I2, PHI_PLUS, partial_transpose, tensor_product
+from singletopt.linalg import I2, PAULIS, PHI_PLUS, partial_transpose, tensor_product
 from singletopt.locc import (
     GAP_TOLERANCE,
     channel_fstar,
@@ -27,12 +27,14 @@ from singletopt.channel import apply_to_half
 
 import conftest
 from conftest import (
+    assert_bitwise_equal,
     fstar_filter_oracle,
     random_channels,
     random_density,
     random_product_state,
     random_unitary,
     reference_fstar_barrier,
+    reference_product_minimum,
 )
 
 BELL = np.outer(PHI_PLUS, PHI_PLUS.conj())
@@ -279,6 +281,64 @@ def test_fstar_closes_near_ppt_states_to_2e_12():
     assert np.linalg.eigvalsh(cert.dual[npt])[:, 0].min() > 0.0
     for g, y in zip(gamma[npt], cert.dual[npt]):
         assert np.linalg.eigvalsh(g + np.kron(y, I2))[0] > 0.0
+
+
+@pytest.fixture(scope="module")
+def product_minimum_inputs():
+    """(rho^Gamma)^-1 of the NPT Choi states of random channels of every
+    rank and of :func:`_near_ppt_choi_states`, as the rank-one certificate
+    takes them."""
+    stack = [choi(random_channel(k, 1 + k % 4)).matrix for k in range(2000)]
+    gamma = partial_transpose(np.array(stack + list(_near_ppt_choi_states())), "first")
+    gamma = gamma[np.linalg.eigvalsh(gamma)[:, 0] < 0.0]
+    return np.linalg.pinv(gamma, hermitian=True)
+
+
+def test_product_minimum_is_never_above_the_alternating_reference(product_minimum_inputs):
+    h = product_minimum_inputs
+    q, r = locc._product_minimum(h)
+    expected, _ = reference_product_minimum(h)
+    assert (expected <= -1.0).sum() > 1000
+    assert np.allclose(np.linalg.norm(r, axis=1), 1.0, rtol=0.0, atol=1e-15)
+    # Relative to q where q <= -1, the range that sets the rank-one dual
+    # y = -1/q; elsewhere relative to ||h||, since q near 0 (the unitary
+    # channels', where f is flat at 0) is rounding on both sides.
+    scale = np.where(expected <= -1.0, -expected, np.abs(np.linalg.eigvalsh(h)).max(axis=1))
+    assert (q - expected <= 1e-15 * scale).all()
+
+
+def test_product_minimum_of_a_stack_is_each_states_own(product_minimum_inputs):
+    h = product_minimum_inputs[::40]
+    q, r = locc._product_minimum(h)
+    for k in range(len(h)):
+        q_k, r_k = locc._product_minimum(h[k:k + 1])
+        assert_bitwise_equal(q_k, q[k:k + 1])
+        assert_bitwise_equal(r_k, r[k:k + 1])
+
+
+@pytest.mark.filterwarnings("error")
+def test_product_minimum_of_degenerate_inputs():
+    # I (x) I and SWAP are flat on the sphere (p = 0 and a singular Newton
+    # system), Z (x) Z has its minimum at the poles and X (x) X + Z (x) Z on
+    # a circle; -|Phi+><Phi+| is flat at -1/2.
+    _, x, y, z = PAULIS
+    swap = (np.eye(4) + np.kron(x, x) + np.kron(y, y) + np.kron(z, z)) / 2
+    h = np.array([np.eye(4), np.kron(z, z), np.kron(x, x) + np.kron(z, z), swap, -BELL],
+                 dtype=complex)
+    q, r = locc._product_minimum(h)
+    assert np.abs(q - [1.0, -1.0, -1.0, 0.0, -0.5]).max() <= 1e-15
+    assert np.allclose(np.linalg.norm(r, axis=1), 1.0, rtol=0.0, atol=1e-15)
+
+
+def test_fstar_closes_on_the_audits_channels():
+    # The audit's own construction, four channels per seed as the benchmark
+    # runs it, over 500 seeds: every bracket closes to GAP_TOLERANCE.
+    stack = np.array([
+        choi(random_channel((seed * 1_000_003 + j) % 2**63, j % 4 + 1)).matrix
+        for seed in range(500) for j in range(4)
+    ])
+    cert = fstar_certificate(stack)
+    assert (cert.upper - cert.lower <= GAP_TOLERANCE).all()
 
 
 def test_oracle_bell_state_identity_filter():
