@@ -30,18 +30,17 @@ from .channel import (
     channel_to_dict,
     named_channel,
     random_channel,
-    unitality_deviations,
     validate,
 )
-from .choi import ENTANGLEMENT_BREAKING_THRESHOLD, build_states, choi_states, dual_choi_states
-from .entmetrics import schmidt, teleportation_fidelity
+from .entmetrics import teleportation_fidelity
 from .locc import channel_fstars
 from .oneshot import (
     IDENTITIES,
+    IdentityContext,
+    _relation_residual,
     channel_negativities,
     channel_residuals,
     choi_negativities,
-    negativity_relation_residuals,
     report,
 )
 
@@ -128,42 +127,24 @@ def _cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _top(states) -> np.ndarray:
-    """Top eigenvalue of each state."""
-    return np.array([state.eig.eigenvalues[0] for state in states])
-
-
-def _gap_column(channels) -> np.ndarray:
-    """lambda_max - F* per row; NaN on entanglement-breaking rows, where
-    neither side is meaningful."""
-    lam = _top(choi_states(channels))
-    return np.where(lam > ENTANGLEMENT_BREAKING_THRESHOLD, lam - channel_fstars(channels), np.nan)
-
-
-# Each column maps the rows' channels to one value per row, in one stacked
-# call; F* and N_choi are solved once per channel.
+# Each column maps the rows' IdentityContext to one value per row, in one
+# stacked call; F* and N_choi are solved once per channel.
 SWEEP_COLUMNS = {
-    "F_lambda": lambda channels: np.maximum(0.5, _top(choi_states(channels))),
-    "lambda_max": lambda channels: _top(choi_states(channels)),
-    "entanglement_breaking": lambda channels: np.where(
-        _top(choi_states(channels)) <= ENTANGLEMENT_BREAKING_THRESHOLD, 1.0, 0.0
-    ),
-    "f_tel": lambda channels: teleportation_fidelity(
-        SWEEP_COLUMNS["F_lambda"](channels)
-    ),
-    "F1": lambda channels: _top(dual_choi_states(channels)),
-    "N_choi": lambda channels: choi_negativities(channels),
-    "N_channel": lambda channels: [
-        search.value for search in channel_negativities(channels)
-    ],
-    "fstar_choi": lambda channels: channel_fstars(channels),
-    "gap": _gap_column,
-    # Each row's optimal input is its top dual-Choi eigenvector.
-    "schmidt_lambda": lambda channels: schmidt(
-        np.array([state.eig.eigenvectors[:, 0] for state in dual_choi_states(channels)])
-    ).coefficients[:, 0],
-    "unitality_deviation": lambda channels: unitality_deviations(channels),
-    "negativity_relation_residual": lambda channels: negativity_relation_residuals(channels),
+    "F_lambda": lambda ctx: np.maximum(0.5, ctx.lambda_max),
+    "lambda_max": lambda ctx: ctx.lambda_max,
+    "entanglement_breaking": lambda ctx: np.where(ctx.entanglement_breaking, 1.0, 0.0),
+    "f_tel": lambda ctx: teleportation_fidelity(SWEEP_COLUMNS["F_lambda"](ctx)),
+    "F1": lambda ctx: [state.eig.eigenvalues[0] for state in ctx.dual_states],
+    "N_choi": lambda ctx: choi_negativities(ctx.channels),
+    "N_channel": lambda ctx: [search.value for search in channel_negativities(ctx.channels)],
+    "fstar_choi": lambda ctx: channel_fstars(ctx.channels),
+    # NaN on entanglement-breaking rows, where neither side is meaningful.
+    "gap": lambda ctx: np.where(ctx.entanglement_breaking, np.nan,
+                                ctx.lambda_max - channel_fstars(ctx.channels)),
+    "schmidt_lambda": lambda ctx: [inp.schmidt.coefficients[0] for inp in ctx.optimal_inputs],
+    "unitality_deviation": lambda ctx: ctx.unitality_deviation,
+    "negativity_relation_residual": lambda ctx: _relation_residual(
+        ctx.lambda_max, choi_negativities(ctx.channels)),
 }
 
 
@@ -216,10 +197,9 @@ def _cmd_sweep(args) -> int:
 
     try:
         params = [float(v) for v in np.linspace(args.start, args.stop, args.steps)]
-        channels = [named_channel(args.name, {args.param: value}) for value in params]
-        # Every row's Choi and dual-Choi states, in one batched pass.
-        build_states(channels)
-        table = [SWEEP_COLUMNS[c](channels) for c in columns]
+        # Every row's states, in one batched pass.
+        ctx = IdentityContext(named_channel(args.name, {args.param: value}) for value in params)
+        table = [SWEEP_COLUMNS[c](ctx) for c in columns]
     except (ValueError, MemoryError) as exc:  # a MemoryError: more --steps than fit
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -31,6 +31,7 @@ from .channel import (
     _bell_products,
     _kraus_operators,
     is_unital,
+    unitality_deviations,
 )
 from .choi import (
     DEGENERACY_GAP,
@@ -71,7 +72,6 @@ __all__ = [
     "classify",
     "choi_negativities",
     "negativity_relation_residual",
-    "negativity_relation_residuals",
     "channel_negativity",
     "channel_negativities",
     "residuals",
@@ -176,20 +176,14 @@ def choi_negativities(channels) -> np.ndarray:
     return np.array(choi_values(channels, "negativity", _negativity))
 
 
-def negativity_relation_residuals(channels) -> np.ndarray:
-    """|lambda_max(choi) - (1 + N(choi))/2| of each channel, bit for bit its own.
+def negativity_relation_residual(channel: KrausChannel) -> float:
+    """|lambda_max(choi) - (1 + N(choi))/2| of the channel.
 
     Zero (to numerical precision) for every channel that is not
     entanglement breaking; in the breaking regime N vanishes while
     lambda_max drops below 1/2, so the relation intentionally fails there
     and the residual is reported without being asserted.
     """
-    lam = np.array([state.eig.eigenvalues[0] for state in choi_states(channels)])
-    return _relation_residual(lam, choi_negativities(channels))
-
-
-def negativity_relation_residual(channel: KrausChannel) -> float:
-    """One channel's :func:`negativity_relation_residuals`."""
     state = choi(channel)
     return float(_relation_residual(state.eig.eigenvalues[0], choi_negativities([channel])[0]))
 
@@ -333,7 +327,7 @@ def channel_negativity(channel: KrausChannel) -> NegativitySearch:
 
 
 class IdentityContext:
-    """What the identity rows read for a list of channels.
+    """What the identity rows and the sweep's columns read for a list of channels.
 
     Each channel's own states are fetched once: its validation, Choi and
     dual-Choi states, optimal input, lambda_max, unitality and its
@@ -351,7 +345,8 @@ class IdentityContext:
         self.optimal_inputs = optimal_input_states(self.channels)
         self.lambda_max = np.array([state.eig.eigenvalues[0] for state in self.choi_states])
         self.entanglement_breaking = self.lambda_max <= ENTANGLEMENT_BREAKING_THRESHOLD
-        self.unital, self.unitality_deviation = map(np.array, zip(*map(is_unital, self.channels)))
+        self.unitality_deviation = np.array(unitality_deviations(self.channels))
+        self.unital = self.unitality_deviation < CPTP_TOLERANCE  # as is_unital decides
         self.degenerate = np.array([inp.degenerate for inp in self.optimal_inputs])
 
     @cached_property

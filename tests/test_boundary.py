@@ -12,7 +12,7 @@ import pytest
 
 from singletopt import cli
 from singletopt.channel import identity, named_channel
-from singletopt.oneshot import IDENTITIES, optimal_singlet_fraction, residuals
+from singletopt.oneshot import IDENTITIES, IdentityContext, optimal_singlet_fraction, residuals
 
 FAMILIES = ("depolarizing", "amplitude_damping", "phase_damping", "bit_flip")
 TOLERANCES = {row.name: row.tolerance for row in IDENTITIES}
@@ -56,7 +56,8 @@ def test_identity_channel_sweep_columns():
     # cannot reach it; its columns are the functions the sweep calls, here
     # on a single row.
     c = identity()
-    values = {name: float(fn([c])[0]) for name, fn in cli.SWEEP_COLUMNS.items()}
+    ctx = IdentityContext([c])
+    values = {name: float(fn(ctx)[0]) for name, fn in cli.SWEEP_COLUMNS.items()}
     assert values["entanglement_breaking"] == 0.0
     _check_row(values, breaking=False)
 

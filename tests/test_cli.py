@@ -22,7 +22,7 @@ from singletopt.channel import (
     random_channel,
     validate,
 )
-from singletopt.choi import build_states, choi
+from singletopt.choi import choi
 from singletopt.linalg import I2
 from singletopt.entmetrics import negativity, teleportation_fidelity
 from singletopt.locc import fstar
@@ -499,21 +499,32 @@ def test_stacked_sweep_columns_equal_single_channel_functions(case):
     """Each stacked column equals, bit for bit, its one-channel function on
     a channel object built alone."""
     makers = _stacked_sweep_rows(case)
-    rows = [make() for make in makers]
-    build_states(rows)
+    ctx = oneshot.IdentityContext(make() for make in makers)
     stacked = {
-        column: [float(x) for x in cli.SWEEP_COLUMNS[column](rows)]
-        for column in ("schmidt_lambda", "unitality_deviation", "negativity_relation_residual")
+        column: [float(x) for x in fn(ctx)] for column, fn in cli.SWEEP_COLUMNS.items()
     }
     for index, make in enumerate(makers):
         c = make()
+        frac = oneshot.optimal_singlet_fraction(c)
+        fstar_value = locc.channel_fstar(c)
         single = {
+            "F_lambda": frac.value,
+            "lambda_max": frac.lambda_max,
+            "entanglement_breaking": float(frac.entanglement_breaking),
+            "f_tel": teleportation_fidelity(frac.value),
+            "F1": oneshot.preprocessed_fidelity(c),
+            "N_choi": float(oneshot.choi_negativities([c])[0]),
+            "N_channel": oneshot.channel_negativity(c).value,
+            "fstar_choi": fstar_value,
+            "gap": math.nan if frac.entanglement_breaking else frac.lambda_max - fstar_value,
             "schmidt_lambda": float(oneshot.optimal_input_state(c).schmidt.coefficients[0]),
             "unitality_deviation": is_unital(c)[1],
             "negativity_relation_residual": oneshot.negativity_relation_residual(c),
         }
+        assert set(single) == set(stacked)
         for column, value in single.items():
-            assert stacked[column][index] == value, (case, index, column)
+            got = stacked[column][index]
+            assert got == value or (math.isnan(got) and math.isnan(value)), (case, index, column)
         # The forms the columns replaced: a Kraus loop and a 4x4 negativity.
         assert stacked["unitality_deviation"][index] == float(np.linalg.norm(apply(c, I2) - I2))
         lam = float(choi(c).eig.eigenvalues[0])
@@ -595,10 +606,7 @@ def test_sweep_all_columns_match_per_row_reference(family, tmp_path, capsys):
                 assert math.isnan(got) == math.isnan(want)
                 if math.isnan(got):
                     continue
-            if column == "N_channel":
-                assert got == want, (index, column)
-            else:
-                assert got == want or abs(got - want) <= 1e-12, (index, column, got, want)
+            assert got == want, (index, column, got, want)
 
 
 def test_audit_small_run_passes(capsys, tmp_path, monkeypatch):
