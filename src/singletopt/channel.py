@@ -63,14 +63,15 @@ def _clean_operator(op: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """A qubit map given by 1-4 Kraus operators.
 
     The constructor only checks shapes; completeness (trace preservation and
     complete positivity) is checked by :func:`validate` so that intentionally
     non-trace-preserving objects such as duals of nonunital channels can be
-    represented too.
+    represented too.  Channels compare and hash by identity: what is
+    measured and built for one is kept on that object.
     """
 
     kraus: tuple
@@ -78,7 +79,7 @@ class KrausChannel:
     params: Mapping[str, float] = field(default_factory=dict)
     # What :func:`validate`'s pass measures (see :func:`_measure`), and the
     # states that :mod:`singletopt.choi` builds once from there and shares.
-    _states: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _states: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         ops = tuple(_clean_operator(op) for op in self.kraus)
@@ -143,7 +144,7 @@ def _measure(channels) -> None:
     tp_residual above ``_TP_ROUNDING`` takes its three values from its exact
     TP projection A_k S^(-1/2), S = sum A^dag A, kept under ``"kraus"``.
     """
-    todo = [c for c in channels if "validation" not in c._states]
+    todo = [c for c in dict.fromkeys(channels) if "validation" not in c._states]
     if not todo:
         return
     ops = _kraus_stack([c.kraus for c in todo])

@@ -14,9 +14,9 @@ Both states are built only for channels that pass
 that fails it raises ``ValueError``.  They are built from the matrices its
 measurement took, those of the exact TP projection of an accepted channel
 that misses TP by more than rounding.  :func:`build_states` is the one
-build path: many channels' states come from one stacked measurement and
-one batched eigendecomposition, and :func:`choi` and :func:`dual_choi` are
-its one-channel case.
+build path: a channel's two states are built together, many channels' from
+one stacked measurement and one batched eigendecomposition, and
+:func:`choi` and :func:`dual_choi` are its one-channel case.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "build_states",
     "choi",
     "choi_states",
-    "choi_values",
     "dual_choi",
     "dual_choi_states",
     "eigenvector_correspondence_check",
@@ -53,7 +52,7 @@ DEGENERACY_GAP = 1e-8
 ENTANGLEMENT_BREAKING_THRESHOLD = 0.5 + 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiState:
     """A 4x4 Choi-type state with its eigendecomposition cached."""
 
@@ -67,70 +66,56 @@ class ChoiState:
 _SOURCES = {"choi": "{}", "dual_choi": "dual({})"}
 
 
-def build_states(channels, kinds=("choi", "dual_choi")) -> None:
-    """Build every missing state of ``kinds`` for ``channels`` in one pass.
+def build_states(channels) -> None:
+    """Build the Choi and dual-Choi states of ``channels`` in one pass.
 
-    The distinct channels that need a state are measured together by
+    The distinct channels that lack either state are measured together by
     :func:`~singletopt.channel.validate`'s stacked pass, gated by the report
-    it stored and, if accepted, labelled once.  Their matrices are
+    it stored and, if accepted, labelled once.  Both kinds of matrix are
     eigendecomposed in one batched :func:`~singletopt.linalg.hermitian_eig`
     call, and each state is kept on its channel object, read-only.  Then
     raises ``ValueError`` for the first rejected channel, which stores no
     state.
     """
-    unique = {id(c): c for c in channels}.values()
-    todo = [c for c in unique if any(kind not in c._states for kind in kinds)]
+    todo = [c for c in dict.fromkeys(channels) if any(kind not in c._states for kind in _SOURCES)]
     if not todo:
         return
     _measure(todo)
-    accepted = {id(c): c.describe() for c in todo if c._states["validation"].ok}
-    owners = [(kind, c) for kind in kinds for c in todo
-              if id(c) in accepted and kind not in c._states]
+    accepted = {c: c.describe() for c in todo if c._states["validation"].ok}
+    owners = [(kind, c) for kind in _SOURCES for c in accepted if kind not in c._states]
     if owners:
         matrices = np.array([c._states[f"{kind}_matrix"] for kind, c in owners])
         matrices.setflags(write=False)
         eig = hermitian_eig(matrices, tol=1e-9)
         for k, (kind, c) in enumerate(owners):
             spectrum = EigenDecomposition(eig.eigenvalues[k], eig.eigenvectors[k])
-            source = _SOURCES[kind].format(accepted[id(c)])
+            source = _SOURCES[kind].format(accepted[c])
             c._states[kind] = ChoiState(matrix=matrices[k], eig=spectrum, source=source)
     for channel in todo:
-        if id(channel) not in accepted:
+        if channel not in accepted:
             raise ValueError(f"channel is not CPTP: {channel._states['validation'].numbers()}")
 
 
 def choi_states(channels) -> list:
     """The Choi state of each channel, the missing ones built together by
     :func:`build_states`; raises for the first channel ``validate`` rejects."""
-    build_states(channels, ("choi",))
+    build_states(channels)
     return [c._states["choi"] for c in channels]
-
-
-def choi_values(channels, key: str, solve) -> list:
-    """``solve`` of each channel's Choi state, as a list of floats: kept next
-    to the state under ``key``, so each channel object is solved once, the
-    missing ones together in one ``solve`` call on their stacked matrices."""
-    missing = list({id(c): c for c in channels if key not in c._states}.values())
-    if missing:
-        values = solve(np.array([state.matrix for state in choi_states(missing)]))
-        for channel, value in zip(missing, values):
-            channel._states[key] = float(value)
-    return [c._states[key] for c in channels]
 
 
 def dual_choi_states(channels) -> list:
     """The dual-Choi state of each channel; see :func:`choi_states`."""
-    build_states(channels, ("dual_choi",))
+    build_states(channels)
     return [c._states["dual_choi"] for c in channels]
 
 
 def choi(channel: KrausChannel) -> ChoiState:
     """Choi state of a channel: send half of |Phi+> through it.
 
-    The one-channel case of :func:`choi_states`: built on the first call for
-    a channel object, later calls return the same read-only state.  A
-    channel that fails ``validate`` raises ``ValueError`` on every call, and
-    no state is built for it.
+    The one-channel case of :func:`choi_states`: built with the dual-Choi
+    state on the first call for a channel object, later calls return the
+    same read-only state.  A channel that fails ``validate`` raises
+    ``ValueError`` on every call, and no state is built for it.
     """
     state = channel._states.get("choi")
     return state if state is not None else choi_states([channel])[0]

@@ -33,14 +33,12 @@ from .channel import (
     validate,
 )
 from .entmetrics import teleportation_fidelity
-from .locc import channel_fstars
 from .oneshot import (
     IDENTITIES,
     IdentityContext,
     _relation_residual,
     channel_negativities,
     channel_residuals,
-    choi_negativities,
     report,
 )
 
@@ -66,8 +64,20 @@ def _parse_params(items) -> dict:
         key, sep, value = item.partition("=")
         if not sep or not key:
             raise ValueError(f"expected --param key=value, got '{item}'")
+        if key in params:
+            raise ValueError(f"repeated --param key '{key}'")
         params[key] = float(value)
     return params
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object from its (key, value) pairs; a repeated key is an error."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated JSON key '{key}'")
+        obj[key] = value
+    return obj
 
 
 def _load_channel(args) -> KrausChannel:
@@ -75,7 +85,7 @@ def _load_channel(args) -> KrausChannel:
         raise ValueError("give either --name or --file, not both")
     if args.file:
         with open(args.file, "r", encoding="utf-8") as fh:
-            return channel_from_dict(json.load(fh))
+            return channel_from_dict(json.load(fh, object_pairs_hook=_unique_keys))
     if args.name:
         return named_channel(args.name, _parse_params(args.param))
     raise ValueError("a channel is required: --name <constructor> or --file <json>")
@@ -128,23 +138,22 @@ def _cmd_analyze(args) -> int:
 
 
 # Each column maps the rows' IdentityContext to one value per row, in one
-# stacked call; F* and N_choi are solved once per channel.
+# stacked call; F* and N_choi are the context's, solved once for all rows.
 SWEEP_COLUMNS = {
     "F_lambda": lambda ctx: np.maximum(0.5, ctx.lambda_max),
     "lambda_max": lambda ctx: ctx.lambda_max,
     "entanglement_breaking": lambda ctx: np.where(ctx.entanglement_breaking, 1.0, 0.0),
     "f_tel": lambda ctx: teleportation_fidelity(SWEEP_COLUMNS["F_lambda"](ctx)),
     "F1": lambda ctx: [state.eig.eigenvalues[0] for state in ctx.dual_states],
-    "N_choi": lambda ctx: choi_negativities(ctx.channels),
+    "N_choi": lambda ctx: ctx.negativities,
     "N_channel": lambda ctx: [search.value for search in channel_negativities(ctx.channels)],
-    "fstar_choi": lambda ctx: channel_fstars(ctx.channels),
+    "fstar_choi": lambda ctx: ctx.fstars,
     # NaN on entanglement-breaking rows, where neither side is meaningful.
-    "gap": lambda ctx: np.where(ctx.entanglement_breaking, np.nan,
-                                ctx.lambda_max - channel_fstars(ctx.channels)),
+    "gap": lambda ctx: np.where(ctx.entanglement_breaking, np.nan, ctx.lambda_max - ctx.fstars),
     "schmidt_lambda": lambda ctx: [inp.schmidt.coefficients[0] for inp in ctx.optimal_inputs],
     "unitality_deviation": lambda ctx: ctx.unitality_deviation,
     "negativity_relation_residual": lambda ctx: _relation_residual(
-        ctx.lambda_max, choi_negativities(ctx.channels)),
+        ctx.lambda_max, ctx.negativities),
 }
 
 

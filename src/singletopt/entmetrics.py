@@ -150,7 +150,7 @@ def _negativity(rho: np.ndarray) -> float | np.ndarray:
     return float(value) if value.ndim == 0 else value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtData:
     """Schmidt form of a two-qubit pure state.
 

@@ -111,7 +111,7 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
     return v * (pivot.conj() / np.where(size == 0.0, 1.0, size))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     """Spectral decomposition of a Hermitian matrix, or of a stack of them.
 

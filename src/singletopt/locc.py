@@ -42,9 +42,9 @@ return its open bracket, so a reported F* is never an unconverged estimate.
 The lower end is a rank-one value and the upper end bounds the full
 program, so a closed bracket also certifies rank-one optimality for that
 state.  The solve takes leading batch axes: one pass closes a whole
-stack of states, each on its own rule, and :func:`channel_fstars` solves
-many channels' Choi states in one such call, as the audit does for its
-certificates, each bit for bit its state's own.
+stack of states, each on its own rule, each bit for bit its state's own:
+``oneshot.IdentityContext`` solves many channels' Choi states in one such
+call, for the sweep's values and for the audit's certificates.
 :meth:`FstarCertificate.protocol` is the primal's explicit
 filter.  The filter-protocol search that maximizes the primal protocol
 value directly, by an independent route, is a reference in the test suite
@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import KrausChannel
-from .choi import ENTANGLEMENT_BREAKING_THRESHOLD, choi, choi_values
+from .choi import ENTANGLEMENT_BREAKING_THRESHOLD, choi
 from .entmetrics import _as_density_stack, _singlet_fraction
 from .linalg import I2, MAGIC_BASIS, PAULIS, partial_transpose, tensor_product, to_magic_basis
 
@@ -67,7 +67,6 @@ __all__ = [
     "FilterProtocol",
     "FstarCertificate",
     "channel_fstar",
-    "channel_fstars",
     "fstar",
     "fstar_bracket",
     "fstar_certificate",
@@ -285,7 +284,7 @@ def _kkt_certificates(gamma: np.ndarray):
     return value, x, z, upper - (0.5 - value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FstarCertificate:
     """Certified bracket ``lower <= F* <= upper`` and the points proving it.
 
@@ -394,19 +393,12 @@ def fstar(rho: np.ndarray) -> float | np.ndarray:
     return fstar_certificate(rho).lower
 
 
-def channel_fstars(channels) -> list:
-    """:func:`fstar` of each channel's Choi state, as a list of floats, each
-    channel solved once and the missing ones together (see
-    :func:`choi.choi_values`)."""
-    return choi_values(channels, "fstar", fstar)
-
-
 def channel_fstar(channel: KrausChannel) -> float:
-    """:func:`fstar` of the channel's Choi state; see :func:`channel_fstars`."""
-    return channel_fstars([channel])[0]
+    """:func:`fstar` of the channel's Choi state."""
+    return float(fstar(choi(channel).matrix))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterProtocol:
     """A concrete one-sided filter strategy and the value it achieves.
 

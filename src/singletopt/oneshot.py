@@ -39,7 +39,6 @@ from .choi import (
     build_states,
     choi,
     choi_states,
-    choi_values,
     dual_choi,
     eigenvector_correspondence_check,
 )
@@ -53,7 +52,7 @@ from .entmetrics import (
     teleportation_fidelity,
 )
 from .linalg import I2, MAGIC_BASIS, partial_transpose, swap_conjugate, to_magic_basis
-from .locc import GAP_TOLERANCE, FstarCertificate, _fstar_certificate
+from .locc import GAP_TOLERANCE, FstarCertificate, _fstar_certificate, fstar
 
 __all__ = [
     "ENTANGLEMENT_BREAKING_THRESHOLD",
@@ -103,7 +102,7 @@ def optimal_singlet_fraction(channel: KrausChannel) -> OptimalFraction:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimalInput:
     """Optimal pure input: top eigenvector of the dual Choi state."""
 
@@ -171,9 +170,10 @@ def _classification(unital: bool, deviation: float, inp: OptimalInput) -> Classi
 
 
 def choi_negativities(channels) -> np.ndarray:
-    """:func:`negativity` of each channel's Choi state, each channel solved
-    once and the missing ones together (see :func:`choi.choi_values`)."""
-    return np.array(choi_values(channels, "negativity", _negativity))
+    """:func:`negativity` of each channel's Choi state, in one call on their
+    stacked matrices; no channels give an empty array."""
+    matrices = np.array([state.matrix for state in choi_states(channels)])
+    return _negativity(matrices.reshape(-1, 4, 4))
 
 
 def negativity_relation_residual(channel: KrausChannel) -> float:
@@ -185,14 +185,14 @@ def negativity_relation_residual(channel: KrausChannel) -> float:
     and the residual is reported without being asserted.
     """
     state = choi(channel)
-    return float(_relation_residual(state.eig.eigenvalues[0], choi_negativities([channel])[0]))
+    return float(_relation_residual(state.eig.eigenvalues[0], _negativity(state.matrix)))
 
 
 def _relation_residual(lam, n):
     return abs(lam - 0.5 * (1.0 + n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NegativitySearch:
     """Best output negativity of an explicit pure input, with an upper bound.
 
@@ -332,8 +332,10 @@ class IdentityContext:
     Each channel's own states are fetched once: its validation, Choi and
     dual-Choi states, optimal input, lambda_max, unitality and its
     entanglement-breaking and degeneracy flags.  The fields more than one
-    row reads are computed on first use in one call on the (n, 4, 4) stack
-    of the channels' Choi matrices, each channel's entry bit for bit its own.
+    row or column reads, among them the Choi negativities and F*, are
+    computed on first use in one call on the (n, 4, 4) stack of the
+    channels' Choi matrices, each channel's entry bit for bit its own: this
+    is the one place a command keeps its stacked solves.
     """
 
     def __init__(self, channels):
@@ -352,6 +354,16 @@ class IdentityContext:
     @cached_property
     def matrices(self) -> np.ndarray:
         return np.array([state.matrix for state in self.choi_states])
+
+    @cached_property
+    def negativities(self) -> np.ndarray:
+        """Each Choi state's :func:`~singletopt.entmetrics.negativity`."""
+        return _negativity(self.matrices)
+
+    @cached_property
+    def fstars(self) -> np.ndarray:
+        """Each Choi state's :func:`~singletopt.locc.fstar`."""
+        return fstar(self.matrices)
 
     @cached_property
     def certificate(self) -> FstarCertificate:
@@ -391,7 +403,6 @@ def _where(applies, values) -> list:
 
 def _negativity_relation(ctx: IdentityContext) -> list:
     # lambda_max = (1 + N)/2 fails by design on entanglement-breaking channels.
-    choi_negativities(ctx.channels)  # one solve for the stack, read back per channel
     return [None if breaking else negativity_relation_residual(c)
             for c, breaking in zip(ctx.channels, ctx.entanglement_breaking)]
 
@@ -500,14 +511,12 @@ def channel_residuals(channels) -> list:
     oracle search (each value at least its own), and one call on the stack
     for each of the singlet fractions, the protocol scoring, the dual
     checks, the partial-transpose spectra, the optimal inputs' outputs and
-    the Kraus read-backs.  The Choi negativities are solved once too, kept
-    next to each state (see :func:`choi_negativities`).  No channels give
-    an empty list.
+    the Kraus read-backs.  No channels give an empty list.
     """
     return _evaluate(IdentityContext(channels), reported_only=False) if len(channels) else []
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelReport:
     """Everything derived from one channel, with self-check residuals."""
 
@@ -565,7 +574,7 @@ def report(channel: KrausChannel) -> ChannelReport:
         unital=bool(ctx.unital[0]),
         unitality_deviation=float(ctx.unitality_deviation[0]),
         f_tel=teleportation_fidelity(frac.value),
-        N_choi=float(choi_negativities([channel])[0]),
+        N_choi=float(ctx.negativities[0]),
         F1=preprocessed_fidelity(channel),
         residuals=_evaluate(ctx, reported_only=True)[0],
     )

@@ -20,7 +20,7 @@ import numpy as np
 __all__ = ["SearchSpec", "compass_search"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SearchSpec:
     """Box/wrap structure of the parameter vector.
 

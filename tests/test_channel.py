@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import singletopt.channel as channel_module
 from singletopt.channel import (
     KrausChannel,
     amplitude_damping,
@@ -402,6 +403,20 @@ def test_measured_choi_and_dual_matrices_are_each_channels_einsum():
         assert_bitwise_equal(
             c._states["dual_choi_matrix"], einsum_bell_products(ops.conj().swapaxes(-1, -2))
         )
+
+
+def test_measure_stacks_a_repeated_channel_once(monkeypatch):
+    stacked = []
+    real = channel_module._kraus_stack
+
+    def counting(kraus_lists):
+        stacked.append(len(kraus_lists))
+        return real(kraus_lists)
+
+    monkeypatch.setattr(channel_module, "_kraus_stack", counting)
+    channels = random_channels(9620, 5)
+    _measure(channels + channels[::-1] + channels[:2])
+    assert stacked == [5]
 
 
 def test_channel_within_rounding_of_tp_keeps_its_input_choi_matrix():

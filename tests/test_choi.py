@@ -180,7 +180,7 @@ def test_equal_channels_build_their_own_states(builds):
     first, second = choi(a), choi(b)
     assert first is not second
     np.testing.assert_array_equal(first.matrix, second.matrix)
-    assert len(builds) == 2
+    assert builds == ["amplitude_damping(p=0.3)", "dual(amplitude_damping(p=0.3))"] * 2
 
 
 @pytest.mark.parametrize("build", [choi, dual_choi])
@@ -215,7 +215,9 @@ def test_choi_states_build_accepted_channels_and_raise_for_rejected(builds):
     good, bad, other = amplitude_damping(0.3), KrausChannel(kraus=(2 * I2,)), depolarizing(0.2)
     with pytest.raises(ValueError, match="not CPTP: tp_residual=") as batch:
         choi_states([good, bad, other, good])
-    assert builds == ["amplitude_damping(p=0.3)", "depolarizing(p=0.2)"]
+    built = ["amplitude_damping(p=0.3)", "depolarizing(p=0.2)",
+             "dual(amplitude_damping(p=0.3))", "dual(depolarizing(p=0.2))"]
+    assert builds == built
     assert "choi" not in bad._states and "dual_choi" not in bad._states
     for build in (choi, dual_choi):
         with pytest.raises(ValueError) as alone:
@@ -224,7 +226,7 @@ def test_choi_states_build_accepted_channels_and_raise_for_rejected(builds):
     assert choi_states([good, other]) == [choi(good), choi(other)]
     with pytest.raises(ValueError, match="not CPTP: tp_residual="):
         dual_choi_states([bad, good])
-    assert builds == ["amplitude_damping(p=0.3)", "depolarizing(p=0.2)", "dual(amplitude_damping(p=0.3))"]
+    assert builds == built
 
 
 def test_build_states_gates_and_labels_each_channel_once(monkeypatch):

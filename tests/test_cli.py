@@ -252,6 +252,23 @@ def test_analyze_unknown_spec_key_exits_2(capsys, tmp_path, spec, key):
     assert err == f"error: unknown channel spec key(s) ['{key}']\n"
 
 
+def test_analyze_repeated_param_key_exits_2(capsys):
+    code, out, err = run(["analyze", "--name", "depolarizing", "--param", "p=0.5",
+                          "--param", "p=0.6"], capsys)
+    assert (code, out, err) == (2, "", "error: repeated --param key 'p'\n")
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"name": "depolarizing", "params": {"p": 0.5, "p": 0.7}}', "p"),
+    ('{"name": "depolarizing", "name": "bit_flip", "params": {"p": 0.5}}', "name"),
+], ids=["params", "top-level"])
+def test_analyze_repeated_json_key_exits_2(capsys, tmp_path, text, key):
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    code, out, err = run(["analyze", "--file", str(path)], capsys)
+    assert (code, out, err) == (2, "", f"error: repeated JSON key '{key}'\n")
+
+
 def test_analyze_parse_failure_exits_2(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -548,6 +565,25 @@ def test_sweep_builds_every_state_in_one_eigendecomposition(tmp_path, capsys, mo
     )
     assert code == 0
     assert shapes == [(42, 4, 4)]
+
+
+def test_sweep_solves_fstar_and_the_choi_negativities_once(tmp_path, capsys, monkeypatch):
+    # fstar_choi and gap share the context's one F* solve; N_choi and
+    # negativity_relation_residual share its one negativity call.
+    calls = {"fstar": [], "_negativity": []}
+    for name, shapes in calls.items():
+        def counting(rho, real=getattr(oneshot, name), shapes=shapes):
+            shapes.append(np.shape(rho))
+            return real(rho)
+
+        monkeypatch.setattr(oneshot, name, counting)
+    code, _, _ = run(
+        ["sweep", "--name", "amplitude_damping", "--from", "0", "--to", "1", "--steps", "21",
+         "--columns", ",".join(cli.SWEEP_COLUMNS), "--out", str(tmp_path / "s.csv")],
+        capsys,
+    )
+    assert code == 0
+    assert calls == {"fstar": [(21, 4, 4)], "_negativity": [(21, 4, 4)]}
 
 
 def test_sweep_byte_identical_across_runs(tmp_path, capsys):

@@ -436,6 +436,10 @@ def test_fstar_equals_fraction_on_optimal_input_output():
 
 
 def test_gap_examples():
+    c = amplitude_damping(0.4)
+    value = channel_fstar(c)
+    assert value == fstar(choi(c).matrix)
+    assert postprocessing_gap(c)[0] == float(choi(c).eig.eigenvalues[0]) - value
     gap, strict = postprocessing_gap(depolarizing(0.4))
     assert abs(gap) < 1e-9 and not strict
     gap, strict = postprocessing_gap(identity())
@@ -463,21 +467,6 @@ def test_gap_sign_and_strictness_on_random_channels():
             assert abs(gap) < 1e-6
         elif deviation > 1e-2:
             assert strict
-
-
-def test_channel_fstar_solves_once_per_channel_object(monkeypatch):
-    from singletopt import locc
-
-    c = amplitude_damping(0.4)
-    value = channel_fstar(c)
-    assert value == fstar(choi(c).matrix)
-
-    def unexpected(rho):
-        raise AssertionError("fstar solved again")
-
-    monkeypatch.setattr(locc, "fstar", unexpected)
-    assert channel_fstar(c) == value
-    assert postprocessing_gap(c)[0] == float(choi(c).eig.eigenvalues[0]) - value
 
 
 def _mixed_stack():
@@ -590,23 +579,3 @@ def test_fstar_stack_rejects_a_non_state():
     stack[2] *= 2.0
     with pytest.raises(ValueError, match="trace"):
         fstar(stack)
-
-
-def test_channel_fstars_solves_missing_channels_in_one_call(monkeypatch):
-    channels = [amplitude_damping(0.3), depolarizing(0.2), amplitude_damping(0.6)]
-    known = channel_fstar(channels[1])
-    calls = []
-    solve = locc.fstar
-
-    def counting(rho):
-        calls.append(np.shape(rho))
-        return solve(rho)
-
-    monkeypatch.setattr(locc, "fstar", counting)
-    values = locc.channel_fstars(channels + [channels[0]])
-    assert calls == [(2, 4, 4)]
-    assert values[1] == known and values[3] == values[0]
-    for c, value in zip(channels, values):
-        assert isinstance(value, float)
-        assert abs(value - solve(choi(c).matrix)) <= 1e-12
-    assert locc.channel_fstars(channels) == values[:3] and len(calls) == 1

@@ -44,6 +44,7 @@ from singletopt.locc import (
     _fstar_certificate,
     fstar_certificate,
 )
+from singletopt.optimize import SearchSpec
 from singletopt.oneshot import (
     IDENTITIES,
     IdentityContext,
@@ -645,6 +646,17 @@ def test_channel_residuals_of_no_channels_is_empty():
     assert channel_residuals([]) == []
 
 
+def test_choi_negativities_equal_each_channels_own():
+    channels = _RANDOM_STACK[:40] + _BOUNDARY_STACK
+    stacked = oneshot.choi_negativities(channels + channels[:3])
+    assert stacked.shape == (len(channels) + 3,)
+    assert_bitwise_equal(stacked[-3:], stacked[:3])
+    for channel, value in zip(channels, stacked):
+        assert value == negativity(choi(channel).matrix)
+    empty = oneshot.choi_negativities([])
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+
 def test_kraus_rows_keep_an_eigenvalue_at_the_cut():
     # A Bell-diagonal Choi spectrum with an eigenvalue of exactly KRAUS_CUT:
     # the read-back keeps its operator, and both Kraus rows judge the same
@@ -714,3 +726,28 @@ def test_optimal_input_states_are_each_channels_own():
         assert_bitwise_equal(stacked.schmidt.coefficients, alone.schmidt.coefficients)
         for a, b in zip(stacked.schmidt.local_bases, alone.schmidt.local_bases):
             assert_bitwise_equal(a, b)
+
+
+# Two records of each kind, built alike from two equal channels: they hold
+# arrays, so they compare (and hash) by identity rather than raise.
+_RECORDS = {
+    "KrausChannel": lambda c: c,
+    "ChoiState": choi,
+    "EigenDecomposition": lambda c: choi(c).eig,
+    "SchmidtData": lambda c: optimal_input_state(c).schmidt,
+    "OptimalInput": optimal_input_state,
+    "NegativitySearch": channel_negativity,
+    "ChannelReport": report,
+    "FstarCertificate": lambda c: fstar_certificate(choi(c).matrix),
+    "FilterProtocol": lambda c: fstar_certificate(choi(c).matrix).protocol(choi(c).matrix),
+    "SearchSpec": lambda c: SearchSpec.build(len(c.kraus), clip={0: (0.0, 1.0)}),
+}
+
+
+@pytest.mark.parametrize("kind", _RECORDS)
+def test_records_compare_and_hash_by_identity(kind):
+    first, second = (_RECORDS[kind](amplitude_damping(0.3)) for _ in range(2))
+    assert type(first).__name__ == kind
+    assert first == first and not first != first
+    assert first != second and not first == second
+    assert len({first, second, first}) == 2
